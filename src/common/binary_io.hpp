@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace odin::common {
 
@@ -86,5 +87,29 @@ class ByteReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// Length-prefixed vector: a u64 element count, then `enc(x)` per element.
+template <typename T, typename Fn>
+void encode_vec(const std::vector<T>& v, ByteWriter& out, Fn enc) {
+  out.u64(v.size());
+  for (const T& x : v) enc(x);
+}
+
+/// Read an encode_vec count. False on overrun or a count past the 16M
+/// element bound, so a corrupt count cannot drive a huge allocation.
+inline bool vec_count(ByteReader& in, std::uint64_t& n) {
+  n = in.u64();
+  return in.ok() && n <= (1u << 24);
+}
+
+/// Decode an encode_vec vector, appending `dec()` per element. False when
+/// the count is refused; an overrun inside the elements shows in in.ok().
+template <typename T, typename Fn>
+bool decode_vec(ByteReader& in, std::vector<T>& v, Fn dec) {
+  std::uint64_t n = 0;
+  if (!vec_count(in, n)) return false;
+  for (std::uint64_t i = 0; i < n; ++i) v.push_back(dec());
+  return true;
+}
 
 }  // namespace odin::common

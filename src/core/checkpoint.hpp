@@ -55,9 +55,10 @@ namespace odin::core {
 /// sketches); version 7 added the cluster surface (cluster geometry
 /// fingerprint, outage/replication cursors, per-tenant replica cursors and
 /// failover breakers, RTO/RPO ledgers, plus the per-tenant failover
-/// counters on TenantStats). Older frames are still accepted, with every
-/// added field defaulting to the feature-disabled state (v6 frames decode
-/// as a single-mesh cluster with replication and failover off).
+/// counters on TenantStats). Older frames still decode, with every added
+/// field defaulting to the feature-disabled state (v6 frames decode as a
+/// single-mesh cluster with replication and failover off); the campaign
+/// engine resumes only from frames carrying the cluster surface.
 inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// The complete serving state at a run boundary. `segment`/`next_run`
@@ -125,15 +126,16 @@ struct ServingCheckpoint {
   /// Scenario surface (v6+; defaulted for older frames). `sojourn_cap` is
   /// a resume fingerprint: a different retention cap would desynchronize
   /// the sojourn vectors of a resumed walk. The campaign state is only
-  /// meaningful when has_scenario (the scenario engine's checkpoints); the
+  /// meaningful when has_scenario (the campaign engine's checkpoints); the
   /// plain serving loop writes it defaulted.
   std::uint64_t sojourn_cap = 0;
   bool has_scenario = false;
   CampaignState scenario;
   /// Cluster surface (v7+; defaulted for older frames, which decode as a
-  /// single-mesh cluster with replication and failover off). Only
-  /// meaningful when has_cluster (the cluster engine's checkpoints); a
-  /// cluster frame refuses plain resume_campaign and vice versa.
+  /// single-mesh cluster with replication and failover off). Set on every
+  /// frame the campaign engine writes — a plain campaign's is a one-mesh
+  /// cluster frame — and required by resume: a frame without it (v6, or
+  /// has_cluster unset) decodes but does not resume.
   bool has_cluster = false;
   ClusterState cluster;
 };

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -36,17 +35,6 @@ int shards_per_mesh(const CampaignConfig& campaign, int meshes) {
   int k = std::clamp(campaign.shards, 1, pes_total);
   k = std::min(k, 64 / std::max(1, meshes));
   return std::max(1, k);
-}
-
-template <typename T, typename Fn>
-void encode_vec(const std::vector<T>& v, common::ByteWriter& out, Fn enc) {
-  out.u64(v.size());
-  for (const T& x : v) enc(x);
-}
-
-bool vec_count(common::ByteReader& in, std::uint64_t& n) {
-  n = in.u64();
-  return in.ok() && n <= (1u << 24);
 }
 
 }  // namespace
@@ -87,6 +75,9 @@ bool FailoverConfig::resolved_enabled() const {
 
 // ---------------------------------------------------------------------------
 // Cluster state codec (checkpoint payload v7).
+
+using common::decode_vec;
+using common::encode_vec;
 
 void encode_cluster_state(const ClusterState& s, common::ByteWriter& out) {
   out.i32(s.meshes);
@@ -137,38 +128,31 @@ std::optional<ClusterState> decode_cluster_state(common::ByteReader& in) {
   s.failover = in.boolean();
   s.outages_fired = in.i32();
   s.replication_rounds = in.i32();
-  std::uint64_t n = 0;
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.mesh_down.push_back(in.u8());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i)
-    s.mesh_down_until_s.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.mesh_served.push_back(in.i64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.replica_runs.push_back(in.i64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.replica_time_s.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.replica_mesh.push_back(in.i32());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.tenant_ready_s.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.tenant_victim.push_back(in.u8());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    CircuitBreaker::Snapshot b;
-    b.state = in.i32();
-    b.window_bits = in.u64();
-    b.window_fill = in.i32();
-    b.hold_left = in.i32();
-    b.hold_runs = in.i32();
-    b.opens = in.i32();
-    b.reopens = in.i32();
-    b.probes = in.i32();
-    b.closes = in.i32();
-    s.breakers.push_back(b);
-  }
+  auto u8 = [&] { return in.u8(); };
+  auto f64 = [&] { return in.f64(); };
+  auto i64 = [&] { return in.i64(); };
+  if (!decode_vec(in, s.mesh_down, u8) ||
+      !decode_vec(in, s.mesh_down_until_s, f64) ||
+      !decode_vec(in, s.mesh_served, i64) ||
+      !decode_vec(in, s.replica_runs, i64) ||
+      !decode_vec(in, s.replica_time_s, f64) ||
+      !decode_vec(in, s.replica_mesh, [&] { return in.i32(); }) ||
+      !decode_vec(in, s.tenant_ready_s, f64) ||
+      !decode_vec(in, s.tenant_victim, u8) ||
+      !decode_vec(in, s.breakers, [&] {
+        CircuitBreaker::Snapshot b;
+        b.state = in.i32();
+        b.window_bits = in.u64();
+        b.window_fill = in.i32();
+        b.hold_left = in.i32();
+        b.hold_runs = in.i32();
+        b.opens = in.i32();
+        b.reopens = in.i32();
+        b.probes = in.i32();
+        b.closes = in.i32();
+        return b;
+      }))
+    return std::nullopt;
   s.failovers = in.i64();
   s.restored_stale = in.i64();
   s.lost_runs = in.i64();
@@ -189,15 +173,84 @@ std::optional<ClusterState> decode_cluster_state(common::ByteReader& in) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster campaign engine.
+// The campaign engine: one loop for a plain campaign (one mesh, pinned
+// below) and for a multi-mesh cluster.
 
 namespace {
 
+/// Degraded out-of-band (shed or breaker-open) service relative to the
+/// full path: shorter, cheaper, off the shard FIFO.
+constexpr double kShedServiceFactor = 0.5;
+constexpr double kShedEnergyFactor = 0.6;
+
+/// Per-PE demand bar the tenant-migration loop flattens toward after a
+/// rescale (which equalizes only to 1-PE granularity).
+constexpr double kMigrateResidualThreshold = 1.05;
+
+void campaign_degrade(double& service_s, double& energy_j) noexcept {
+  service_s *= kShedServiceFactor;
+  energy_j *= kShedEnergyFactor;
+}
+
+/// Contiguous shard blocks with the given per-shard PE counts, cut along
+/// the snake fill order — the shape rescale_shard_blocks produces, so the
+/// counts alone reconstruct the blocks on resume.
+std::vector<std::vector<int>> campaign_blocks_from_counts(
+    const arch::PimConfig& pim, const std::vector<std::int32_t>& counts) {
+  const std::vector<int> order = fleet_fill_order(pim, true);
+  std::vector<std::vector<int>> out(counts.size());
+  std::size_t pos = 0;
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    const auto take = static_cast<std::size_t>(std::max<std::int32_t>(
+        0, counts[k]));
+    out[k].assign(order.begin() + static_cast<std::ptrdiff_t>(pos),
+                  order.begin() + static_cast<std::ptrdiff_t>(pos + take));
+    pos += take;
+  }
+  return out;
+}
+
+/// Demand-balanced contiguous initial placement: tenant index ranges map
+/// to shards in order, boundaries chosen so each shard's expected demand
+/// share matches its PE share. Contiguity matters: flash crowds target
+/// contiguous tenant index ranges, so a crowd's overload lands shard-local.
+std::vector<std::int32_t> campaign_initial_placement(
+    const ScenarioTrace& trace, const std::vector<std::int32_t>& shard_pes) {
+  const std::size_t T = trace.tenants.size();
+  const std::size_t K = shard_pes.size();
+  double total = 0.0;
+  std::vector<double> demand(T, 0.0);
+  for (std::size_t i = 0; i < T; ++i) {
+    demand[i] = trace.tenants[i].weight * trace.tenants[i].service_s;
+    total += demand[i];
+  }
+  double pes_total = 0.0;
+  for (std::int32_t p : shard_pes) pes_total += static_cast<double>(p);
+  std::vector<std::int32_t> out(T, 0);
+  std::size_t k = 0;
+  double acc = 0.0, cut = total * static_cast<double>(shard_pes[0]) / pes_total;
+  for (std::size_t i = 0; i < T; ++i) {
+    if (acc >= cut && k + 1 < K) {
+      ++k;
+      cut += total * static_cast<double>(shard_pes[k]) / pes_total;
+    }
+    out[i] = static_cast<std::int32_t>(k);
+    acc += demand[i];
+  }
+  return out;
+}
+
+/// True when every container holds exactly `n` elements.
+template <typename... Vs>
+bool all_sized(std::size_t n, const Vs&... vs) {
+  return ((vs.size() == n) && ...);
+}
+
 /// Resolve the outage schedule against the mesh count: draw missing
 /// windows and victim meshes from the scenario seed (fork 11 — disjoint
-/// from every stream the campaign engine consumes, so a single-mesh
-/// cluster still walks the identical arrival/trace streams), ascending
-/// start with a mesh-index tie-break.
+/// from the trace and arrival streams, so the mesh count and the outage
+/// schedule never perturb the arrivals), ascending start with a
+/// mesh-index tie-break.
 std::vector<MeshOutage> resolve_outages(const ClusterConfig& config,
                                         std::uint64_t seed, int meshes) {
   common::Rng rng = common::Rng(seed).fork(11);
@@ -316,25 +369,51 @@ std::optional<ClusterResult> run_cluster_impl(
 
   ArrivalGenerator gen(trace);
 
+  // A frame that passed the CRC and the fingerprint can still carry
+  // sizes, cursors or indices that disagree with the geometry. The loop
+  // indexes with every one of them unchecked, so resume checks them first.
+  auto state_fits = [&]() {
+    if (!all_sized(static_cast<std::size_t>(S), st.shard_busy_until_s,
+                   st.shard_pes, st.shard_demand, st.shard_wear) ||
+        !all_sized(T, stats, st.tenant_shard, st.tenant_demand,
+                   cs.replica_runs, cs.replica_time_s, cs.replica_mesh,
+                   cs.tenant_ready_s, cs.tenant_victim, cs.breakers) ||
+        !all_sized(static_cast<std::size_t>(E), st.epoch_energy_j,
+                   st.epoch_edp_sum, st.epoch_requests, st.epoch_misses,
+                   st.epoch_sheds, st.epoch_slack_p1) ||
+        !all_sized(static_cast<std::size_t>(M), cs.mesh_down,
+                   cs.mesh_down_until_s, cs.mesh_served))
+      return false;
+    if (st.next_event > st.requests || st.epoch < 0 || st.epoch >= E ||
+        st.storms_fired < 0 ||
+        static_cast<std::size_t>(st.storms_fired) > trace.storms.size() ||
+        st.storm_shard_mask.size() !=
+            static_cast<std::size_t>(st.storms_fired) ||
+        cs.outages_fired < 0 ||
+        static_cast<std::size_t>(cs.outages_fired) > outs.size())
+      return false;
+    for (std::int32_t g : st.tenant_shard)
+      if (g < 0 || g >= S) return false;
+    // Each mesh's blocks tile its PEs exactly, as every cut does:
+    // campaign_blocks_from_counts walks the fill order by these counts.
+    for (int m = 0; m < M; ++m) {
+      int pes = 0;
+      for (int k = 0; k < K; ++k) {
+        const std::int32_t p =
+            st.shard_pes[static_cast<std::size_t>(m * K + k)];
+        if (p < 1 || p > pes_per_mesh) return false;
+        pes += p;
+      }
+      if (pes != pes_per_mesh) return false;
+    }
+    return true;
+  };
+
   if (resume_ckpt != nullptr) {
     st = resume_ckpt->scenario;
     stats = resume_ckpt->result.tenants;
     cs = resume_ckpt->cluster;
-    if (stats.size() != T) return std::nullopt;
-    if (st.storm_shard_mask.size() !=
-            static_cast<std::size_t>(st.storms_fired) ||
-        st.shard_wear.size() != static_cast<std::size_t>(S))
-      return std::nullopt;
-    if (cs.mesh_down.size() != static_cast<std::size_t>(M) ||
-        cs.mesh_down_until_s.size() != static_cast<std::size_t>(M) ||
-        cs.mesh_served.size() != static_cast<std::size_t>(M) ||
-        cs.replica_runs.size() != T || cs.replica_time_s.size() != T ||
-        cs.replica_mesh.size() != T || cs.tenant_ready_s.size() != T ||
-        cs.tenant_victim.size() != T || cs.breakers.size() != T)
-      return std::nullopt;
-    if (cs.outages_fired < 0 ||
-        static_cast<std::size_t>(cs.outages_fired) > outs.size())
-      return std::nullopt;
+    if (!state_fits()) return std::nullopt;
     gen.skip(st.next_event);
     // Re-apply fired storms' drift windows to the global shards they
     // actually hit (a dark target mesh left its mask empty).
@@ -400,9 +479,11 @@ std::optional<ClusterResult> run_cluster_impl(
   };
 
   // Close one epoch: each *alive* mesh autoscales independently over its
-  // own K shards and its own tenants — exactly the campaign close_epoch
-  // restricted to the mesh's slice, so a single-mesh cluster reproduces
-  // it bitwise. A dark mesh is skipped (nothing served, nothing to cut).
+  // own K shards and its own tenants — re-cut PE blocks proportionally to
+  // the epoch's shard demand, then migrate tenants off still-overloaded
+  // shards. Migration cost is ledgered, never added to a shard's FIFO
+  // clock — off the critical path. A dark mesh is skipped (nothing
+  // served, nothing to cut).
   auto close_epoch = [&]() {
     for (int m = 0; m < M; ++m) {
       if (cs.mesh_down[static_cast<std::size_t>(m)] != 0) continue;
@@ -713,8 +794,8 @@ std::optional<ClusterResult> run_cluster_impl(
     ++cs.mesh_served[static_cast<std::size_t>(mesh)];
     // Degraded admission: a non-closed breaker serves the fallback path
     // until its hold drains; the run that exhausts it is the half-open
-    // probe. Closed breakers never consume state, so a single-mesh
-    // cluster (no failover ever fires) matches run_campaign bitwise.
+    // probe. Closed breakers never consume state, so without a failover
+    // (every plain campaign) this is the plain serve path.
     bool degraded = false, probe = false;
     if (brk[tenant].state() != CircuitBreaker::State::kClosed) {
       const bool full = brk[tenant].allow();
@@ -922,6 +1003,34 @@ std::optional<ClusterResult> resume_cluster(const ClusterConfig& config) {
   return run_cluster_impl(cont, &*ckpt);
 }
 
+namespace {
+
+/// The cluster a plain campaign runs as. Every cluster knob is pinned
+/// here, so no ODIN_MESHES / ODIN_FAILOVER / ODIN_REPLICATION_EPOCHS value
+/// reaches a campaign. One mesh with no outages never replicates, fails
+/// over or drops an arrival; the cadence only fills the fingerprint.
+ClusterConfig one_mesh(const CampaignConfig& campaign) {
+  ClusterConfig c;
+  c.campaign = campaign;
+  c.meshes = 1;
+  c.mesh_outages = 0;  // and no pinned `outages`
+  c.replication_epochs = kDefaultReplicationEpochs;
+  c.failover.enabled = 0;
+  return c;
+}
+
+}  // namespace
+
+CampaignResult run_campaign(const CampaignConfig& config) {
+  return run_cluster(one_mesh(config)).campaign;
+}
+
+std::optional<CampaignResult> resume_campaign(const CampaignConfig& config) {
+  auto r = resume_cluster(one_mesh(config));
+  if (!r.has_value()) return std::nullopt;
+  return std::move(r->campaign);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster scenario-file parser. Cluster keys are consumed here; every
 // other line is passed through to parse_scenario with its position
@@ -937,18 +1046,6 @@ std::optional<ClusterConfig> parse_cluster(std::istream& in) {
     std::fprintf(stderr, "odin: scenario line %d: %s: %s\n", lineno, why,
                  raw.c_str());
     return std::nullopt;
-  };
-  auto parse_f64 = [](const std::string& tok, double& out) {
-    const char* s = tok.c_str();
-    char* end = nullptr;
-    out = std::strtod(s, &end);
-    return end != s && *end == '\0';
-  };
-  auto parse_i64 = [](const std::string& tok, long long& out) {
-    const char* s = tok.c_str();
-    char* end = nullptr;
-    out = std::strtoll(s, &end, 10);
-    return end != s && *end == '\0';
   };
   while (std::getline(in, raw)) {
     ++lineno;

@@ -5,8 +5,8 @@
 // storm-hardens (core/scenario) — is still one fault domain: a power or
 // interconnect event takes every shard on it down together. The cluster
 // layer runs N independent meshes, each serving its own slice of the
-// tenant set through the identical campaign-engine analytics, and makes
-// whole-mesh loss a first-class, recoverable event:
+// tenant set through the campaign analytics, and makes whole-mesh loss a
+// first-class, recoverable event:
 //
 //  * mesh-loss fault domains — seeded outage windows (MeshOutage) take one
 //    mesh's shards dark for part of the horizon, replayable from the
@@ -27,14 +27,17 @@
 //    recovery time (RTO) is the outage-to-ready gap, serialized restores
 //    queuing behind one detection delay.
 //
-// Determinism: a single-mesh cluster is bitwise-identical to
-// run_campaign — it walks the same arrival stream through the same
-// pricing expressions (campaign_price) over the same shard geometry — and
-// every cluster decision (outage windows, storm target meshes, failover
-// destinations) is a pure function of the seeds and the state, so
-// same-seed replay and mid-campaign resume reproduce the summary byte for
-// byte. The cluster state rides checkpoint payload v7; v6 frames decode
-// as a single-mesh cluster with replication and failover off.
+// One engine: run_cluster holds the only campaign loop. A plain campaign
+// (core/scenario run_campaign) is its one-mesh case, with no outages,
+// replication or failover and every cluster knob pinned in code.
+//
+// Determinism: every cluster decision (outage windows, storm target
+// meshes, failover destinations) is a pure function of the seeds and the
+// state, so same-seed replay and mid-campaign resume reproduce the summary
+// byte for byte. The state rides checkpoint payload v7 with the cluster
+// surface set. Resume refuses a frame without it (a v6 frame, or any
+// frame with has_cluster unset), a frame whose fingerprint names another
+// geometry, and a frame whose state does not fit that geometry.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +81,7 @@ struct FailoverConfig {
 
 struct ClusterConfig {
   /// The per-mesh campaign (scenario, shards *per mesh*, autoscale,
-  /// epochs, checkpointing). One mesh reproduces run_campaign bitwise.
+  /// epochs, checkpointing).
   CampaignConfig campaign{};
   /// Mesh count; <= 0 defers to ODIN_MESHES (strict env_long parse,
   /// default 1). Clamped to [1, 8].
@@ -101,8 +104,8 @@ struct ClusterConfig {
 /// Durable cluster-engine state (checkpoint payload v7). The fingerprint
 /// block extends CampaignState's resume gate to the cluster geometry; the
 /// rest positions the outage/replication replay and carries the failover
-/// ledgers. A v6 frame decodes to the defaults: one mesh, nothing fired,
-/// empty per-mesh/per-tenant vectors (sized on first use).
+/// ledgers. A v6 frame decodes to the defaults (one mesh, nothing fired,
+/// empty vectors), which resume refuses.
 struct ClusterState {
   // Fingerprint.
   std::int32_t meshes = 1;
@@ -122,8 +125,8 @@ struct ClusterState {
   std::vector<double> tenant_ready_s;       ///< restore completion time
   std::vector<std::uint8_t> tenant_victim;  ///< ever evacuated off a mesh
   /// Per-tenant degraded-admission breakers (the failover path force-opens
-  /// them; closed breakers never consume state, so a single-mesh cluster
-  /// stays bitwise-identical to run_campaign).
+  /// them; closed breakers never consume state, so a run without failovers
+  /// serves on the plain path).
   std::vector<CircuitBreaker::Snapshot> breakers;
   // Ledgers.
   std::int64_t failovers = 0;        ///< tenant evacuations off a lost mesh
@@ -168,14 +171,14 @@ struct ClusterResult {
 };
 
 /// Run the cluster campaign from the start. Deterministic and
-/// single-threaded; with resolved_meshes() == 1 the campaign block of the
-/// result is bitwise-identical to run_campaign on `config.campaign`.
+/// single-threaded.
 ClusterResult run_cluster(const ClusterConfig& config);
 
 /// Resume an interrupted cluster campaign from its checkpoint pair.
-/// nullopt when no valid v7 cluster checkpoint exists or either
-/// fingerprint (campaign geometry or cluster geometry:
-/// meshes/replication_epochs/failover) does not match `config`.
+/// nullopt when no valid v7 cluster checkpoint exists, either fingerprint
+/// (campaign geometry or cluster geometry: meshes/replication_epochs/
+/// failover) does not match `config`, or the frame's vectors, cursors or
+/// shard indices do not fit that geometry.
 std::optional<ClusterResult> resume_cluster(const ClusterConfig& config);
 
 /// Parse a cluster scenario file: the scenario keys of

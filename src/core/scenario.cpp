@@ -7,13 +7,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <numbers>
 #include <sstream>
 #include <utility>
 
 #include "common/env.hpp"
-#include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 
 namespace odin::core {
@@ -32,9 +30,6 @@ constexpr double kSpeedPerExtraPe = 0.25;
 constexpr double kDriftServiceFactor = 0.5;
 constexpr double kDriftEnergyFactor = 0.25;
 constexpr double kFaultRetryFactor = 2.0;
-/// Degraded out-of-band (shed) service relative to the full path.
-constexpr double kShedServiceFactor = 0.5;
-constexpr double kShedEnergyFactor = 0.6;
 /// Base inference energy per second of base service time.
 constexpr double kEnergyPerServiceSecond = 0.2;
 
@@ -61,26 +56,6 @@ void campaign_price(const ScenarioTenant& t, double drift_mult,
   service_s = t.service_s * penal / speed;
   energy_j = t.energy_j * (1.0 + kDriftEnergyFactor * (drift_mult - 1.0)) *
              (1.0 + kFaultRetryFactor * fault_fraction);
-}
-
-void campaign_degrade(double& service_s, double& energy_j) noexcept {
-  service_s *= kShedServiceFactor;
-  energy_j *= kShedEnergyFactor;
-}
-
-std::vector<std::vector<int>> campaign_blocks_from_counts(
-    const arch::PimConfig& pim, const std::vector<std::int32_t>& counts) {
-  const std::vector<int> order = fleet_fill_order(pim, true);
-  std::vector<std::vector<int>> out(counts.size());
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < counts.size(); ++k) {
-    const auto take = static_cast<std::size_t>(std::max<std::int32_t>(
-        0, counts[k]));
-    out[k].assign(order.begin() + static_cast<std::ptrdiff_t>(pos),
-                  order.begin() + static_cast<std::ptrdiff_t>(pos + take));
-    pos += take;
-  }
-  return out;
 }
 
 const char* tier_name(PriorityTier tier) {
@@ -356,20 +331,8 @@ void ArrivalGenerator::skip(std::uint64_t events) {
 // ---------------------------------------------------------------------------
 // Campaign state codec (checkpoint payload v6).
 
-namespace {
-
-template <typename T, typename Fn>
-void encode_vec(const std::vector<T>& v, common::ByteWriter& out, Fn enc) {
-  out.u64(v.size());
-  for (const T& x : v) enc(x);
-}
-
-bool vec_count(common::ByteReader& in, std::uint64_t& n) {
-  n = in.u64();
-  return in.ok() && n <= (1u << 24);
-}
-
-}  // namespace
+using common::decode_vec;
+using common::encode_vec;
 
 void encode_campaign_state(const CampaignState& s, common::ByteWriter& out) {
   out.u64(s.seed);
@@ -440,45 +403,38 @@ std::optional<CampaignState> decode_campaign_state(common::ByteReader& in) {
   s.edp_sum = in.f64();
   s.migration_s = in.f64();
   s.migration_energy_j = in.f64();
-  std::uint64_t n = 0;
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.shard_busy_until_s.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.shard_pes.push_back(in.i32());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.tenant_shard.push_back(in.i32());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.shard_demand.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.tenant_demand.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    reram::FaultInjector::WearState w;
-    w.campaigns = in.i32();
-    w.stuck_cells = in.i32();
-    w.failed_wordlines = in.i32();
-    w.failed_bitlines = in.i32();
-    w.crossbars_retired = in.i32();
-    s.shard_wear.push_back(w);
-  }
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.storm_shard_mask.push_back(in.u64());
+  auto f64 = [&] { return in.f64(); };
+  auto i32 = [&] { return in.i32(); };
+  auto i64 = [&] { return in.i64(); };
+  if (!decode_vec(in, s.shard_busy_until_s, f64) ||
+      !decode_vec(in, s.shard_pes, i32) ||
+      !decode_vec(in, s.tenant_shard, i32) ||
+      !decode_vec(in, s.shard_demand, f64) ||
+      !decode_vec(in, s.tenant_demand, f64) ||
+      !decode_vec(in, s.shard_wear, [&] {
+        reram::FaultInjector::WearState w;
+        w.campaigns = in.i32();
+        w.stuck_cells = in.i32();
+        w.failed_wordlines = in.i32();
+        w.failed_bitlines = in.i32();
+        w.crossbars_retired = in.i32();
+        return w;
+      }) ||
+      !decode_vec(in, s.storm_shard_mask, [&] { return in.u64(); }))
+    return std::nullopt;
   if (!decode_sketch(in, s.slack_p1)) return std::nullopt;
   if (!decode_sketch(in, s.flash_slack_p1)) return std::nullopt;
   for (QuantileSketch& q : s.tier_slack_p1)
     if (!decode_sketch(in, q)) return std::nullopt;
   if (!decode_sojourn_sketch(in, s.sojourn)) return std::nullopt;
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.epoch_energy_j.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.epoch_edp_sum.push_back(in.f64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.epoch_requests.push_back(in.i64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.epoch_misses.push_back(in.i64());
-  if (!vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) s.epoch_sheds.push_back(in.i64());
-  if (!vec_count(in, n)) return std::nullopt;
+  if (!decode_vec(in, s.epoch_energy_j, f64) ||
+      !decode_vec(in, s.epoch_edp_sum, f64) ||
+      !decode_vec(in, s.epoch_requests, i64) ||
+      !decode_vec(in, s.epoch_misses, i64) ||
+      !decode_vec(in, s.epoch_sheds, i64))
+    return std::nullopt;
+  std::uint64_t n = 0;
+  if (!common::vec_count(in, n)) return std::nullopt;
   for (std::uint64_t i = 0; i < n; ++i) {
     QuantileSketch q;
     if (!decode_sketch(in, q)) return std::nullopt;
@@ -489,372 +445,8 @@ std::optional<CampaignState> decode_campaign_state(common::ByteReader& in) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign engine.
-
-// Contiguity matters here: flash crowds target contiguous tenant index
-// ranges, so a crowd's overload lands shard-local.
-std::vector<std::int32_t> campaign_initial_placement(
-    const ScenarioTrace& trace, const std::vector<std::int32_t>& shard_pes) {
-  const std::size_t T = trace.tenants.size();
-  const std::size_t K = shard_pes.size();
-  double total = 0.0;
-  std::vector<double> demand(T, 0.0);
-  for (std::size_t i = 0; i < T; ++i) {
-    demand[i] = trace.tenants[i].weight * trace.tenants[i].service_s;
-    total += demand[i];
-  }
-  double pes_total = 0.0;
-  for (std::int32_t p : shard_pes) pes_total += static_cast<double>(p);
-  std::vector<std::int32_t> out(T, 0);
-  std::size_t k = 0;
-  double acc = 0.0, cut = total * static_cast<double>(shard_pes[0]) / pes_total;
-  for (std::size_t i = 0; i < T; ++i) {
-    if (acc >= cut && k + 1 < K) {
-      ++k;
-      cut += total * static_cast<double>(shard_pes[k]) / pes_total;
-    }
-    out[i] = static_cast<std::int32_t>(k);
-    acc += demand[i];
-  }
-  return out;
-}
-
-namespace {
-
-struct TierAgg {
-  int tenants = 0;
-  std::int64_t runs = 0;
-  std::int64_t misses = 0;
-  std::int64_t sheds = 0;
-};
-
-std::optional<CampaignResult> run_campaign_impl(
-    const CampaignConfig& config, const ServingCheckpoint* resume_ckpt) {
-  ScenarioConfig scfg = config.scenario;
-  scfg.seed = scfg.resolved_seed();
-  const ScenarioTrace trace = build_trace(scfg, config.pim);
-  const int pes_total = std::max(1, config.pim.pes);
-  const int K = std::clamp(config.shards, 1, pes_total);
-  const int E = std::max(1, config.epochs);
-  const bool autoscale = config.autoscale.resolved_enabled();
-  const std::size_t T = trace.tenants.size();
-  const double h = scfg.horizon_s;
-
-  CampaignState st;
-  st.seed = scfg.seed;
-  st.requests = static_cast<std::uint64_t>(std::max<long long>(
-      0, scfg.requests));
-  st.tenants = static_cast<std::int32_t>(T);
-  st.shards = K;
-  st.epochs = E;
-  st.autoscale = autoscale;
-  {
-    const auto blocks =
-        fleet_partition_pes(fleet_fill_order(config.pim, true), K);
-    st.shard_pes.resize(static_cast<std::size_t>(K));
-    for (std::size_t k = 0; k < blocks.size(); ++k)
-      st.shard_pes[k] = static_cast<std::int32_t>(blocks[k].size());
-  }
-  st.shard_busy_until_s.assign(static_cast<std::size_t>(K), 0.0);
-  st.shard_demand.assign(static_cast<std::size_t>(K), 0.0);
-  st.tenant_demand.assign(T, 0.0);
-  st.tenant_shard = campaign_initial_placement(trace, st.shard_pes);
-  st.epoch_energy_j.assign(static_cast<std::size_t>(E), 0.0);
-  st.epoch_edp_sum.assign(static_cast<std::size_t>(E), 0.0);
-  st.epoch_requests.assign(static_cast<std::size_t>(E), 0);
-  st.epoch_misses.assign(static_cast<std::size_t>(E), 0);
-  st.epoch_sheds.assign(static_cast<std::size_t>(E), 0);
-  st.epoch_slack_p1.assign(static_cast<std::size_t>(E), QuantileSketch(0.01));
-
-  std::vector<TenantStats> stats(T);
-  for (std::size_t i = 0; i < T; ++i) {
-    stats[i].name = trace.tenants[i].name;
-    stats[i].slo_s = trace.tenants[i].slo_s;
-  }
-
-  // Per-shard device wear: storms fire campaigns and drift windows on the
-  // shards whose PE blocks they overlap.
-  reram::FaultScheduleParams fp;
-  fp.wordline_fail_rate = 2e-3;
-  fp.bitline_fail_rate = 2e-3;
-  fp.write_fail_rate = 0.05;
-  std::vector<std::unique_ptr<reram::FaultInjector>> inj;
-  inj.reserve(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k)
-    inj.push_back(std::make_unique<reram::FaultInjector>(
-        fp, config.fault_seed + static_cast<std::uint64_t>(k)));
-
-  ArrivalGenerator gen(trace);
-
-  if (resume_ckpt != nullptr) {
-    st = resume_ckpt->scenario;
-    stats = resume_ckpt->result.tenants;
-    if (stats.size() != T) return std::nullopt;
-    gen.skip(st.next_event);
-    // Re-apply fired storms' drift windows to the shards they actually
-    // hit, then replay each shard's campaign history against its wear
-    // fingerprint (FaultInjector::fast_forward).
-    if (st.storm_shard_mask.size() !=
-            static_cast<std::size_t>(st.storms_fired) ||
-        st.shard_wear.size() != static_cast<std::size_t>(K))
-      return std::nullopt;
-    for (std::int32_t s = 0; s < st.storms_fired; ++s) {
-      const FaultStorm& storm = trace.storms[static_cast<std::size_t>(s)];
-      const reram::DriftBurst burst{storm.start_frac * h,
-                                    storm.duration_frac * h,
-                                    storm.drift_multiplier};
-      for (int k = 0; k < K; ++k)
-        if ((st.storm_shard_mask[static_cast<std::size_t>(s)] >>
-             static_cast<unsigned>(k)) &
-            1u)
-          inj[static_cast<std::size_t>(k)]->add_burst(burst);
-    }
-    for (int k = 0; k < K; ++k)
-      if (!inj[static_cast<std::size_t>(k)]->fast_forward(
-              st.shard_wear[static_cast<std::size_t>(k)]))
-        return std::nullopt;
-  }
-
-  std::optional<CheckpointWriter> writer;
-  if (!config.checkpoint.base_path.empty())
-    writer.emplace(config.checkpoint.base_path);
-  const int every = std::max(1, config.checkpoint.every_runs);
-
-  auto write_checkpoint = [&]() {
-    if (!writer.has_value()) return;
-    st.shard_wear.resize(static_cast<std::size_t>(K));
-    for (int k = 0; k < K; ++k)
-      st.shard_wear[static_cast<std::size_t>(k)] =
-          inj[static_cast<std::size_t>(k)]->wear_state();
-    ServingCheckpoint ckpt;
-    ckpt.segment = static_cast<std::uint64_t>(st.epoch);
-    ckpt.next_run = st.next_event;
-    ckpt.segments = E;
-    ckpt.horizon_runs = static_cast<int>(std::min<long long>(
-        scfg.requests, std::numeric_limits<int>::max()));
-    ckpt.t_start_s = 0.0;
-    ckpt.t_end_s = h;
-    for (const ScenarioTenant& t : trace.tenants)
-      ckpt.tenant_names.push_back(t.name);
-    ckpt.result.label = "campaign";
-    ckpt.result.tenants = stats;
-    ckpt.sojourn_cap = static_cast<std::uint64_t>(config.sojourn_cap);
-    ckpt.has_scenario = true;
-    ckpt.scenario = st;
-    writer->write(ckpt);
-  };
-
-  // Close epoch `e`'s accumulators and (maybe) autoscale for the next one:
-  // re-cut PE blocks proportionally to the epoch's shard demand, then
-  // migrate tenants off still-overloaded shards. Migration cost is
-  // ledgered, never added to a shard's FIFO clock — off the critical path.
-  auto close_epoch = [&]() {
-    double total = 0.0;
-    for (double d : st.shard_demand) total += d;
-    if (autoscale && total > 0.0) {
-      auto pes_of = [&](std::size_t k) {
-        return static_cast<double>(std::max<std::int32_t>(1, st.shard_pes[k]));
-      };
-      const double mean_pp = total / static_cast<double>(pes_total);
-      double max_pp = 0.0;
-      for (std::size_t k = 0; k < st.shard_demand.size(); ++k)
-        max_pp = std::max(max_pp, st.shard_demand[k] / pes_of(k));
-      if (max_pp > config.autoscale.imbalance_threshold * mean_pp) {
-        const auto blocks =
-            rescale_shard_blocks(config.pim, true, st.shard_demand);
-        for (std::size_t k = 0; k < blocks.size(); ++k)
-          st.shard_pes[k] = static_cast<std::int32_t>(blocks[k].size());
-        ++st.rescales;
-        // Tenant migration: peel the hottest tenants off the most
-        // overloaded shard onto the coolest until per-PE demand flattens
-        // (or no move improves it). Deterministic tie-breaks.
-        for (std::size_t iter = 0; iter < T; ++iter) {
-          std::size_t a = 0, b = 0;
-          double hi = -1.0, lo = std::numeric_limits<double>::infinity();
-          for (std::size_t k = 0; k < st.shard_demand.size(); ++k) {
-            const double pp = st.shard_demand[k] / pes_of(k);
-            if (pp > hi) {
-              hi = pp;
-              a = k;
-            }
-            if (pp < lo) {
-              lo = pp;
-              b = k;
-            }
-          }
-          // The rescale above equalizes per-PE demand only to 1-PE
-          // granularity; migration chases the rounding residual, so its
-          // stop bar sits well below the rescale trigger.
-          if (a == b || hi <= kMigrateResidualThreshold * mean_pp) break;
-          std::size_t best = T;
-          double best_d = 0.0;
-          for (std::size_t i = 0; i < T; ++i)
-            if (st.tenant_shard[i] == static_cast<std::int32_t>(a) &&
-                st.tenant_demand[i] > best_d) {
-              best_d = st.tenant_demand[i];
-              best = i;
-            }
-          if (best == T) break;
-          const double new_a = (st.shard_demand[a] - best_d) / pes_of(a);
-          const double new_b = (st.shard_demand[b] + best_d) / pes_of(b);
-          if (std::max(new_a, new_b) >= hi) break;
-          st.tenant_shard[best] = static_cast<std::int32_t>(b);
-          st.shard_demand[a] -= best_d;
-          st.shard_demand[b] += best_d;
-          ++st.migrations;
-          st.migration_s += config.autoscale.migration_cost_s;
-          st.migration_energy_j += config.autoscale.migration_energy_j;
-        }
-      }
-    }
-    std::fill(st.shard_demand.begin(), st.shard_demand.end(), 0.0);
-    std::fill(st.tenant_demand.begin(), st.tenant_demand.end(), 0.0);
-  };
-
-  long long served_now = 0;
-  bool stopped = false;
-  while (st.next_event < st.requests) {
-    if (config.max_requests > 0 && served_now >= config.max_requests) {
-      stopped = true;
-      break;
-    }
-    const ArrivalGenerator::Arrival arr = gen.next();
-    const double t = arr.t_s;
-    const auto tenant = static_cast<std::size_t>(arr.tenant);
-
-    // Fire due storms: drift window + correlated campaign burst on every
-    // shard whose block owns an affected PE (trace clock, not draws).
-    while (static_cast<std::size_t>(st.storms_fired) < trace.storms.size() &&
-           trace.storms[static_cast<std::size_t>(st.storms_fired)].start_frac *
-                   h <=
-               t) {
-      const auto si = static_cast<std::size_t>(st.storms_fired);
-      const FaultStorm& storm = trace.storms[si];
-      const auto blocks = campaign_blocks_from_counts(config.pim, st.shard_pes);
-      std::vector<std::int32_t> shard_of(
-          static_cast<std::size_t>(pes_total), 0);
-      for (std::size_t k = 0; k < blocks.size(); ++k)
-        for (int pe : blocks[k])
-          shard_of[static_cast<std::size_t>(pe)] =
-              static_cast<std::int32_t>(k);
-      std::uint64_t mask = 0;
-      for (int pe : trace.storm_pes(si))
-        mask |= 1ull << static_cast<unsigned>(
-                    shard_of[static_cast<std::size_t>(pe)]);
-      const reram::DriftBurst burst{storm.start_frac * h,
-                                    storm.duration_frac * h,
-                                    storm.drift_multiplier};
-      for (int k = 0; k < K; ++k)
-        if ((mask >> static_cast<unsigned>(k)) & 1u) {
-          inj[static_cast<std::size_t>(k)]->add_burst(burst);
-          inj[static_cast<std::size_t>(k)]->program_campaigns(storm.campaigns);
-          st.storm_campaigns_fired += storm.campaigns;
-        }
-      st.storm_shard_mask.push_back(mask);
-      ++st.storms_fired;
-    }
-
-    // Epoch rollover(s) before serving: close accumulators, autoscale.
-    const int ep = std::min(E - 1, static_cast<int>(t / h *
-                                                    static_cast<double>(E)));
-    while (st.epoch < ep) {
-      close_epoch();
-      ++st.epoch;
-    }
-
-    // Serve on the tenant's shard: FIFO queue, service priced by the PE
-    // block, the injector's drift window and its fault fraction.
-    const ScenarioTenant& sp = trace.tenants[tenant];
-    TenantStats& ts = stats[tenant];
-    const auto k = static_cast<std::size_t>(st.tenant_shard[tenant]);
-    const double mult = inj[k]->drift_time_multiplier(t);
-    const double ff = inj[k]->fault_fraction();
-    double service = 0.0, energy = 0.0;
-    campaign_price(sp, mult, ff, st.shard_pes[k], service, energy);
-    const double demand_service = service;
-    const double wait = std::max(0.0, st.shard_busy_until_s[k] - t);
-    const bool shed = wait > config.queue_shed_slo_mult * sp.slo_s;
-    double sojourn;
-    if (shed) {
-      // Degraded out-of-band serve: does not occupy the shard's FIFO.
-      campaign_degrade(service, energy);
-      sojourn = service;
-      ++ts.shed_runs;
-      ++st.sheds;
-      ++st.epoch_sheds[static_cast<std::size_t>(st.epoch)];
-    } else {
-      const double start = std::max(st.shard_busy_until_s[k], t);
-      st.shard_busy_until_s[k] = start + service;
-      sojourn = st.shard_busy_until_s[k] - t;
-    }
-    const double slack = sp.slo_s - sojourn;
-    if (sojourn > sp.slo_s) {
-      ++ts.deadline_misses;
-      ++st.misses;
-      ++st.epoch_misses[static_cast<std::size_t>(st.epoch)];
-    }
-    ts.record_sojourn(sojourn, config.sojourn_cap);
-    ++ts.runs;
-    ts.service_s += service;
-    ts.inference.energy_j += energy;
-    ts.inference.latency_s += service;
-    const double edp = energy * service;
-    st.energy_j += energy;
-    st.edp_sum += edp;
-    st.sojourn.add(sojourn);
-    st.slack_p1.add(slack);
-    st.tier_slack_p1[static_cast<int>(sp.tier)].add(slack);
-    if (trace.in_flash_phase(t)) {
-      ++st.flash_requests;
-      st.flash_slack_p1.add(slack);
-    }
-    const auto e = static_cast<std::size_t>(st.epoch);
-    ++st.epoch_requests[e];
-    st.epoch_energy_j[e] += energy;
-    st.epoch_edp_sum[e] += edp;
-    st.epoch_slack_p1[e].add(slack);
-    st.shard_demand[k] += demand_service;
-    st.tenant_demand[tenant] += demand_service;
-    st.clock_s = t;
-
-    ++st.next_event;
-    ++served_now;
-    if (writer.has_value() && served_now % every == 0) write_checkpoint();
-  }
-  write_checkpoint();
-  (void)stopped;
-
-  st.shard_wear.resize(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k)
-    st.shard_wear[static_cast<std::size_t>(k)] =
-        inj[static_cast<std::size_t>(k)]->wear_state();
-
-  CampaignResult r;
-  r.label = autoscale ? "autoscaled" : "static";
-  r.scenario = scfg;
-  r.shards = K;
-  r.autoscaled = autoscale;
-  r.resumed = resume_ckpt != nullptr;
-  r.roster = trace.tenants;
-  r.tenants = std::move(stats);
-  r.trajectory.reserve(static_cast<std::size_t>(E));
-  for (int e = 0; e < E; ++e) {
-    const auto i = static_cast<std::size_t>(e);
-    CampaignEpoch ep;
-    ep.t_end_s = h * static_cast<double>(e + 1) / static_cast<double>(E);
-    ep.requests = st.epoch_requests[i];
-    ep.misses = st.epoch_misses[i];
-    ep.sheds = st.epoch_sheds[i];
-    ep.energy_j = st.epoch_energy_j[i];
-    ep.edp_sum = st.epoch_edp_sum[i];
-    ep.p99_slack_s = st.epoch_slack_p1[i].estimate();
-    r.trajectory.push_back(ep);
-  }
-  r.state = std::move(st);
-  return r;
-}
-
-}  // namespace
+// Campaign results. The loop that produces them is run_cluster
+// (core/cluster.cpp); a campaign is its one-mesh case.
 
 std::int64_t CampaignResult::requests() const noexcept {
   return static_cast<std::int64_t>(state.next_event);
@@ -908,7 +500,12 @@ std::string CampaignResult::summary(bool include_trajectory) const {
        "migration_energy_j=%.17g\n",
        state.energy_j, edp_per_request(), state.migration_s,
        state.migration_energy_j);
-  TierAgg agg[3];
+  struct TierAgg {
+    int tenants = 0;
+    std::int64_t runs = 0;
+    std::int64_t misses = 0;
+    std::int64_t sheds = 0;
+  } agg[3];
   for (std::size_t i = 0; i < roster.size(); ++i) {
     TierAgg& a = agg[static_cast<int>(roster[i].tier)];
     ++a.tenants;
@@ -935,39 +532,6 @@ std::string CampaignResult::summary(bool include_trajectory) const {
            ep.edp_per_request());
     }
   return out;
-}
-
-CampaignResult run_campaign(const CampaignConfig& config) {
-  auto result = run_campaign_impl(config, nullptr);
-  assert(result.has_value());  // only a resume checkpoint can fail
-  return std::move(*result);
-}
-
-std::optional<CampaignResult> resume_campaign(const CampaignConfig& config) {
-  if (config.checkpoint.base_path.empty()) return std::nullopt;
-  const auto ckpt = load_latest_checkpoint(config.checkpoint.base_path);
-  if (!ckpt.has_value() || !ckpt->has_scenario || ckpt->has_cluster)
-    return std::nullopt;
-  // Wrong-geometry refusal: the campaign state only reinstates onto the
-  // identical scenario (seed/requests/tenants/shards/epochs/autoscale and
-  // the sojourn retention cap).
-  ScenarioConfig scfg = config.scenario;
-  scfg.seed = scfg.resolved_seed();
-  const int pes_total = std::max(1, config.pim.pes);
-  const CampaignState& s = ckpt->scenario;
-  if (s.seed != scfg.seed ||
-      s.requests != static_cast<std::uint64_t>(
-                        std::max<long long>(0, scfg.requests)) ||
-      s.tenants != std::max(1, scfg.tenants) ||
-      s.shards != std::clamp(config.shards, 1, pes_total) ||
-      s.epochs != std::max(1, config.epochs) ||
-      s.autoscale != config.autoscale.resolved_enabled())
-    return std::nullopt;
-  if (ckpt->sojourn_cap != static_cast<std::uint64_t>(config.sojourn_cap))
-    return std::nullopt;
-  CampaignConfig cont = config;
-  cont.max_requests = 0;
-  return run_campaign_impl(cont, &*ckpt);
 }
 
 void apply_trace_to_serving(const ScenarioTrace& trace, ServingConfig& sc) {
@@ -1011,8 +575,6 @@ void apply_trace_to_serving(const ScenarioTrace& trace, ServingConfig& sc) {
 // ---------------------------------------------------------------------------
 // Scenario-file parser (docs/scenario_format.md).
 
-namespace {
-
 bool parse_f64(const std::string& tok, double& out) {
   const char* s = tok.c_str();
   char* end = nullptr;
@@ -1026,8 +588,6 @@ bool parse_i64(const std::string& tok, long long& out) {
   out = std::strtoll(s, &end, 10);
   return end != s && *end == '\0';
 }
-
-}  // namespace
 
 std::optional<CampaignConfig> parse_scenario(std::istream& in) {
   CampaignConfig cfg;

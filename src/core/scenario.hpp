@@ -29,10 +29,14 @@
 //    migrates tenants off overloaded shards, charging migrations off the
 //    critical path. All percentile reporting is streaming (core/sketch),
 //    so memory stays bounded at any request count.
-//  * The whole campaign state rides checkpoint payload v6
-//    (core/checkpoint), so a campaign can crash mid-storm and resume
-//    bitwise; wrong-geometry checkpoints are refused via the fingerprint
-//    fields of CampaignState.
+//  * There is one campaign loop, core/cluster's run_cluster: a campaign is
+//    its one-mesh case, with no outages, replication or failover, pinned in
+//    code so no cluster environment knob reaches it.
+//  * The campaign state (CampaignState, added in checkpoint payload v6)
+//    rides a one-mesh cluster frame (payload v7, core/checkpoint), so a
+//    campaign can crash mid-storm and resume bitwise. Resume refuses a
+//    frame whose fingerprint names another geometry, whose state does not
+//    fit that geometry, or that carries no cluster surface.
 #pragma once
 
 #include <cstdint>
@@ -215,11 +219,8 @@ class ArrivalGenerator {
 };
 
 // ---------------------------------------------------------------------------
-// Campaign pricing/placement primitives, exported for core/cluster. The
-// cluster engine runs the identical analytic serve over a multi-mesh shard
-// set, so these must be the *same functions* — a single-mesh cluster is
-// bitwise-identical to run_campaign only because both walk the same
-// expressions in the same order.
+// Campaign pricing primitives: the expressions the campaign loop
+// (core/cluster) serves with, public so benches can time them directly.
 
 /// Analytic service rate of one shard block: inter-layer pipelining across
 /// the block's PEs speeds back-to-back service up linearly in the extras.
@@ -227,31 +228,11 @@ double campaign_shard_speed(int pes) noexcept;
 
 /// Price one serve of tenant `t` on a `pes`-wide block under the given
 /// drift multiplier and unusable-cell fraction — exactly the expressions
-/// run_campaign serves with (drift inflates service and energy, faults add
-/// retry overhead on both, the block speed divides service).
+/// the campaign loop serves with (drift inflates service and energy,
+/// faults add retry overhead on both, the block speed divides service).
 void campaign_price(const ScenarioTenant& t, double drift_mult,
                     double fault_fraction, int pes, double& service_s,
                     double& energy_j) noexcept;
-
-/// Reprice an already-priced serve for the degraded out-of-band path (shed
-/// or breaker-open fallback): shorter, cheaper, off the shard FIFO.
-void campaign_degrade(double& service_s, double& energy_j) noexcept;
-
-/// Contiguous shard blocks with the given per-shard PE counts, cut along
-/// the snake fill order — the shape rescale_shard_blocks produces, so the
-/// counts alone reconstruct the blocks on resume.
-std::vector<std::vector<int>> campaign_blocks_from_counts(
-    const arch::PimConfig& pim, const std::vector<std::int32_t>& counts);
-
-/// Demand-balanced contiguous initial placement: tenant index ranges map
-/// to shards in order, boundaries chosen so each shard's expected demand
-/// share matches its PE share.
-std::vector<std::int32_t> campaign_initial_placement(
-    const ScenarioTrace& trace, const std::vector<std::int32_t>& shard_pes);
-
-/// Per-PE demand bar the tenant-migration loop flattens toward after a
-/// rescale (which equalizes only to 1-PE granularity).
-inline constexpr double kMigrateResidualThreshold = 1.05;
 
 /// Durable campaign-engine state (checkpoint payload v6). The fingerprint
 /// block gates resume — a checkpoint only reinstates onto the identical
@@ -315,7 +296,8 @@ std::optional<CampaignState> decode_campaign_state(common::ByteReader& in);
 struct CampaignConfig {
   ScenarioConfig scenario{};
   arch::PimConfig pim{};
-  /// Initial shard count (clamped to [1, pim.pes]).
+  /// Initial shard count (clamped to [1, min(pim.pes, 64)]; 64 is the
+  /// width of the storm→shard masks).
   int shards = 6;
   AutoscaleConfig autoscale{};
   /// Trajectory resolution and autoscale cadence.
@@ -371,13 +353,19 @@ struct CampaignResult {
   std::string summary(bool include_trajectory = true) const;
 };
 
-/// Run the campaign from the start. Deterministic and single-threaded.
+/// Run the campaign from the start: run_cluster (core/cluster.hpp) on one
+/// mesh with no outages, replication or failover, returning the campaign
+/// block of its result. Every cluster knob is pinned in code, so no
+/// ODIN_MESHES / ODIN_FAILOVER / ODIN_REPLICATION_EPOCHS value reaches a
+/// campaign. Deterministic and single-threaded.
 CampaignResult run_campaign(const CampaignConfig& config);
 
-/// Resume an interrupted campaign from its checkpoint pair. nullopt when
-/// no valid checkpoint exists or its fingerprint does not match `config`
-/// (different seed/requests/tenants/shards/epochs/autoscale — the
-/// wrong-geometry refusal).
+/// Resume an interrupted campaign from its checkpoint pair: resume_cluster
+/// on the same pinned one-mesh cluster. nullopt when no valid checkpoint
+/// exists, its fingerprint does not match `config` (different seed/
+/// requests/tenants/shards/epochs/autoscale/sojourn cap, or a multi-mesh
+/// frame — the wrong-geometry refusal), or its state does not fit that
+/// geometry.
 std::optional<CampaignResult> resume_campaign(const CampaignConfig& config);
 
 /// Export the trace's first `sc.horizon.runs` arrivals into an explicit
@@ -394,5 +382,10 @@ void apply_trace_to_serving(const ScenarioTrace& trace, ServingConfig& sc);
 /// names the offending line on stderr for malformed input.
 std::optional<CampaignConfig> parse_scenario(std::istream& in);
 std::optional<CampaignConfig> parse_scenario_file(const std::string& path);
+
+/// The scenario grammar's strict number parsers: the whole token must
+/// parse, so "12x" or "" is refused. The cluster-file parser shares them.
+bool parse_f64(const std::string& tok, double& out);
+bool parse_i64(const std::string& tok, long long& out);
 
 }  // namespace odin::core

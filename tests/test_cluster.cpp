@@ -1,10 +1,11 @@
-// Cluster-layer tests (DESIGN.md §18): single-mesh bitwise parity with the
-// campaign engine, mesh-loss fault domains with failover evacuation vs
-// unbounded loss with failover off, replica staleness (RPO) surfacing, the
-// outage-during-storm overlap with byte-identical replay and mid-failover
-// crash/resume through checkpoint payload v7, the wrong-cluster-geometry
-// resume refusal (both directions: cluster frames refuse resume_campaign),
-// the ClusterState codec, and the cluster scenario-file parser.
+// Cluster-layer tests (DESIGN.md §18): the one-mesh ledgers, mesh-loss
+// fault domains with failover evacuation vs unbounded loss with failover
+// off, replica staleness (RPO) surfacing, the outage-during-storm overlap
+// with byte-identical replay and mid-failover crash/resume through
+// checkpoint payload v7, the wrong-cluster-geometry resume refusal (a
+// multi-mesh frame refuses resume_campaign), the refusal of CRC-valid
+// frames whose state does not fit the geometry, the ClusterState codec,
+// and the cluster scenario-file parser.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/binary_io.hpp"
+#include "core/checkpoint.hpp"
 #include "core/cluster.hpp"
 #include "core/scenario.hpp"
 #include "core/serving.hpp"
@@ -50,17 +52,13 @@ ClusterConfig small_cluster() {
   return cfg;
 }
 
-TEST(Cluster, SingleMeshClusterMatchesCampaignBitwise) {
+TEST(Cluster, SingleMeshClusterNeverFailsOverOrReplicates) {
   ClusterConfig cfg = small_cluster();
   cfg.meshes = 1;
   cfg.outages.clear();
-  cfg.mesh_outages = 0;  // no outage windows: pure parity check
+  cfg.mesh_outages = 0;  // no outage windows: the plain-campaign shape
   const ClusterResult one = run_cluster(cfg);
-  const CampaignResult plain = run_campaign(cfg.campaign);
   EXPECT_EQ(one.meshes, 1);
-  // The campaign block of a one-mesh cluster is the campaign engine's
-  // output byte for byte — same arrivals, same pricing, same sketches.
-  EXPECT_EQ(one.campaign.summary(), plain.summary());
   EXPECT_EQ(one.cluster.failovers, 0);
   EXPECT_EQ(one.cluster.outage_dropped, 0);
   EXPECT_EQ(one.cluster.replication_rounds, 0);  // nowhere to replicate
@@ -227,6 +225,66 @@ TEST(Cluster, ResumeRefusesWrongClusterGeometry) {
   EXPECT_FALSE(resume_campaign(cfg.campaign).has_value());
   // The unmodified geometry still resumes.
   EXPECT_TRUE(resume_cluster(cfg).has_value());
+  remove_slots(base);
+}
+
+TEST(Cluster, ResumeRefusesStateThatDoesNotFitTheGeometry) {
+  const std::string base = temp_base("fits");
+  const std::string bad = temp_base("fits_bad");
+  remove_slots(base);
+  CampaignConfig cfg = small_cluster().campaign;
+  cfg.checkpoint.base_path = base;
+  cfg.checkpoint.every_runs = 500;
+  cfg.max_requests = cfg.scenario.requests * 7 / 10;
+  run_campaign(cfg);  // leaves a mid-campaign one-mesh frame behind
+  cfg.max_requests = 0;
+  const auto good = load_latest_checkpoint(base);
+  ASSERT_TRUE(good.has_value());
+
+  // Each edit keeps the fingerprint and the CRC valid, so the frame loads;
+  // resume must refuse it instead of indexing out of range.
+  struct Case {
+    const char* what;
+    void (*edit)(ServingCheckpoint&);
+  };
+  const Case cases[] = {
+      {"tenant shard out of range",
+       [](ServingCheckpoint& c) { c.scenario.tenant_shard[0] = 1000; }},
+      {"more storms fired than the trace has",
+       [](ServingCheckpoint& c) {
+         c.scenario.storms_fired += 3;
+         c.scenario.storm_shard_mask.resize(
+             static_cast<std::size_t>(c.scenario.storms_fired), 0);
+       }},
+      {"epoch past the trajectory",
+       [](ServingCheckpoint& c) { c.scenario.epoch = 99; }},
+      {"no shard clocks",
+       [](ServingCheckpoint& c) { c.scenario.shard_busy_until_s.clear(); }},
+      {"shard blocks overrun the mesh",
+       [](ServingCheckpoint& c) { c.scenario.shard_pes[0] = 1000; }},
+      {"negative block width, same PE total",
+       [](ServingCheckpoint& c) {
+         const std::int32_t w = c.scenario.shard_pes[0];
+         c.scenario.shard_pes[0] = -w;
+         c.scenario.shard_pes[1] += 2 * w;
+       }},
+  };
+  CampaignConfig at_bad = cfg;
+  at_bad.checkpoint.base_path = bad;
+  for (const Case& c : cases) {
+    remove_slots(bad);
+    ServingCheckpoint frame = *good;
+    c.edit(frame);
+    ASSERT_TRUE(CheckpointWriter(bad).write(frame)) << c.what;
+    ASSERT_TRUE(load_latest_checkpoint(bad).has_value()) << c.what;
+    EXPECT_FALSE(resume_campaign(at_bad).has_value()) << c.what;
+  }
+  // The same frame rewritten without an edit still resumes.
+  remove_slots(bad);
+  ServingCheckpoint frame = *good;
+  ASSERT_TRUE(CheckpointWriter(bad).write(frame));
+  EXPECT_TRUE(resume_campaign(at_bad).has_value());
+  remove_slots(bad);
   remove_slots(base);
 }
 

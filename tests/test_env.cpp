@@ -8,10 +8,13 @@
 // / ODIN_FAILOVER cluster knobs (core/cluster.hpp). The contract
 // (DESIGN.md §13/§14/§15/§16/§17/§18): a value must parse in full or it is
 // ignored with a stderr warning and the default applies — a typo never
-// silently changes behaviour.
+// silently changes behaviour. The cluster knobs never reach a plain
+// campaign, which pins them in code.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "common/env.hpp"
 #include "core/cluster.hpp"
@@ -397,6 +400,57 @@ TEST(Env, FailoverTriStateFollowsStrictContract) {
     ScopedEnv env2("ODIN_FAILOVER", "off");
     EXPECT_TRUE(cfg.resolved_enabled());
   }
+}
+
+/// A small campaign with its own knobs pinned (seed, autoscale), so only
+/// the cluster knobs under test could move its output.
+core::CampaignConfig small_campaign() {
+  core::CampaignConfig cfg;
+  cfg.scenario.seed = 11;
+  cfg.scenario.tenants = 24;
+  cfg.scenario.requests = 6000;
+  core::FaultStorm storm;
+  storm.start_frac = 0.30;
+  storm.duration_frac = 0.40;
+  storm.center_pe = 14;
+  cfg.scenario.storms = {storm};
+  cfg.shards = 4;
+  cfg.autoscale.enabled = 1;
+  cfg.epochs = 12;
+  return cfg;
+}
+
+TEST(Env, ClusterKnobsNeverReachAPlainCampaign) {
+  // run_campaign is the one-mesh cluster with every cluster knob pinned:
+  // the knobs must neither change its summary nor make resume refuse a
+  // frame written without them (the mesh count, failover arm and
+  // replication cadence are all in the resume fingerprint).
+  const std::string base = ::testing::TempDir() + "odin_env_campaign";
+  std::remove((base + ".a").c_str());
+  std::remove((base + ".b").c_str());
+  const core::CampaignConfig cfg = small_campaign();
+  core::CampaignConfig crash = cfg;
+  crash.checkpoint.base_path = base;
+  crash.checkpoint.every_runs = 500;
+  crash.max_requests = cfg.scenario.requests / 2;
+  std::string plain;
+  {
+    ScopedEnv meshes("ODIN_MESHES", nullptr);
+    ScopedEnv failover("ODIN_FAILOVER", nullptr);
+    ScopedEnv cadence("ODIN_REPLICATION_EPOCHS", nullptr);
+    plain = core::run_campaign(cfg).summary();
+    core::run_campaign(crash);  // leaves a mid-campaign frame behind
+  }
+  ScopedEnv meshes("ODIN_MESHES", "3");
+  ScopedEnv failover("ODIN_FAILOVER", "off");
+  ScopedEnv cadence("ODIN_REPLICATION_EPOCHS", "7");
+  EXPECT_EQ(core::run_campaign(cfg).summary(), plain);
+  crash.max_requests = 0;
+  const auto resumed = core::resume_campaign(crash);
+  ASSERT_TRUE(resumed.has_value());
+  EXPECT_EQ(resumed->summary(), plain);
+  std::remove((base + ".a").c_str());
+  std::remove((base + ".b").c_str());
 }
 
 TEST(Env, WearBudgetDefaultsAndClamps) {

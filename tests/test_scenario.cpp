@@ -1,11 +1,11 @@
 // Scenario-engine tests (DESIGN.md §17): trace expansion determinism and
 // shaping (tiers, churn, diurnal, flash, storm adjacency), the replayable
 // arrival stream, campaign-summary bitwise determinism, mid-storm
-// crash/resume through checkpoint payload v6 with the wrong-geometry
-// refusal, the autoscaled-vs-static flash-phase comparison, the streaming
-// percentile sketches against exact nearest-rank, the capped TenantStats
-// fallback, rescale_shard_blocks invariants, the scenario-file parser, and
-// the trace -> serving-schedule export.
+// crash/resume through one-mesh cluster frames (payload v7) with the
+// wrong-geometry refusal, the autoscaled-vs-static flash-phase comparison,
+// the streaming percentile sketches against exact nearest-rank, the capped
+// TenantStats fallback, rescale_shard_blocks invariants, the scenario-file
+// parser, and the trace -> serving-schedule export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
