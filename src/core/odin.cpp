@@ -509,6 +509,11 @@ ControllerSnapshot OdinController::snapshot() {
 }
 
 bool OdinController::restore(const ControllerSnapshot& s) {
+  for (const auto* entries :
+       {&s.buffer_entries, &s.buffer_quarantine, &s.last_update_batch})
+    for (const policy::ReplayBuffer::Entry& e : *entries)
+      if (grid_.level_of(e.best.rows) < 0 || grid_.level_of(e.best.cols) < 0)
+        return false;
   common::ByteReader policy_bytes(s.policy_blob);
   std::optional<policy::OuPolicy> restored =
       policy::load_policy_binary(policy_bytes);

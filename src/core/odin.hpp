@@ -256,8 +256,10 @@ class OdinController {
   }
 
   /// Capture / reinstate the full mutable state (crash-safe serving).
-  /// restore returns false when a policy blob fails to decode; the
-  /// controller is left unchanged in that case.
+  /// restore returns false when a policy blob fails to decode or a replay
+  /// entry (buffer, quarantine or last update batch) names an OU size off
+  /// this controller's grid, which would become an out-of-range training
+  /// label; the controller is left unchanged in that case.
   ControllerSnapshot snapshot();
   bool restore(const ControllerSnapshot& snap);
   /// Fault-recovery state.

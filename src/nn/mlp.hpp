@@ -6,10 +6,18 @@
 // Sec. V-A): head 0 classifies the OU height index, head 1 the width index.
 // The same class doubles as the single-head reference classifier used by the
 // Monte-Carlo accuracy evaluator.
+//
+// Inference and training run as one forward and one backward pass over a
+// workspace the model owns (DESIGN.md §19): no virtual calls, and no heap
+// allocation once the workspace has grown to the largest batch seen. The
+// arithmetic is that of a Dense -> ReLU -> ... -> Dense -> softmax layer
+// stack, operation for operation, so every parameter and prediction is
+// bitwise what the layer-by-layer engine computes. The Dense layers remain
+// as parameter holders: parameters(), trunk_dense() and head_dense() expose
+// them in the order policy blobs, checkpoints and the crossbar runner read.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,6 +35,13 @@ class MultiHeadMlp {
  public:
   MultiHeadMlp(MlpConfig config, std::uint64_t seed);
 
+  // Move-only: a model is copied by copying its parameters explicitly
+  // (OuPolicy::clone), never by accident.
+  MultiHeadMlp(MultiHeadMlp&&) = default;
+  MultiHeadMlp& operator=(MultiHeadMlp&&) = default;
+  MultiHeadMlp(const MultiHeadMlp&) = delete;
+  MultiHeadMlp& operator=(const MultiHeadMlp&) = delete;
+
   const MlpConfig& config() const noexcept { return config_; }
 
   /// Per-head logits for a batch of inputs ([batch x inputs]).
@@ -36,14 +51,27 @@ class MultiHeadMlp {
   std::vector<std::vector<double>> predict_proba(
       std::span<const double> features);
 
-  /// Per-head argmax class for one sample.
-  std::vector<int> predict(std::span<const double> features);
+  /// Per-head argmax class for one sample. The span views the model's
+  /// workspace and is valid until the next call on this model.
+  std::span<const int> predict(std::span<const double> features);
 
   /// One gradient step on a minibatch. `labels[h][r]` is the head-h class of
   /// row r. Gradients are zeroed, accumulated and returned as the summed
   /// cross-entropy loss across heads; the caller's optimizer applies them.
   double compute_gradients(const Matrix& input,
                            std::span<const std::vector<int>> labels);
+
+  /// The same step on the minibatch whose row r is input row rows[r],
+  /// labelled labels[h][rows[r]]: fit's shuffled batches, read in place.
+  double compute_gradients(const Matrix& input,
+                           std::span<const std::vector<int>> labels,
+                           std::span<const std::size_t> rows);
+
+  /// The loss compute_gradients would return on the whole of `input` (per
+  /// head the mean cross-entropy, summed over heads), forward only and
+  /// `chunk` rows at a time, so the workspace stays at chunk rows.
+  double loss(const Matrix& input, std::span<const std::vector<int>> labels,
+              std::size_t chunk);
 
   /// All trainable parameters, trunk first, then heads in order.
   std::vector<Parameter*> parameters();
@@ -62,11 +90,54 @@ class MultiHeadMlp {
   void zero_gradients();
 
  private:
+  /// Scratch for the passes, sized for `rows` batch rows. It grows to the
+  /// largest batch seen and never shrinks. It is per model, never static or
+  /// thread_local: fleet shards train their own policies concurrently.
+  struct Workspace {
+    std::size_t rows = 0;
+    std::vector<const double*> input;  ///< [rows] batch input rows, in place
+    /// [layer input l][rows x width_l]: the nonzero-index list of each row
+    /// of the input to trunk layer l (l = trunk size: the heads' input),
+    /// shared by the forward product and the weight gradient.
+    std::vector<std::vector<std::uint32_t>> nz;
+    std::vector<std::vector<std::uint32_t>> nz_count;  ///< [l][rows]
+    std::vector<std::vector<double>> act;  ///< [trunk layer][rows x width]
+    /// [head][rows x classes]: logits, then softmax, then dL/dlogits.
+    std::vector<std::vector<double>> logits;
+    std::vector<double> grad;       ///< [rows x max width] trunk dL/d(out)
+    std::vector<double> grad_next;  ///< its successor, one layer down
+    std::vector<double> head_grad;  ///< one row of a later head's dL/d(in)
+    std::vector<double> wt;         ///< one transposed weight matrix
+    std::vector<std::uint32_t> all; ///< 0, 1, ..., max width - 1
+    std::vector<int> labels;        ///< [head][rows]
+    std::vector<double> nll;        ///< [head] summed -log p of loss()
+    std::vector<int> predicted;     ///< [head] predict()'s argmaxes
+  };
+
+  /// Width of the input to trunk layer l (l = trunk size: the heads).
+  std::size_t input_width(std::size_t l) const noexcept;
+  /// Row r of the input to trunk layer l.
+  std::span<const double> input_row(std::size_t l, std::size_t r) const;
+  std::span<const std::uint32_t> nonzeros(std::size_t l, std::size_t r) const;
+  std::span<double> logit_row(std::size_t h, std::size_t r);
+
+  /// Grows the workspace to hold `batch` rows.
+  void reserve(std::size_t batch);
+  /// Points the batch at rows [first, first + batch) of `input`.
+  void bind_rows(const Matrix& input, std::size_t first, std::size_t batch);
+  /// Nonzero-index lists of the bound batch's rows of layer input l.
+  void index_nonzeros(std::size_t l, std::size_t batch);
+  /// Logits of the bound batch for every head.
+  void forward_pass(std::size_t batch);
+  /// Softmax probabilities of one sample, left in row 0 of each head.
+  void infer(std::span<const double> features);
+  /// Softmax, loss and backward pass of the bound, labelled batch.
+  double backward_pass(std::size_t batch);
+
   MlpConfig config_;
-  std::vector<std::unique_ptr<Layer>> trunk_;
-  std::vector<std::unique_ptr<Dense>> heads_;
-  std::vector<SoftmaxCrossEntropy> losses_;
-  Matrix trunk_output_;  ///< cached for backward
+  std::vector<Dense> trunk_;
+  std::vector<Dense> heads_;
+  Workspace ws_;
 };
 
 }  // namespace odin::nn

@@ -9,15 +9,19 @@ Matrix Matrix::randn(std::size_t rows, std::size_t cols, double stddev,
   return m;
 }
 
+void transpose_into(const Matrix& b, double* out) noexcept {
+  for (std::size_t r = 0; r < b.rows(); ++r)
+    for (std::size_t c = 0; c < b.cols(); ++c) out[c * b.rows() + r] = b(r, c);
+}
+
 Matrix matmul(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
   Matrix out(a.rows(), b.cols());
+  std::vector<std::uint32_t> idx(a.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
-    }
+    const std::size_t n = nonzero_indices(a.row(i), idx.data());
+    accumulate_rows(a.row(i), {idx.data(), n}, b.flat().data(), b.cols(),
+                    out.row(i));
   }
   return out;
 }
@@ -25,12 +29,11 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   Matrix out(a.cols(), b.cols());
+  std::vector<std::uint32_t> idx(a.cols());
   for (std::size_t k = 0; k < a.rows(); ++k) {
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const double aki = a(k, i);
-      if (aki == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aki * b(k, j);
-    }
+    const std::size_t n = nonzero_indices(a.row(k), idx.data());
+    accumulate_outer(a.row(k), {idx.data(), n}, b.row(k), out.flat().data(),
+                     out.cols());
   }
   return out;
 }
@@ -38,13 +41,12 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
   Matrix out(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) acc += a(i, k) * b(j, k);
-      out(i, j) = acc;
-    }
-  }
+  std::vector<double> bt(b.size());
+  transpose_into(b, bt.data());
+  std::vector<std::uint32_t> idx(a.cols());
+  all_indices(a.cols(), idx.data());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    accumulate_rows(a.row(i), idx, bt.data(), b.rows(), out.row(i));
   return out;
 }
 

@@ -21,23 +21,36 @@ Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
   }
 }
 
+namespace {
+
+// One parameter's Adam update over its contiguous value/grad/moment spans.
+// The restrict-qualified spans (and odin_nn's -fno-math-errno) let the
+// compiler vectorize it; packed divide and square root round exactly like
+// their scalar forms, so the update is the per-element formula bit for bit.
+void adam_update(double* __restrict w, const double* __restrict g,
+                 double* __restrict m, double* __restrict v, std::size_t n,
+                 double lr, double beta1, double beta2, double eps,
+                 double bc1, double bc2) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    m[k] = beta1 * m[k] + (1.0 - beta1) * g[k];
+    v[k] = beta2 * v[k] + (1.0 - beta2) * g[k] * g[k];
+    const double mhat = m[k] / bc1;
+    const double vhat = v[k] / bc2;
+    w[k] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
+}  // namespace
+
 void Adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto w = params_[i]->value.flat();
-    auto g = params_[i]->grad.flat();
-    auto m = m_[i].flat();
-    auto v = v_[i].flat();
-    for (std::size_t k = 0; k < w.size(); ++k) {
-      m[k] = beta1_ * m[k] + (1.0 - beta1_) * g[k];
-      v[k] = beta2_ * v[k] + (1.0 - beta2_) * g[k] * g[k];
-      const double mhat = m[k] / bc1;
-      const double vhat = v[k] / bc2;
-      w[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
-  }
+  for (std::size_t i = 0; i < params_.size(); ++i)
+    adam_update(params_[i]->value.flat().data(),
+                params_[i]->grad.flat().data(), m_[i].flat().data(),
+                v_[i].flat().data(), m_[i].size(), lr_, beta1_, beta2_,
+                eps_, bc1, bc2);
 }
 
 Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum)
@@ -61,41 +74,40 @@ void Sgd::step() {
 
 namespace {
 
-Matrix gather_rows(const Matrix& src, std::span<const std::size_t> idx) {
-  Matrix out(idx.size(), src.cols());
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    auto dst = out.row(r);
-    auto s = src.row(idx[r]);
-    std::copy(s.begin(), s.end(), dst.begin());
+/// Whether fit can train `model` on `data`: a label vector per head, one
+/// label per row, each inside its head's classes, and a nonzero batch. An
+/// out-of-range label would index past a row of probabilities, so this is
+/// checked in every build, not asserted.
+bool trainable(const MultiHeadMlp& model, const Dataset& data,
+               const TrainOptions& options) {
+  const MlpConfig& config = model.config();
+  if (options.batch_size == 0 || data.inputs.cols() != config.inputs ||
+      data.labels.size() != config.heads.size())
+    return false;
+  for (std::size_t h = 0; h < config.heads.size(); ++h) {
+    if (data.labels[h].size() != data.size()) return false;
+    for (int y : data.labels[h])
+      if (y < 0 || static_cast<std::size_t>(y) >= config.heads[h])
+        return false;
   }
-  return out;
-}
-
-double dataset_loss(MultiHeadMlp& model, const Dataset& data) {
-  // One gradient computation gives the loss; gradients are discarded.
-  std::vector<std::vector<int>> labels(data.labels.begin(),
-                                       data.labels.end());
-  const double loss = model.compute_gradients(data.inputs, labels);
-  model.zero_gradients();
-  return loss;
+  return true;
 }
 
 }  // namespace
 
 TrainResult fit(MultiHeadMlp& model, const Dataset& data,
                 const TrainOptions& options) {
+  TrainResult result;
+  if (!trainable(model, data, options)) return result;
   assert(data.size() > 0);
-  assert(data.labels.size() == model.config().heads.size());
 
   Adam optimizer(model.parameters(), options.learning_rate);
   common::Rng rng(options.shuffle_seed);
-
-  TrainResult result;
-  result.initial_loss = dataset_loss(model, data);
+  result.initial_loss =
+      model.loss(data.inputs, data.labels, options.batch_size);
 
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
-  const std::size_t heads = data.labels.size();
 
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     // Fisher-Yates with our deterministic RNG.
@@ -107,19 +119,14 @@ TrainResult fit(MultiHeadMlp& model, const Dataset& data,
          start += options.batch_size) {
       const std::size_t end =
           std::min(start + options.batch_size, order.size());
-      std::span<const std::size_t> idx{order.data() + start, end - start};
-      Matrix batch = gather_rows(data.inputs, idx);
-      std::vector<std::vector<int>> labels(heads);
-      for (std::size_t h = 0; h < heads; ++h) {
-        labels[h].reserve(idx.size());
-        for (std::size_t i : idx) labels[h].push_back(data.labels[h][i]);
-      }
-      model.compute_gradients(batch, labels);
+      model.compute_gradients(
+          data.inputs, data.labels,
+          std::span<const std::size_t>{order.data() + start, end - start});
       optimizer.step();
     }
     ++result.epochs_run;
   }
-  result.final_loss = dataset_loss(model, data);
+  result.final_loss = model.loss(data.inputs, data.labels, options.batch_size);
   return result;
 }
 

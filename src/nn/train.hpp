@@ -66,7 +66,11 @@ struct TrainResult {
 };
 
 /// Minibatch-train `model` on `data` with Adam. Deterministic given the
-/// options' shuffle seed.
+/// options' shuffle seed. The losses are evaluated batch_size rows at a
+/// time, so the model's workspace stays at batch_size rows. A dataset whose
+/// labels do not match the heads (one vector per head, one label per row,
+/// each in [0, classes)) or a zero batch size is refused in every build:
+/// the weights are left untouched and epochs_run is 0.
 TrainResult fit(MultiHeadMlp& model, const Dataset& data,
                 const TrainOptions& options = {});
 

@@ -23,8 +23,9 @@ class OuPolicy {
  public:
   OuPolicy(const ou::OuLevelGrid& grid, PolicyConfig config = {});
 
-  /// Independent policy with identical parameters (the MLP's polymorphic
-  /// layers make the class move-only; cloning is explicit).
+  /// Independent policy with identical parameters and fresh counters. The
+  /// MLP is move-only (a copy would silently duplicate its training
+  /// workspace too), so cloning copies the parameter values explicitly.
   OuPolicy clone();
 
   const ou::OuLevelGrid& grid() const noexcept { return grid_; }

@@ -1247,5 +1247,52 @@ TEST(Checkpoint, ControllerSnapshotRestoreRoundTrip) {
   EXPECT_EQ(c.update_count(), 0);
 }
 
+TEST(Checkpoint, OffGridReplayLabelIsRefusedOnRestore) {
+  // A snapshot whose replay entry names an OU size off the grid (3 rows is
+  // not a power of two) would become training label -1: with a full buffer
+  // the next run retrains and reads a probability row at index -1. restore
+  // refuses it in each of the three entry lists and leaves the controller
+  // unchanged; the same snapshot on-grid restores and retrains.
+  const auto tenant = testing::tiny_mapped();
+  const ou::NonIdealityModel nonideal{reram::DeviceParams{},
+                                      ou::NonIdealityParams{}};
+  const ou::OuCostModel cost{ou::CostParams{}, reram::DeviceParams{}};
+  OdinConfig cfg;
+  cfg.buffer_capacity = 8;
+  cfg.update_options.epochs = 20;
+  OdinController a(tenant, nonideal, cost,
+                   policy::OuPolicy(ou::OuLevelGrid(128)), cfg);
+  a.run_inference(1.0);
+  ControllerSnapshot full = a.snapshot();
+  policy::ReplayBuffer::Entry entry;
+  entry.features = {0.5, 0.4, 0.3, 0.2};
+  entry.best = {16, 16};
+  full.buffer_entries.assign(cfg.buffer_capacity, entry);
+  const ou::OuConfig off_grid{3, 16};
+  using Entries = std::vector<policy::ReplayBuffer::Entry>;
+  for (Entries ControllerSnapshot::*list :
+       {&ControllerSnapshot::buffer_entries,
+        &ControllerSnapshot::buffer_quarantine,
+        &ControllerSnapshot::last_update_batch}) {
+    for (const ou::OuConfig bad_best : {off_grid, ou::OuConfig{16, 256}}) {
+      ControllerSnapshot bad = full;
+      (bad.*list).resize(std::max<std::size_t>((bad.*list).size(), 1),
+                         entry);
+      (bad.*list)[0].best = bad_best;
+      OdinController b(tenant, nonideal, cost,
+                       policy::OuPolicy(ou::OuLevelGrid(128)), cfg);
+      EXPECT_FALSE(b.restore(bad));
+      EXPECT_EQ(b.update_count(), 0);
+      b.run_inference(2.0);  // untouched: a fresh controller's first run
+      EXPECT_EQ(b.update_count(), 0);
+    }
+  }
+  OdinController c(tenant, nonideal, cost,
+                   policy::OuPolicy(ou::OuLevelGrid(128)), cfg);
+  ASSERT_TRUE(c.restore(full));
+  c.run_inference(2.0);
+  EXPECT_EQ(c.update_count(), full.update_count + 1);
+}
+
 }  // namespace
 }  // namespace odin::core

@@ -6,13 +6,11 @@
 // guarantees the restructuring introduced.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "allocation_counter.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/hardware_inference.hpp"
@@ -20,33 +18,6 @@
 #include "reference_kernel.hpp"
 #include "reram/batch_gemm.hpp"
 #include "reram/crossbar.hpp"
-
-// --- Allocation counter -----------------------------------------------------
-// Counts every global operator new so steady-state paths can assert they
-// allocate nothing. Only the count is instrumented; allocation itself is
-// forwarded to malloc/free.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-// GCC's -Wmismatched-new-delete sees through the forwarding operator new
-// above once it inlines into a test body and flags the matching free() as
-// a malloc/new mismatch — a false positive for a counting replacement pair.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace odin::reram {
 namespace {
