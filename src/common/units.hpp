@@ -11,6 +11,8 @@
 // that the cost models pass around.
 #pragma once
 
+#include "common/binary_io.hpp"
+
 namespace odin::units {
 
 inline constexpr double s = 1.0;
@@ -59,5 +61,12 @@ struct EnergyLatency {
   /// Energy-delay product, the paper's headline metric.
   constexpr double edp() const noexcept { return energy_j * latency_s; }
 };
+
+/// Wire layout (common/binary_io.hpp).
+template <typename S, MaybeConst<EnergyLatency> E>
+void fields(S& s, E& e) {
+  s.field(e.energy_j);
+  s.field(e.latency_s);
+}
 
 }  // namespace odin::common

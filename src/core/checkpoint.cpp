@@ -15,229 +15,76 @@ namespace odin::core {
 namespace {
 
 constexpr char kMagic[8] = {'O', 'D', 'I', 'N', 'C', 'K', 'P', 'T'};
-/// Oldest payload version this build still decodes (newer builds keep
-/// reading the fields old payloads carry and default the rest).
-constexpr std::uint32_t kMinVersion = 1;
 /// Frame: magic(8) + version(4) + sequence(8) + payload size(8) + crc(4).
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 4;
 /// Refuse absurd payloads before allocating (a corrupt size field must not
 /// drive a multi-gigabyte read).
 constexpr std::uint64_t kMaxPayload = 1ull << 30;
+/// Count bound for the tenant- and crossbar-indexed lists.
+constexpr std::uint64_t kMaxShortSeq = 1u << 16;
 
-void encode_energy(const common::EnergyLatency& e, common::ByteWriter& out) {
-  out.f64(e.energy_j);
-  out.f64(e.latency_s);
-}
-
-common::EnergyLatency decode_energy(common::ByteReader& in) {
-  common::EnergyLatency e;
-  e.energy_j = in.f64();
-  e.latency_s = in.f64();
-  return e;
-}
-
-void encode_entries(const std::vector<policy::ReplayBuffer::Entry>& entries,
-                    common::ByteWriter& out) {
-  out.u64(entries.size());
-  for (const auto& e : entries) {
-    for (double v : e.features.to_array()) out.f64(v);
-    out.i32(e.best.rows);
-    out.i32(e.best.cols);
-  }
-}
-
-bool decode_entries(common::ByteReader& in,
-                    std::vector<policy::ReplayBuffer::Entry>& entries) {
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count > (1u << 24)) return false;
-  entries.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    policy::ReplayBuffer::Entry e;
-    e.features.layer_position = in.f64();
-    e.features.sparsity = in.f64();
-    e.features.kernel = in.f64();
-    e.features.log_time = in.f64();
-    e.best.rows = in.i32();
-    e.best.cols = in.i32();
-    entries.push_back(e);
-  }
-  return in.ok();
-}
-
-void encode_tenant(const TenantStats& t, common::ByteWriter& out) {
-  out.str(t.name);
-  out.i32(t.runs);
-  out.i32(t.reprograms);
-  out.i32(t.mismatches);
-  out.i32(t.retries);
-  out.i32(t.degraded_runs);
-  out.i32(t.updates_accepted);
-  out.i32(t.updates_rejected);
-  out.i32(t.updates_rolled_back);
-  out.i64(t.buffer_dropped);
-  out.i64(t.buffer_quarantined);
-  encode_energy(t.inference, out);
-  encode_energy(t.reprogram, out);
-  // v2: resilience surface.
-  out.f64(t.slo_s);
-  out.i32(t.shed_runs);
-  out.i32(t.breaker_open_runs);
-  out.i32(t.deadline_misses);
-  out.i32(t.deferred_reprograms);
-  out.i32(t.deadline_stopped_retries);
-  out.i32(t.searches_truncated);
-  out.i32(t.breaker_opens);
-  out.i32(t.breaker_reopens);
-  out.i32(t.breaker_probes);
-  out.i32(t.breaker_closes);
-  out.i32(t.watchdog_stalls);
-  out.u64(t.sojourn_s.size());
-  for (double v : t.sojourn_s) out.f64(v);
-  // v3: batch-formation surface.
-  out.i32(t.batches_formed);
-  out.i32(t.batch_members);
-  out.i32(t.max_batch);
-  out.i32(t.batch_slo_capped);
-  // v4: wear-leveling surface.
-  out.i32(t.rows_remapped);
-  out.i32(t.crossbars_retired);
-  out.i64(t.writes_leveled);
-  out.i32(t.wear_deferred_reprograms);
-  out.i32(t.spares_remaining);
-  // v5: fleet service surface.
-  out.f64(t.service_s);
-  out.i32(t.pipelined_runs);
-  // v6: bounded-sojourn surface.
-  encode_sojourn_sketch(t.sojourn_sketch, out);
-  out.i64(t.sojourn_dropped);
-  // v7: cluster failover surface.
-  out.i32(t.failovers);
-  out.i32(t.restored_stale);
-  out.i64(t.lost_runs);
-  out.i64(t.outage_dropped);
-  out.f64(t.rpo_s);
-  out.f64(t.rto_s);
-}
-
-std::optional<TenantStats> decode_tenant(common::ByteReader& in,
-                                         std::uint32_t version) {
-  TenantStats t;
-  t.name = in.str();
-  t.runs = in.i32();
-  t.reprograms = in.i32();
-  t.mismatches = in.i32();
-  t.retries = in.i32();
-  t.degraded_runs = in.i32();
-  t.updates_accepted = in.i32();
-  t.updates_rejected = in.i32();
-  t.updates_rolled_back = in.i32();
-  t.buffer_dropped = in.i64();
-  t.buffer_quarantined = in.i64();
-  t.inference = decode_energy(in);
-  t.reprogram = decode_energy(in);
-  if (version >= 2) {
-    t.slo_s = in.f64();
-    t.shed_runs = in.i32();
-    t.breaker_open_runs = in.i32();
-    t.deadline_misses = in.i32();
-    t.deferred_reprograms = in.i32();
-    t.deadline_stopped_retries = in.i32();
-    t.searches_truncated = in.i32();
-    t.breaker_opens = in.i32();
-    t.breaker_reopens = in.i32();
-    t.breaker_probes = in.i32();
-    t.breaker_closes = in.i32();
-    t.watchdog_stalls = in.i32();
-    const std::uint64_t samples = in.u64();
-    if (!in.ok() || samples > (1u << 24)) return std::nullopt;
-    t.sojourn_s.reserve(samples);
-    for (std::uint64_t i = 0; i < samples; ++i)
-      t.sojourn_s.push_back(in.f64());
-  }
-  if (version >= 3) {
-    t.batches_formed = in.i32();
-    t.batch_members = in.i32();
-    t.max_batch = in.i32();
-    t.batch_slo_capped = in.i32();
-  }
-  if (version >= 4) {
-    t.rows_remapped = in.i32();
-    t.crossbars_retired = in.i32();
-    t.writes_leveled = in.i64();
-    t.wear_deferred_reprograms = in.i32();
-    t.spares_remaining = in.i32();
-  }
-  if (version >= 5) {
-    t.service_s = in.f64();
-    t.pipelined_runs = in.i32();
-  }
-  if (version >= 6) {
-    if (!decode_sojourn_sketch(in, t.sojourn_sketch)) return std::nullopt;
-    t.sojourn_dropped = in.i64();
-  }
-  if (version >= 7) {
-    t.failovers = in.i32();
-    t.restored_stale = in.i32();
-    t.lost_runs = in.i64();
-    t.outage_dropped = in.i64();
-    t.rpo_s = in.f64();
-    t.rto_s = in.f64();
-  }
-  if (!in.ok()) return std::nullopt;
-  return t;
-}
-
-void encode_controller(const ControllerSnapshot& c, common::ByteWriter& out) {
-  out.f64(c.programmed_at_s);
-  out.i32(c.reprogram_count);
-  out.i32(c.update_count);
-  out.f64(c.health_fraction);
-  out.boolean(c.degraded);
-  out.f64(c.eta_scale);
-  out.i32(c.retry_count);
-  out.i32(c.degraded_runs);
-  out.i32(c.updates_accepted);
-  out.i32(c.updates_rejected);
-  out.i32(c.updates_rolled_back);
-  out.i32(c.probation_left);
-  out.i64(c.probation_mismatches);
-  out.i64(c.probation_layers);
-  out.f64(c.pre_update_rate);
-  out.f64(c.mismatch_rate_ema);
-  encode_entries(c.buffer_entries, out);
-  encode_entries(c.buffer_quarantine, out);
-  encode_entries(c.last_update_batch, out);
-  out.u64(c.buffer_dropped);
-  out.u64(c.buffer_quarantine_hits);
-  out.str(c.policy_blob);
-  out.str(c.last_good_blob);
-}
-
-bool decode_controller(common::ByteReader& in, ControllerSnapshot& c) {
-  c.programmed_at_s = in.f64();
-  c.reprogram_count = in.i32();
-  c.update_count = in.i32();
-  c.health_fraction = in.f64();
-  c.degraded = in.boolean();
-  c.eta_scale = in.f64();
-  c.retry_count = in.i32();
-  c.degraded_runs = in.i32();
-  c.updates_accepted = in.i32();
-  c.updates_rejected = in.i32();
-  c.updates_rolled_back = in.i32();
-  c.probation_left = in.i32();
-  c.probation_mismatches = in.i64();
-  c.probation_layers = in.i64();
-  c.pre_update_rate = in.f64();
-  c.mismatch_rate_ema = in.f64();
-  if (!decode_entries(in, c.buffer_entries)) return false;
-  if (!decode_entries(in, c.buffer_quarantine)) return false;
-  if (!decode_entries(in, c.last_update_batch)) return false;
-  c.buffer_dropped = in.u64();
-  c.buffer_quarantine_hits = in.u64();
-  c.policy_blob = in.str();
-  c.last_good_blob = in.str();
-  return in.ok();
+/// Wire layout of the whole payload (common/binary_io.hpp).
+template <typename S, common::MaybeConst<ServingCheckpoint> C>
+void fields(S& s, C& c) {
+  s.field(c.segment);
+  s.field(c.next_run);
+  s.field(c.segments);
+  s.field(c.horizon_runs);
+  s.field(c.t_start_s);
+  s.field(c.t_end_s);
+  s.seq(c.tenant_names, kMaxShortSeq);
+  s.field(c.result.label);
+  s.seq(c.result.tenants, kMaxShortSeq);
+  s.field(c.result.programming);
+  s.field(c.result.switches);
+  s.field(c.result.policy_updates);
+  s.field(c.controller);
+  s.field(c.has_faults);
+  // The wear fingerprint is listed here, split, rather than by the
+  // WearState walk: crossbars_retired sits with the leveling fields below.
+  s.field(c.wear.campaigns);
+  s.field(c.wear.stuck_cells);
+  s.field(c.wear.failed_wordlines);
+  s.field(c.wear.failed_bitlines);
+  s.seq(c.health_maps, kMaxShortSeq);
+  s.field(c.has_resilience);
+  s.field(c.shed_policy);
+  s.field(c.queue_capacity);
+  s.field(c.busy_until_s);
+  s.seq(c.pending_runs, common::kMaxSeq);
+  s.seq(c.breakers, kMaxShortSeq);
+  s.seq(c.fallback_ous, kMaxShortSeq, [](auto& st, auto& ou) {
+    st.field(ou.rows);
+    st.field(ou.cols);
+  });
+  s.field(c.batching_enabled);
+  s.field(c.batch_cap);
+  s.field(c.leveling_enabled);
+  s.field(c.leveling_spare_rows);
+  s.field(c.leveling_wear_budget);
+  // wear.crossbars_retired and the controller's wear_deferred_reprograms
+  // and retired_seen belong to other structs, but the layout carries them
+  // in this wear-leveling block; listing them with their own structs would
+  // move their bytes.
+  s.field(c.wear.crossbars_retired);
+  s.field(c.wear_seg_base_rows_remapped);
+  s.field(c.wear_seg_base_crossbars_retired);
+  s.field(c.wear_seg_base_writes_leveled);
+  s.field(c.controller.wear_deferred_reprograms);
+  s.field(c.controller.retired_seen);
+  s.seq(c.wear_maps, kMaxShortSeq);
+  s.field(c.fleet_shards);
+  s.field(c.fleet_shard_index);
+  s.field(c.has_service_models);
+  s.seq(c.service_models, kMaxShortSeq, [](auto& st, auto& m) {
+    st.field(m.noc_extra);
+    st.field(m.pipeline_overlap);
+  });
+  s.field(c.sojourn_cap);
+  s.field(c.has_scenario);
+  s.field(c.scenario);
+  s.field(c.has_cluster);
+  s.field(c.cluster);
 }
 
 std::string slot_path(const std::string& base, int slot) {
@@ -257,7 +104,6 @@ std::uint32_t frame_crc(std::uint64_t sequence, const std::string& payload) {
 
 /// Header fields of one framed file; nullopt when the frame is invalid.
 struct Frame {
-  std::uint32_t version = 0;
   std::uint64_t sequence = 0;
   std::string payload;
 };
@@ -273,13 +119,9 @@ std::optional<Frame> read_frame(const std::string& path) {
   for (char& m : magic) m = static_cast<char>(hr.u8());
   if (std::string_view(magic, 8) != std::string_view(kMagic, 8))
     return std::nullopt;
+  // One layout: a frame of any other version is refused, never misparsed.
+  if (hr.u32() != kCheckpointVersion) return std::nullopt;
   Frame frame;
-  frame.version = hr.u32();
-  // Forward compatibility: older payloads (>= kMinVersion) decode with
-  // defaults for the fields they predate; payloads from a *newer* build
-  // are rejected (their layout is unknown, not merely longer).
-  if (frame.version < kMinVersion || frame.version > kCheckpointVersion)
-    return std::nullopt;
   frame.sequence = hr.u64();
   const std::uint64_t size = hr.u64();
   const std::uint32_t crc = hr.u32();
@@ -327,210 +169,15 @@ bool write_frame(const std::string& path, std::uint64_t sequence,
 
 void encode_checkpoint(const ServingCheckpoint& ckpt,
                        common::ByteWriter& out) {
-  out.u64(ckpt.segment);
-  out.u64(ckpt.next_run);
-  out.i32(ckpt.segments);
-  out.i32(ckpt.horizon_runs);
-  out.f64(ckpt.t_start_s);
-  out.f64(ckpt.t_end_s);
-  out.u64(ckpt.tenant_names.size());
-  for (const std::string& name : ckpt.tenant_names) out.str(name);
-  out.str(ckpt.result.label);
-  out.u64(ckpt.result.tenants.size());
-  for (const TenantStats& t : ckpt.result.tenants) encode_tenant(t, out);
-  encode_energy(ckpt.result.programming, out);
-  out.i32(ckpt.result.switches);
-  out.i32(ckpt.result.policy_updates);
-  encode_controller(ckpt.controller, out);
-  out.boolean(ckpt.has_faults);
-  out.i32(ckpt.wear.campaigns);
-  out.i32(ckpt.wear.stuck_cells);
-  out.i32(ckpt.wear.failed_wordlines);
-  out.i32(ckpt.wear.failed_bitlines);
-  out.u64(ckpt.health_maps.size());
-  for (const reram::CrossbarHealth& h : ckpt.health_maps)
-    reram::encode_health(h, out);
-  // v2: resilience serving state.
-  out.boolean(ckpt.has_resilience);
-  out.i32(ckpt.shed_policy);
-  out.u64(ckpt.queue_capacity);
-  out.f64(ckpt.busy_until_s);
-  out.u64(ckpt.pending_runs.size());
-  for (std::uint64_t j : ckpt.pending_runs) out.u64(j);
-  out.u64(ckpt.breakers.size());
-  for (const CircuitBreaker::Snapshot& b : ckpt.breakers) {
-    out.i32(b.state);
-    out.u64(b.window_bits);
-    out.i32(b.window_fill);
-    out.i32(b.hold_left);
-    out.i32(b.hold_runs);
-    out.i32(b.opens);
-    out.i32(b.reopens);
-    out.i32(b.probes);
-    out.i32(b.closes);
-  }
-  out.u64(ckpt.fallback_ous.size());
-  for (const ou::OuConfig& c : ckpt.fallback_ous) {
-    out.i32(c.rows);
-    out.i32(c.cols);
-  }
-  // v3: batch-formation fingerprint.
-  out.boolean(ckpt.batching_enabled);
-  out.i32(ckpt.batch_cap);
-  // v4: wear-leveling state. Controller wear counters ride here rather than
-  // in encode_controller, which is unversioned.
-  out.boolean(ckpt.leveling_enabled);
-  out.i32(ckpt.leveling_spare_rows);
-  out.f64(ckpt.leveling_wear_budget);
-  out.i32(ckpt.wear.crossbars_retired);
-  out.i32(ckpt.wear_seg_base_rows_remapped);
-  out.i32(ckpt.wear_seg_base_crossbars_retired);
-  out.i64(ckpt.wear_seg_base_writes_leveled);
-  out.i32(ckpt.controller.wear_deferred_reprograms);
-  out.i32(ckpt.controller.retired_seen);
-  out.u64(ckpt.wear_maps.size());
-  for (const reram::WearMap& m : ckpt.wear_maps)
-    reram::encode_wear_map(m, out);
-  // v5: fleet surface.
-  out.i32(ckpt.fleet_shards);
-  out.i32(ckpt.fleet_shard_index);
-  out.boolean(ckpt.has_service_models);
-  out.u64(ckpt.service_models.size());
-  for (const TenantServiceModel& m : ckpt.service_models) {
-    out.f64(m.noc_extra.energy_j);
-    out.f64(m.noc_extra.latency_s);
-    out.f64(m.pipeline_overlap);
-  }
-  // v6: scenario surface.
-  out.u64(ckpt.sojourn_cap);
-  out.boolean(ckpt.has_scenario);
-  encode_campaign_state(ckpt.scenario, out);
-  // v7: cluster surface.
-  out.boolean(ckpt.has_cluster);
-  encode_cluster_state(ckpt.cluster, out);
+  fields(out, ckpt);
 }
 
-std::optional<ServingCheckpoint> decode_checkpoint(common::ByteReader& in,
-                                                   std::uint32_t version) {
+std::optional<ServingCheckpoint> decode_checkpoint(common::ByteReader& in) {
   ServingCheckpoint ckpt;
-  ckpt.segment = in.u64();
-  ckpt.next_run = in.u64();
-  ckpt.segments = in.i32();
-  ckpt.horizon_runs = in.i32();
-  ckpt.t_start_s = in.f64();
-  ckpt.t_end_s = in.f64();
-  const std::uint64_t names = in.u64();
-  if (!in.ok() || names > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < names; ++i)
-    ckpt.tenant_names.push_back(in.str());
-  ckpt.result.label = in.str();
-  const std::uint64_t tenants = in.u64();
-  if (!in.ok() || tenants > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < tenants; ++i) {
-    auto tenant = decode_tenant(in, version);
-    if (!tenant.has_value()) return std::nullopt;
-    ckpt.result.tenants.push_back(std::move(*tenant));
-  }
-  ckpt.result.programming = decode_energy(in);
-  ckpt.result.switches = in.i32();
-  ckpt.result.policy_updates = in.i32();
+  fields(in, ckpt);
+  // Bytes left over after the walk mean the payload is not this layout.
+  if (!in.ok() || !in.exhausted()) return std::nullopt;
   ckpt.result.resumed = true;
-  if (!decode_controller(in, ckpt.controller)) return std::nullopt;
-  ckpt.has_faults = in.boolean();
-  ckpt.wear.campaigns = in.i32();
-  ckpt.wear.stuck_cells = in.i32();
-  ckpt.wear.failed_wordlines = in.i32();
-  ckpt.wear.failed_bitlines = in.i32();
-  const std::uint64_t maps = in.u64();
-  if (!in.ok() || maps > (1u << 16)) return std::nullopt;
-  for (std::uint64_t i = 0; i < maps; ++i) {
-    auto health = reram::decode_health(in);
-    if (!health.has_value()) return std::nullopt;
-    ckpt.health_maps.push_back(std::move(*health));
-  }
-  if (version >= 2) {
-    ckpt.has_resilience = in.boolean();
-    ckpt.shed_policy = in.i32();
-    ckpt.queue_capacity = in.u64();
-    ckpt.busy_until_s = in.f64();
-    const std::uint64_t queued = in.u64();
-    if (!in.ok() || queued > (1u << 24)) return std::nullopt;
-    for (std::uint64_t i = 0; i < queued; ++i)
-      ckpt.pending_runs.push_back(in.u64());
-    const std::uint64_t breakers = in.u64();
-    if (!in.ok() || breakers > (1u << 16)) return std::nullopt;
-    for (std::uint64_t i = 0; i < breakers; ++i) {
-      CircuitBreaker::Snapshot b;
-      b.state = in.i32();
-      b.window_bits = in.u64();
-      b.window_fill = in.i32();
-      b.hold_left = in.i32();
-      b.hold_runs = in.i32();
-      b.opens = in.i32();
-      b.reopens = in.i32();
-      b.probes = in.i32();
-      b.closes = in.i32();
-      ckpt.breakers.push_back(b);
-    }
-    const std::uint64_t fallbacks = in.u64();
-    if (!in.ok() || fallbacks > (1u << 16)) return std::nullopt;
-    for (std::uint64_t i = 0; i < fallbacks; ++i) {
-      ou::OuConfig c;
-      c.rows = in.i32();
-      c.cols = in.i32();
-      ckpt.fallback_ous.push_back(c);
-    }
-  }
-  if (version >= 3) {
-    ckpt.batching_enabled = in.boolean();
-    ckpt.batch_cap = in.i32();
-  }
-  if (version >= 4) {
-    ckpt.leveling_enabled = in.boolean();
-    ckpt.leveling_spare_rows = in.i32();
-    ckpt.leveling_wear_budget = in.f64();
-    ckpt.wear.crossbars_retired = in.i32();
-    ckpt.wear_seg_base_rows_remapped = in.i32();
-    ckpt.wear_seg_base_crossbars_retired = in.i32();
-    ckpt.wear_seg_base_writes_leveled = in.i64();
-    ckpt.controller.wear_deferred_reprograms = in.i32();
-    ckpt.controller.retired_seen = in.i32();
-    const std::uint64_t wear_maps = in.u64();
-    if (!in.ok() || wear_maps > (1u << 16)) return std::nullopt;
-    for (std::uint64_t i = 0; i < wear_maps; ++i) {
-      auto map = reram::decode_wear_map(in);
-      if (!map.has_value()) return std::nullopt;
-      ckpt.wear_maps.push_back(std::move(*map));
-    }
-  }
-  if (version >= 5) {
-    ckpt.fleet_shards = in.i32();
-    ckpt.fleet_shard_index = in.i32();
-    ckpt.has_service_models = in.boolean();
-    const std::uint64_t models = in.u64();
-    if (!in.ok() || models > (1u << 16)) return std::nullopt;
-    for (std::uint64_t i = 0; i < models; ++i) {
-      TenantServiceModel m;
-      m.noc_extra.energy_j = in.f64();
-      m.noc_extra.latency_s = in.f64();
-      m.pipeline_overlap = in.f64();
-      ckpt.service_models.push_back(m);
-    }
-  }
-  if (version >= 6) {
-    ckpt.sojourn_cap = in.u64();
-    ckpt.has_scenario = in.boolean();
-    auto scenario = decode_campaign_state(in);
-    if (!scenario.has_value()) return std::nullopt;
-    ckpt.scenario = std::move(*scenario);
-  }
-  if (version >= 7) {
-    ckpt.has_cluster = in.boolean();
-    auto cluster = decode_cluster_state(in);
-    if (!cluster.has_value()) return std::nullopt;
-    ckpt.cluster = std::move(*cluster);
-  }
-  if (!in.ok()) return std::nullopt;
   return ckpt;
 }
 
@@ -570,7 +217,7 @@ std::optional<ServingCheckpoint> load_checkpoint_file(
   const auto frame = read_frame(path);
   if (!frame.has_value()) return std::nullopt;
   common::ByteReader reader(frame->payload);
-  auto ckpt = decode_checkpoint(reader, frame->version);
+  auto ckpt = decode_checkpoint(reader);
   if (ckpt.has_value()) ckpt->sequence = frame->sequence;
   return ckpt;
 }

@@ -40,25 +40,9 @@
 
 namespace odin::core {
 
-/// On-disk payload version. Version 2 added the resilience serving state
-/// (queue, breakers, fallback OUs, per-tenant SLO counters); version 3
-/// added the batch-formation surface (per-tenant batch counters plus the
-/// batching fingerprint); version 4 added the wear-leveling surface (the
-/// leveling fingerprint, retirement count, per-segment attribution bases,
-/// controller wear counters and behavioral per-crossbar wear maps);
-/// version 5 added the fleet surface (shard geometry fingerprint,
-/// placement-derived per-tenant service models, per-tenant service-time and
-/// pipelined-run counters); version 6 added the scenario surface (the
-/// sojourn retention cap fingerprint, per-tenant streaming sojourn sketches
-/// with their dropped-sample counters, and the campaign-engine state —
-/// arrival cursor, shard clocks/wear, autoscaler accumulators, trajectory
-/// sketches); version 7 added the cluster surface (cluster geometry
-/// fingerprint, outage/replication cursors, per-tenant replica cursors and
-/// failover breakers, RTO/RPO ledgers, plus the per-tenant failover
-/// counters on TenantStats). Older frames still decode, with every added
-/// field defaulting to the feature-disabled state (v6 frames decode as a
-/// single-mesh cluster with replication and failover off); the campaign
-/// engine resumes only from frames carrying the cluster surface.
+/// On-disk payload version. There is one layout, the ServingCheckpoint
+/// walk in core/checkpoint.cpp; a change to it bumps this number, and
+/// frames of any other version are refused.
 inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// The complete serving state at a run boundary. `segment`/`next_run`
@@ -85,11 +69,12 @@ struct ServingCheckpoint {
   /// Device wear fingerprint (meaningful when has_faults).
   bool has_faults = false;
   reram::FaultInjector::WearState wear;
-  /// Measured per-crossbar health maps from the last read-verify, when the
-  /// serving path tracks them (may be empty).
+  /// Measured per-crossbar health maps from the last read-verify. No
+  /// serving path fills them and resume does not read them; they stay so
+  /// the payload keeps its bytes, until the next layout change drops them.
   std::vector<reram::CrossbarHealth> health_maps;
-  /// Resilience serving state (v2+; all defaulted when decoding a v1
-  /// frame or when the walk ran with resilience disabled).
+  /// Resilience serving state (defaulted when the walk ran with
+  /// resilience disabled).
   bool has_resilience = false;
   std::int32_t shed_policy = 0;      ///< fingerprint: ShedPolicy in force
   std::uint64_t queue_capacity = 0;  ///< fingerprint: admission bound
@@ -97,57 +82,51 @@ struct ServingCheckpoint {
   std::vector<std::uint64_t> pending_runs;  ///< queued arrival indices
   std::vector<CircuitBreaker::Snapshot> breakers;  ///< one per tenant
   std::vector<ou::OuConfig> fallback_ous;          ///< one per tenant
-  /// Batch-formation fingerprint (v3+; defaulted for older frames). The
-  /// queue state only transfers onto the same batching geometry.
+  /// Batch-formation fingerprint. The queue state only transfers onto the
+  /// same batching geometry.
   bool batching_enabled = false;
   std::int32_t batch_cap = 0;  ///< resolved max batch in force
-  /// Wear-leveling state (v4+; defaulted for older frames). The fingerprint
-  /// fields gate resume: a leveled campaign history only replays correctly
-  /// under the same spare pool and wear budget. The seg-base fields restore
-  /// mid-segment per-tenant attribution of the device-global counters.
+  /// Wear-leveling state. The fingerprint fields gate resume: a leveled
+  /// campaign history only replays correctly under the same spare pool and
+  /// wear budget. The seg-base fields restore mid-segment per-tenant
+  /// attribution of the device-global counters.
   bool leveling_enabled = false;
   std::int32_t leveling_spare_rows = 0;   ///< resolved pool in force
   double leveling_wear_budget = 0.0;      ///< resolved budget fraction
   int wear_seg_base_rows_remapped = 0;
   int wear_seg_base_crossbars_retired = 0;
   long long wear_seg_base_writes_leveled = 0;
-  /// Measured per-crossbar wear maps (Crossbar::wear_map), when the serving
-  /// path tracks behavioral crossbars; empty otherwise — and always empty
-  /// when decoding a pre-v4 frame.
+  /// Measured per-crossbar wear maps (Crossbar::wear_map). Like
+  /// health_maps, never filled or read outside the codec.
   std::vector<reram::WearMap> wear_maps;
-  /// Fleet surface (v5+; defaulted for older frames, which decode as shard
-  /// 0 of a single-shard fleet). A shard's checkpoint only resumes onto the
-  /// same shard index of the same-size fleet under the same
-  /// placement-derived service models.
+  /// Fleet surface. A shard's checkpoint only resumes onto the same shard
+  /// index of the same-size fleet under the same placement-derived service
+  /// models.
   std::int32_t fleet_shards = 1;
   std::int32_t fleet_shard_index = 0;
   bool has_service_models = false;
   std::vector<TenantServiceModel> service_models;
-  /// Scenario surface (v6+; defaulted for older frames). `sojourn_cap` is
-  /// a resume fingerprint: a different retention cap would desynchronize
-  /// the sojourn vectors of a resumed walk. The campaign state is only
-  /// meaningful when has_scenario (the campaign engine's checkpoints); the
-  /// plain serving loop writes it defaulted.
+  /// Scenario surface. `sojourn_cap` is a resume fingerprint: a different
+  /// retention cap would desynchronize the sojourn vectors of a resumed
+  /// walk. The campaign state is only meaningful when has_scenario (the
+  /// campaign engine's checkpoints); the plain serving loop writes it
+  /// defaulted.
   std::uint64_t sojourn_cap = 0;
   bool has_scenario = false;
   CampaignState scenario;
-  /// Cluster surface (v7+; defaulted for older frames, which decode as a
-  /// single-mesh cluster with replication and failover off). Set on every
-  /// frame the campaign engine writes — a plain campaign's is a one-mesh
-  /// cluster frame — and required by resume: a frame without it (v6, or
-  /// has_cluster unset) decodes but does not resume.
+  /// Cluster surface. Set on every frame the campaign engine writes — a
+  /// plain campaign's is a one-mesh cluster frame — and required by its
+  /// resume: a frame with has_cluster unset decodes but does not resume.
   bool has_cluster = false;
   ClusterState cluster;
 };
 
-/// Payload codec (no framing). decode returns nullopt on truncation or a
-/// shape mismatch; framing, CRC and the version field are the file layer's
-/// job — it passes the frame's version down so older payloads decode with
-/// the fields they actually carry.
+/// Payload codec (no framing). decode returns nullopt on truncation, a
+/// refused count, or bytes left over after the layout; framing, CRC and the
+/// version field are the file layer's job.
 void encode_checkpoint(const ServingCheckpoint& ckpt,
                        common::ByteWriter& out);
-std::optional<ServingCheckpoint> decode_checkpoint(
-    common::ByteReader& in, std::uint32_t version = kCheckpointVersion);
+std::optional<ServingCheckpoint> decode_checkpoint(common::ByteReader& in);
 
 /// Double-buffered atomic checkpoint file pair (`<base>.a` / `<base>.b`).
 /// Construction scans existing slots so sequence numbers keep increasing

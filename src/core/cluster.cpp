@@ -74,105 +74,6 @@ bool FailoverConfig::resolved_enabled() const {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster state codec (checkpoint payload v7).
-
-using common::decode_vec;
-using common::encode_vec;
-
-void encode_cluster_state(const ClusterState& s, common::ByteWriter& out) {
-  out.i32(s.meshes);
-  out.i32(s.replication_epochs);
-  out.boolean(s.failover);
-  out.i32(s.outages_fired);
-  out.i32(s.replication_rounds);
-  encode_vec(s.mesh_down, out, [&](std::uint8_t v) { out.u8(v); });
-  encode_vec(s.mesh_down_until_s, out, [&](double v) { out.f64(v); });
-  encode_vec(s.mesh_served, out, [&](std::int64_t v) { out.i64(v); });
-  encode_vec(s.replica_runs, out, [&](std::int64_t v) { out.i64(v); });
-  encode_vec(s.replica_time_s, out, [&](double v) { out.f64(v); });
-  encode_vec(s.replica_mesh, out, [&](std::int32_t v) { out.i32(v); });
-  encode_vec(s.tenant_ready_s, out, [&](double v) { out.f64(v); });
-  encode_vec(s.tenant_victim, out, [&](std::uint8_t v) { out.u8(v); });
-  encode_vec(s.breakers, out, [&](const CircuitBreaker::Snapshot& b) {
-    out.i32(b.state);
-    out.u64(b.window_bits);
-    out.i32(b.window_fill);
-    out.i32(b.hold_left);
-    out.i32(b.hold_runs);
-    out.i32(b.opens);
-    out.i32(b.reopens);
-    out.i32(b.probes);
-    out.i32(b.closes);
-  });
-  out.i64(s.failovers);
-  out.i64(s.restored_stale);
-  out.i64(s.lost_runs);
-  out.i64(s.outage_dropped);
-  out.i64(s.degraded_runs);
-  out.i64(s.bootstrap_campaigns);
-  out.i64(s.victim_offered);
-  out.i64(s.victim_served);
-  out.f64(s.rto_max_s);
-  out.f64(s.rto_sum_s);
-  out.f64(s.rpo_max_s);
-  out.f64(s.rpo_sum_s);
-  out.f64(s.replication_bytes);
-  out.f64(s.replication_s);
-  out.f64(s.replication_energy_j);
-}
-
-std::optional<ClusterState> decode_cluster_state(common::ByteReader& in) {
-  ClusterState s;
-  s.meshes = in.i32();
-  s.replication_epochs = in.i32();
-  s.failover = in.boolean();
-  s.outages_fired = in.i32();
-  s.replication_rounds = in.i32();
-  auto u8 = [&] { return in.u8(); };
-  auto f64 = [&] { return in.f64(); };
-  auto i64 = [&] { return in.i64(); };
-  if (!decode_vec(in, s.mesh_down, u8) ||
-      !decode_vec(in, s.mesh_down_until_s, f64) ||
-      !decode_vec(in, s.mesh_served, i64) ||
-      !decode_vec(in, s.replica_runs, i64) ||
-      !decode_vec(in, s.replica_time_s, f64) ||
-      !decode_vec(in, s.replica_mesh, [&] { return in.i32(); }) ||
-      !decode_vec(in, s.tenant_ready_s, f64) ||
-      !decode_vec(in, s.tenant_victim, u8) ||
-      !decode_vec(in, s.breakers, [&] {
-        CircuitBreaker::Snapshot b;
-        b.state = in.i32();
-        b.window_bits = in.u64();
-        b.window_fill = in.i32();
-        b.hold_left = in.i32();
-        b.hold_runs = in.i32();
-        b.opens = in.i32();
-        b.reopens = in.i32();
-        b.probes = in.i32();
-        b.closes = in.i32();
-        return b;
-      }))
-    return std::nullopt;
-  s.failovers = in.i64();
-  s.restored_stale = in.i64();
-  s.lost_runs = in.i64();
-  s.outage_dropped = in.i64();
-  s.degraded_runs = in.i64();
-  s.bootstrap_campaigns = in.i64();
-  s.victim_offered = in.i64();
-  s.victim_served = in.i64();
-  s.rto_max_s = in.f64();
-  s.rto_sum_s = in.f64();
-  s.rpo_max_s = in.f64();
-  s.rpo_sum_s = in.f64();
-  s.replication_bytes = in.f64();
-  s.replication_s = in.f64();
-  s.replication_energy_j = in.f64();
-  if (!in.ok()) return std::nullopt;
-  return s;
-}
-
-// ---------------------------------------------------------------------------
 // The campaign engine: one loop for a plain campaign (one mesh, pinned
 // below) and for a multi-mesh cluster.
 

@@ -34,10 +34,10 @@
 // Determinism: every cluster decision (outage windows, storm target
 // meshes, failover destinations) is a pure function of the seeds and the
 // state, so same-seed replay and mid-campaign resume reproduce the summary
-// byte for byte. The state rides checkpoint payload v7 with the cluster
-// surface set. Resume refuses a frame without it (a v6 frame, or any
-// frame with has_cluster unset), a frame whose fingerprint names another
-// geometry, and a frame whose state does not fit that geometry.
+// byte for byte. The state rides the serving checkpoint with the cluster
+// surface set. Resume refuses a frame with has_cluster unset, a frame
+// whose fingerprint names another geometry, and a frame whose state does
+// not fit that geometry.
 #pragma once
 
 #include <cstdint>
@@ -101,11 +101,10 @@ struct ClusterConfig {
   int resolved_replication_epochs() const;
 };
 
-/// Durable cluster-engine state (checkpoint payload v7). The fingerprint
+/// Durable cluster-engine state (serving checkpoint). The fingerprint
 /// block extends CampaignState's resume gate to the cluster geometry; the
 /// rest positions the outage/replication replay and carries the failover
-/// ledgers. A v6 frame decodes to the defaults (one mesh, nothing fired,
-/// empty vectors), which resume refuses.
+/// ledgers.
 struct ClusterState {
   // Fingerprint.
   std::int32_t meshes = 1;
@@ -146,8 +145,48 @@ struct ClusterState {
   double replication_energy_j = 0.0;
 };
 
-void encode_cluster_state(const ClusterState& s, common::ByteWriter& out);
-std::optional<ClusterState> decode_cluster_state(common::ByteReader& in);
+/// Wire layout (common/binary_io.hpp).
+template <typename S, common::MaybeConst<ClusterState> C>
+void fields(S& s, C& c) {
+  s.field(c.meshes);
+  s.field(c.replication_epochs);
+  s.field(c.failover);
+  s.field(c.outages_fired);
+  s.field(c.replication_rounds);
+  s.seq(c.mesh_down, common::kMaxSeq);
+  s.seq(c.mesh_down_until_s, common::kMaxSeq);
+  s.seq(c.mesh_served, common::kMaxSeq);
+  s.seq(c.replica_runs, common::kMaxSeq);
+  s.seq(c.replica_time_s, common::kMaxSeq);
+  s.seq(c.replica_mesh, common::kMaxSeq);
+  s.seq(c.tenant_ready_s, common::kMaxSeq);
+  s.seq(c.tenant_victim, common::kMaxSeq);
+  s.seq(c.breakers, common::kMaxSeq);
+  s.field(c.failovers);
+  s.field(c.restored_stale);
+  s.field(c.lost_runs);
+  s.field(c.outage_dropped);
+  s.field(c.degraded_runs);
+  s.field(c.bootstrap_campaigns);
+  s.field(c.victim_offered);
+  s.field(c.victim_served);
+  s.field(c.rto_max_s);
+  s.field(c.rto_sum_s);
+  s.field(c.rpo_max_s);
+  s.field(c.rpo_sum_s);
+  s.field(c.replication_bytes);
+  s.field(c.replication_s);
+  s.field(c.replication_energy_j);
+}
+
+inline void encode_cluster_state(const ClusterState& s,
+                                 common::ByteWriter& out) {
+  out.field(s);
+}
+inline std::optional<ClusterState> decode_cluster_state(
+    common::ByteReader& in) {
+  return common::decode<ClusterState>(in);
+}
 
 struct ClusterResult {
   CampaignResult campaign;  ///< fleet-wide campaign surface (all meshes)
@@ -175,7 +214,7 @@ struct ClusterResult {
 ClusterResult run_cluster(const ClusterConfig& config);
 
 /// Resume an interrupted cluster campaign from its checkpoint pair.
-/// nullopt when no valid v7 cluster checkpoint exists, either fingerprint
+/// nullopt when no valid cluster checkpoint exists, either fingerprint
 /// (campaign geometry or cluster geometry: meshes/replication_epochs/
 /// failover) does not match `config`, or the frame's vectors, cursors or
 /// shard indices do not fit that geometry.

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "common/deadline.hpp"
 #include "common/units.hpp"
 #include "ou/cost_model.hpp"
@@ -197,7 +198,8 @@ struct ControllerSnapshot {
   double eta_scale = 1.0;
   int retry_count = 0;
   int degraded_runs = 0;
-  /// Wear-leveling state (payload v4; zero for older checkpoints).
+  /// Wear-leveling state. Written by the ServingCheckpoint walk, not the
+  /// one below (core/checkpoint.cpp says why).
   int wear_deferred_reprograms = 0;
   int retired_seen = 0;
   /// Guardrail state.
@@ -219,6 +221,42 @@ struct ControllerSnapshot {
   std::string policy_blob;
   std::string last_good_blob;
 };
+
+/// Wire layout (common/binary_io.hpp), replay entries included.
+template <typename S, common::MaybeConst<ControllerSnapshot> C>
+void fields(S& s, C& c) {
+  s.field(c.programmed_at_s);
+  s.field(c.reprogram_count);
+  s.field(c.update_count);
+  s.field(c.health_fraction);
+  s.field(c.degraded);
+  s.field(c.eta_scale);
+  s.field(c.retry_count);
+  s.field(c.degraded_runs);
+  s.field(c.updates_accepted);
+  s.field(c.updates_rejected);
+  s.field(c.updates_rolled_back);
+  s.field(c.probation_left);
+  s.field(c.probation_mismatches);
+  s.field(c.probation_layers);
+  s.field(c.pre_update_rate);
+  s.field(c.mismatch_rate_ema);
+  const auto entry = [](auto& st, auto& e) {
+    st.field(e.features.layer_position);
+    st.field(e.features.sparsity);
+    st.field(e.features.kernel);
+    st.field(e.features.log_time);
+    st.field(e.best.rows);
+    st.field(e.best.cols);
+  };
+  s.seq(c.buffer_entries, common::kMaxSeq, entry);
+  s.seq(c.buffer_quarantine, common::kMaxSeq, entry);
+  s.seq(c.last_update_batch, common::kMaxSeq, entry);
+  s.field(c.buffer_dropped);
+  s.field(c.buffer_quarantine_hits);
+  s.field(c.policy_blob);
+  s.field(c.last_good_blob);
+}
 
 class OdinController {
  public:

@@ -26,6 +26,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/binary_io.hpp"
+
 namespace odin::core {
 
 /// What happens to a run arriving while the bounded queue is full.
@@ -189,6 +191,21 @@ class CircuitBreaker {
   int probes_ = 0;
   int closes_ = 0;
 };
+
+/// Wire layout (common/binary_io.hpp), shared by the serving checkpoint's
+/// per-tenant breakers and the cluster's degraded-admission breakers.
+template <typename S, common::MaybeConst<CircuitBreaker::Snapshot> B>
+void fields(S& s, B& b) {
+  s.field(b.state);
+  s.field(b.window_bits);
+  s.field(b.window_fill);
+  s.field(b.hold_left);
+  s.field(b.hold_runs);
+  s.field(b.opens);
+  s.field(b.reopens);
+  s.field(b.probes);
+  s.field(b.closes);
+}
 
 /// Nearest-rank percentile (p in [0, 100]) of `values`; 0 when empty.
 /// Copies and sorts — intended for end-of-horizon reporting, not hot paths.

@@ -329,122 +329,6 @@ void ArrivalGenerator::skip(std::uint64_t events) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign state codec (checkpoint payload v6).
-
-using common::decode_vec;
-using common::encode_vec;
-
-void encode_campaign_state(const CampaignState& s, common::ByteWriter& out) {
-  out.u64(s.seed);
-  out.u64(s.requests);
-  out.i32(s.tenants);
-  out.i32(s.shards);
-  out.i32(s.epochs);
-  out.boolean(s.autoscale);
-  out.u64(s.next_event);
-  out.f64(s.clock_s);
-  out.i32(s.epoch);
-  out.i32(s.storms_fired);
-  out.i32(s.rescales);
-  out.i64(s.migrations);
-  out.i64(s.storm_campaigns_fired);
-  out.i64(s.misses);
-  out.i64(s.sheds);
-  out.i64(s.flash_requests);
-  out.f64(s.energy_j);
-  out.f64(s.edp_sum);
-  out.f64(s.migration_s);
-  out.f64(s.migration_energy_j);
-  encode_vec(s.shard_busy_until_s, out, [&](double v) { out.f64(v); });
-  encode_vec(s.shard_pes, out, [&](std::int32_t v) { out.i32(v); });
-  encode_vec(s.tenant_shard, out, [&](std::int32_t v) { out.i32(v); });
-  encode_vec(s.shard_demand, out, [&](double v) { out.f64(v); });
-  encode_vec(s.tenant_demand, out, [&](double v) { out.f64(v); });
-  encode_vec(s.shard_wear, out, [&](const reram::FaultInjector::WearState& w) {
-    out.i32(w.campaigns);
-    out.i32(w.stuck_cells);
-    out.i32(w.failed_wordlines);
-    out.i32(w.failed_bitlines);
-    out.i32(w.crossbars_retired);
-  });
-  encode_vec(s.storm_shard_mask, out, [&](std::uint64_t v) { out.u64(v); });
-  encode_sketch(s.slack_p1, out);
-  encode_sketch(s.flash_slack_p1, out);
-  for (const QuantileSketch& q : s.tier_slack_p1) encode_sketch(q, out);
-  encode_sojourn_sketch(s.sojourn, out);
-  encode_vec(s.epoch_energy_j, out, [&](double v) { out.f64(v); });
-  encode_vec(s.epoch_edp_sum, out, [&](double v) { out.f64(v); });
-  encode_vec(s.epoch_requests, out, [&](std::int64_t v) { out.i64(v); });
-  encode_vec(s.epoch_misses, out, [&](std::int64_t v) { out.i64(v); });
-  encode_vec(s.epoch_sheds, out, [&](std::int64_t v) { out.i64(v); });
-  encode_vec(s.epoch_slack_p1, out,
-             [&](const QuantileSketch& q) { encode_sketch(q, out); });
-}
-
-std::optional<CampaignState> decode_campaign_state(common::ByteReader& in) {
-  CampaignState s;
-  s.seed = in.u64();
-  s.requests = in.u64();
-  s.tenants = in.i32();
-  s.shards = in.i32();
-  s.epochs = in.i32();
-  s.autoscale = in.boolean();
-  s.next_event = in.u64();
-  s.clock_s = in.f64();
-  s.epoch = in.i32();
-  s.storms_fired = in.i32();
-  s.rescales = in.i32();
-  s.migrations = in.i64();
-  s.storm_campaigns_fired = in.i64();
-  s.misses = in.i64();
-  s.sheds = in.i64();
-  s.flash_requests = in.i64();
-  s.energy_j = in.f64();
-  s.edp_sum = in.f64();
-  s.migration_s = in.f64();
-  s.migration_energy_j = in.f64();
-  auto f64 = [&] { return in.f64(); };
-  auto i32 = [&] { return in.i32(); };
-  auto i64 = [&] { return in.i64(); };
-  if (!decode_vec(in, s.shard_busy_until_s, f64) ||
-      !decode_vec(in, s.shard_pes, i32) ||
-      !decode_vec(in, s.tenant_shard, i32) ||
-      !decode_vec(in, s.shard_demand, f64) ||
-      !decode_vec(in, s.tenant_demand, f64) ||
-      !decode_vec(in, s.shard_wear, [&] {
-        reram::FaultInjector::WearState w;
-        w.campaigns = in.i32();
-        w.stuck_cells = in.i32();
-        w.failed_wordlines = in.i32();
-        w.failed_bitlines = in.i32();
-        w.crossbars_retired = in.i32();
-        return w;
-      }) ||
-      !decode_vec(in, s.storm_shard_mask, [&] { return in.u64(); }))
-    return std::nullopt;
-  if (!decode_sketch(in, s.slack_p1)) return std::nullopt;
-  if (!decode_sketch(in, s.flash_slack_p1)) return std::nullopt;
-  for (QuantileSketch& q : s.tier_slack_p1)
-    if (!decode_sketch(in, q)) return std::nullopt;
-  if (!decode_sojourn_sketch(in, s.sojourn)) return std::nullopt;
-  if (!decode_vec(in, s.epoch_energy_j, f64) ||
-      !decode_vec(in, s.epoch_edp_sum, f64) ||
-      !decode_vec(in, s.epoch_requests, i64) ||
-      !decode_vec(in, s.epoch_misses, i64) ||
-      !decode_vec(in, s.epoch_sheds, i64))
-    return std::nullopt;
-  std::uint64_t n = 0;
-  if (!common::vec_count(in, n)) return std::nullopt;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    QuantileSketch q;
-    if (!decode_sketch(in, q)) return std::nullopt;
-    s.epoch_slack_p1.push_back(q);
-  }
-  if (!in.ok()) return std::nullopt;
-  return s;
-}
-
-// ---------------------------------------------------------------------------
 // Campaign results. The loop that produces them is run_cluster
 // (core/cluster.cpp); a campaign is its one-mesh case.
 

@@ -32,9 +32,9 @@
 //  * There is one campaign loop, core/cluster's run_cluster: a campaign is
 //    its one-mesh case, with no outages, replication or failover, pinned in
 //    code so no cluster environment knob reaches it.
-//  * The campaign state (CampaignState, added in checkpoint payload v6)
-//    rides a one-mesh cluster frame (payload v7, core/checkpoint), so a
-//    campaign can crash mid-storm and resume bitwise. Resume refuses a
+//  * The campaign state (CampaignState) rides a one-mesh cluster frame
+//    (core/checkpoint), so a campaign can crash mid-storm and resume
+//    bitwise. Resume refuses a
 //    frame whose fingerprint names another geometry, whose state does not
 //    fit that geometry, or that carries no cluster surface.
 #pragma once
@@ -234,7 +234,7 @@ void campaign_price(const ScenarioTenant& t, double drift_mult,
                     double fault_fraction, int pes, double& service_s,
                     double& energy_j) noexcept;
 
-/// Durable campaign-engine state (checkpoint payload v6). The fingerprint
+/// Durable campaign-engine state (serving checkpoint). The fingerprint
 /// block gates resume — a checkpoint only reinstates onto the identical
 /// scenario geometry; the rest positions the replay (arrival cursor,
 /// per-shard clocks and wear, autoscaler accumulators, sketches, the
@@ -290,8 +290,56 @@ struct CampaignState {
   std::vector<QuantileSketch> epoch_slack_p1;
 };
 
-void encode_campaign_state(const CampaignState& s, common::ByteWriter& out);
-std::optional<CampaignState> decode_campaign_state(common::ByteReader& in);
+/// Wire layout (common/binary_io.hpp).
+template <typename S, common::MaybeConst<CampaignState> C>
+void fields(S& s, C& c) {
+  s.field(c.seed);
+  s.field(c.requests);
+  s.field(c.tenants);
+  s.field(c.shards);
+  s.field(c.epochs);
+  s.field(c.autoscale);
+  s.field(c.next_event);
+  s.field(c.clock_s);
+  s.field(c.epoch);
+  s.field(c.storms_fired);
+  s.field(c.rescales);
+  s.field(c.migrations);
+  s.field(c.storm_campaigns_fired);
+  s.field(c.misses);
+  s.field(c.sheds);
+  s.field(c.flash_requests);
+  s.field(c.energy_j);
+  s.field(c.edp_sum);
+  s.field(c.migration_s);
+  s.field(c.migration_energy_j);
+  s.seq(c.shard_busy_until_s, common::kMaxSeq);
+  s.seq(c.shard_pes, common::kMaxSeq);
+  s.seq(c.tenant_shard, common::kMaxSeq);
+  s.seq(c.shard_demand, common::kMaxSeq);
+  s.seq(c.tenant_demand, common::kMaxSeq);
+  s.seq(c.shard_wear, common::kMaxSeq);
+  s.seq(c.storm_shard_mask, common::kMaxSeq);
+  s.field(c.slack_p1);
+  s.field(c.flash_slack_p1);
+  for (auto& q : c.tier_slack_p1) s.field(q);
+  s.field(c.sojourn);
+  s.seq(c.epoch_energy_j, common::kMaxSeq);
+  s.seq(c.epoch_edp_sum, common::kMaxSeq);
+  s.seq(c.epoch_requests, common::kMaxSeq);
+  s.seq(c.epoch_misses, common::kMaxSeq);
+  s.seq(c.epoch_sheds, common::kMaxSeq);
+  s.seq(c.epoch_slack_p1, common::kMaxSeq);
+}
+
+inline void encode_campaign_state(const CampaignState& s,
+                                  common::ByteWriter& out) {
+  out.field(s);
+}
+inline std::optional<CampaignState> decode_campaign_state(
+    common::ByteReader& in) {
+  return common::decode<CampaignState>(in);
+}
 
 struct CampaignConfig {
   ScenarioConfig scenario{};

@@ -899,8 +899,7 @@ std::optional<ServingResult> resume_with_odin(
       return std::nullopt;
     // A different retention cap would make the resumed walk's sojourn
     // vectors diverge from the uninterrupted run's, breaking the bitwise
-    // resume guarantee (v6 frames carry the cap; older frames decode as 0,
-    // matching the only cap that existed when they were written).
+    // resume guarantee.
     if (ckpt.sojourn_cap !=
         static_cast<std::uint64_t>(config.resilience.sojourn_sample_cap))
       return std::nullopt;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "core/experiment.hpp"
 #include "core/resilience.hpp"
 #include "core/sketch.hpp"
@@ -138,7 +139,7 @@ struct TenantStats {
   double service_s = 0.0;
   int pipelined_runs = 0;
   /// Cluster failover surface (zero outside a multi-mesh cluster —
-  /// core/cluster.hpp; rides checkpoint payload v7).
+  /// core/cluster.hpp).
   int failovers = 0;             ///< evacuations off a lost mesh
   int restored_stale = 0;        ///< restores from a replica missing serves
   long long lost_runs = 0;       ///< serves newer than the restored replica
@@ -150,7 +151,7 @@ struct TenantStats {
   /// ResilienceConfig::sojourn_sample_cap (0 = keep all).
   std::vector<double> sojourn_s;
   /// Streaming percentile sketch fed by *every* sojourn sample, including
-  /// those the cap dropped from the vector; rides checkpoint payload v6.
+  /// those the cap dropped from the vector.
   SojournSketch sojourn_sketch;
   /// Samples the cap kept out of sojourn_s (0 while uncapped).
   long long sojourn_dropped = 0;
@@ -169,6 +170,56 @@ struct TenantStats {
   /// (negative = the SLO was missed at that rank; 0 when no SLO was set).
   double slack_percentile(double p) const;
 };
+
+/// Wire layout (common/binary_io.hpp).
+template <typename S, common::MaybeConst<TenantStats> T>
+void fields(S& s, T& t) {
+  s.field(t.name);
+  s.field(t.runs);
+  s.field(t.reprograms);
+  s.field(t.mismatches);
+  s.field(t.retries);
+  s.field(t.degraded_runs);
+  s.field(t.updates_accepted);
+  s.field(t.updates_rejected);
+  s.field(t.updates_rolled_back);
+  s.field(t.buffer_dropped);
+  s.field(t.buffer_quarantined);
+  s.field(t.inference);
+  s.field(t.reprogram);
+  s.field(t.slo_s);
+  s.field(t.shed_runs);
+  s.field(t.breaker_open_runs);
+  s.field(t.deadline_misses);
+  s.field(t.deferred_reprograms);
+  s.field(t.deadline_stopped_retries);
+  s.field(t.searches_truncated);
+  s.field(t.breaker_opens);
+  s.field(t.breaker_reopens);
+  s.field(t.breaker_probes);
+  s.field(t.breaker_closes);
+  s.field(t.watchdog_stalls);
+  s.seq(t.sojourn_s, common::kMaxSeq);
+  s.field(t.batches_formed);
+  s.field(t.batch_members);
+  s.field(t.max_batch);
+  s.field(t.batch_slo_capped);
+  s.field(t.rows_remapped);
+  s.field(t.crossbars_retired);
+  s.field(t.writes_leveled);
+  s.field(t.wear_deferred_reprograms);
+  s.field(t.spares_remaining);
+  s.field(t.service_s);
+  s.field(t.pipelined_runs);
+  s.field(t.sojourn_sketch);
+  s.field(t.sojourn_dropped);
+  s.field(t.failovers);
+  s.field(t.restored_stale);
+  s.field(t.lost_runs);
+  s.field(t.outage_dropped);
+  s.field(t.rpo_s);
+  s.field(t.rto_s);
+}
 
 struct ServingResult {
   std::string label;

@@ -89,25 +89,6 @@ double QuantileSketch::estimate() const noexcept {
   return q_[2];
 }
 
-void encode_sketch(const QuantileSketch& s, common::ByteWriter& out) {
-  const QuantileSketch::State st = s.state();
-  out.f64(st.p);
-  out.u64(st.n);
-  for (double q : st.q) out.f64(q);
-  for (std::int64_t p : st.pos) out.i64(p);
-}
-
-bool decode_sketch(common::ByteReader& in, QuantileSketch& s) {
-  QuantileSketch::State st;
-  st.p = in.f64();
-  st.n = in.u64();
-  for (double& q : st.q) q = in.f64();
-  for (std::int64_t& p : st.pos) p = in.i64();
-  if (!in.ok()) return false;
-  s.restore(st);
-  return true;
-}
-
 SojournSketch::SojournSketch() noexcept {
   for (std::size_t i = 0; i < kQuantiles; ++i)
     q_[i] = QuantileSketch(kTracked[i]);
@@ -154,25 +135,6 @@ double SojournSketch::percentile(double p) const noexcept {
 bool operator==(const SojournSketch& a, const SojournSketch& b) noexcept {
   return a.q_ == b.q_ && a.count_ == b.count_ && a.min_ == b.min_ &&
          a.max_ == b.max_ && a.sum_ == b.sum_;
-}
-
-void encode_sojourn_sketch(const SojournSketch& s, common::ByteWriter& out) {
-  for (const auto& sk : s.q_) encode_sketch(sk, out);
-  out.u64(s.count_);
-  out.f64(s.min_);
-  out.f64(s.max_);
-  out.f64(s.sum_);
-}
-
-bool decode_sojourn_sketch(common::ByteReader& in, SojournSketch& s) {
-  for (auto& sk : s.q_) {
-    if (!decode_sketch(in, sk)) return false;
-  }
-  s.count_ = in.u64();
-  s.min_ = in.f64();
-  s.max_ = in.f64();
-  s.sum_ = in.f64();
-  return in.ok();
 }
 
 }  // namespace odin::core

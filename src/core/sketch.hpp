@@ -37,20 +37,14 @@ class QuantileSketch {
   double quantile_p() const noexcept { return p_; }
   std::uint64_t count() const noexcept { return n_; }
 
-  /// Exact serialized form; restoring it reproduces the estimator
-  /// bit-for-bit (all state is doubles and integers).
-  struct State {
-    double p = 0.99;
-    std::uint64_t n = 0;
-    std::array<double, 5> q{};        ///< marker heights
-    std::array<std::int64_t, 5> pos{};  ///< marker positions (1-based)
-  };
-  State state() const noexcept { return {p_, n_, q_, pos_}; }
-  void restore(const State& s) noexcept {
-    p_ = s.p;
-    n_ = s.n;
-    q_ = s.q;
-    pos_ = s.pos;
+  /// Wire layout (common/binary_io.hpp): all state is doubles and
+  /// integers, so decoding reproduces the estimator bit-for-bit.
+  template <typename S, common::MaybeConst<QuantileSketch> Q>
+  friend void fields(S& s, Q& sk) {
+    s.field(sk.p_);
+    s.field(sk.n_);
+    for (auto& q : sk.q_) s.field(q);
+    for (auto& pos : sk.pos_) s.field(pos);
   }
 
   friend bool operator==(const QuantileSketch& a,
@@ -61,13 +55,9 @@ class QuantileSketch {
  private:
   double p_ = 0.99;
   std::uint64_t n_ = 0;
-  std::array<double, 5> q_{};
-  std::array<std::int64_t, 5> pos_{};
+  std::array<double, 5> q_{};           ///< marker heights
+  std::array<std::int64_t, 5> pos_{};   ///< marker positions (1-based)
 };
-
-void encode_sketch(const QuantileSketch& s, common::ByteWriter& out);
-/// Overwrites `s` from the stream; false on truncation (reader !ok()).
-bool decode_sketch(common::ByteReader& in, QuantileSketch& s);
 
 /// The bounded-memory percentile surface a tenant keeps when raw sojourn
 /// retention is capped: four P² estimators at the report quantiles plus
@@ -96,9 +86,15 @@ class SojournSketch {
   static constexpr std::array<double, kQuantiles> kTracked = {0.50, 0.90,
                                                               0.95, 0.99};
 
-  friend void encode_sojourn_sketch(const SojournSketch& s,
-                                    common::ByteWriter& out);
-  friend bool decode_sojourn_sketch(common::ByteReader& in, SojournSketch& s);
+  /// Wire layout (common/binary_io.hpp).
+  template <typename S, common::MaybeConst<SojournSketch> J>
+  friend void fields(S& s, J& sk) {
+    for (auto& q : sk.q_) s.field(q);
+    s.field(sk.count_);
+    s.field(sk.min_);
+    s.field(sk.max_);
+    s.field(sk.sum_);
+  }
 
  private:
   std::array<QuantileSketch, kQuantiles> q_;
@@ -107,8 +103,5 @@ class SojournSketch {
   double max_ = 0.0;
   double sum_ = 0.0;
 };
-
-void encode_sojourn_sketch(const SojournSketch& s, common::ByteWriter& out);
-bool decode_sojourn_sketch(common::ByteReader& in, SojournSketch& s);
 
 }  // namespace odin::core

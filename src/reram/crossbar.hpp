@@ -125,7 +125,7 @@ class Crossbar {
   /// remapping (the "spread" the leveling layer achieved).
   std::int64_t writes_leveled() const noexcept { return writes_leveled_; }
 
-  /// Durable wear/remap state for the serving checkpoint (payload v4).
+  /// Durable wear/remap state for the serving checkpoint.
   /// Empty (rows == 0) until leveling is enabled and the first campaign ran.
   WearMap wear_map() const;
   /// Restore checkpointed wear state. Leveling must already be enabled with

@@ -193,45 +193,4 @@ CrossbarHealth read_verify(const Crossbar& xbar, int ou_rows, int ou_cols,
   return health;
 }
 
-void encode_health(const CrossbarHealth& health, common::ByteWriter& out) {
-  out.i32(health.ou_rows);
-  out.i32(health.ou_cols);
-  out.i64(health.stuck_cells);
-  out.i64(health.scanned_cells);
-  out.i32(health.worst_window_stuck);
-  out.f64(health.fault_fraction);
-  out.f64(health.worst_window_fraction);
-  out.boolean(health.degraded);
-  out.u64(health.windows.size());
-  for (const OuWindowHealth& w : health.windows) {
-    out.i32(w.row0);
-    out.i32(w.col0);
-    out.i32(w.stuck);
-  }
-}
-
-std::optional<CrossbarHealth> decode_health(common::ByteReader& in) {
-  CrossbarHealth health;
-  health.ou_rows = in.i32();
-  health.ou_cols = in.i32();
-  health.stuck_cells = in.i64();
-  health.scanned_cells = in.i64();
-  health.worst_window_stuck = in.i32();
-  health.fault_fraction = in.f64();
-  health.worst_window_fraction = in.f64();
-  health.degraded = in.boolean();
-  const std::uint64_t count = in.u64();
-  if (!in.ok() || count > (1u << 24)) return std::nullopt;
-  health.windows.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    OuWindowHealth w;
-    w.row0 = in.i32();
-    w.col0 = in.i32();
-    w.stuck = in.i32();
-    health.windows.push_back(w);
-  }
-  if (!in.ok()) return std::nullopt;
-  return health;
-}
-
 }  // namespace odin::reram

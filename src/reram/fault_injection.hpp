@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/binary_io.hpp"
@@ -162,8 +161,6 @@ class FaultInjector {
     int stuck_cells = 0;
     int failed_wordlines = 0;
     int failed_bitlines = 0;
-    /// Retired-crossbar count (0 for pre-leveling checkpoints; encoded only
-    /// in payload v4 frames).
     int crossbars_retired = 0;
   };
   WearState wear_state() const noexcept {
@@ -200,6 +197,16 @@ class FaultInjector {
   std::vector<DriftBurst> power_downs_;
 };
 
+/// Wire layout (common/binary_io.hpp) of a campaign shard's wear.
+template <typename S, common::MaybeConst<FaultInjector::WearState> W>
+void fields(S& s, W& w) {
+  s.field(w.campaigns);
+  s.field(w.stuck_cells);
+  s.field(w.failed_wordlines);
+  s.field(w.failed_bitlines);
+  s.field(w.crossbars_retired);
+}
+
 /// Stuck-cell count of one OU window of the programmed region.
 struct OuWindowHealth {
   int row0 = 0;
@@ -221,6 +228,24 @@ struct CrossbarHealth {
   std::vector<OuWindowHealth> windows;
 };
 
+/// Wire layout (common/binary_io.hpp), windows included.
+template <typename S, common::MaybeConst<CrossbarHealth> H>
+void fields(S& s, H& h) {
+  s.field(h.ou_rows);
+  s.field(h.ou_cols);
+  s.field(h.stuck_cells);
+  s.field(h.scanned_cells);
+  s.field(h.worst_window_stuck);
+  s.field(h.fault_fraction);
+  s.field(h.worst_window_fraction);
+  s.field(h.degraded);
+  s.seq(h.windows, common::kMaxSeq, [](auto& st, auto& w) {
+    st.field(w.row0);
+    st.field(w.col0);
+    st.field(w.stuck);
+  });
+}
+
 /// Read back the programmed region of `xbar` window by window (the same
 /// (ou_rows x ou_cols) tiling the MVM path uses) and count cells whose
 /// stored state cannot track their target — the permanent stuck-at
@@ -228,12 +253,5 @@ struct CrossbarHealth {
 /// exceeds `stuck_budget`.
 CrossbarHealth read_verify(const Crossbar& xbar, int ou_rows, int ou_cols,
                            double stuck_budget);
-
-/// Binary encode/decode of a measured health map (core/checkpoint embeds
-/// the maps so a resumed process serves from the same measured state
-/// instead of a pristine assumption). decode returns nullopt on truncated
-/// or inconsistent input.
-void encode_health(const CrossbarHealth& health, common::ByteWriter& out);
-std::optional<CrossbarHealth> decode_health(common::ByteReader& in);
 
 }  // namespace odin::reram

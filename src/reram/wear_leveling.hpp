@@ -11,7 +11,7 @@
 //  * spare-row remapping — a bounded pool of replacement rows absorbs rows
 //    whose projected remaining lifetime (or measured wear) crosses a budget,
 //  * the WearMap — per-physical-row campaign counts plus the remap state,
-//    serialized into checkpoint payload v4 alongside CrossbarHealth.
+//    serialized into the serving checkpoint alongside CrossbarHealth.
 //
 // The mapping is tracking-only: logical cell state (conductances, signs,
 // weight plane) stays in logical order, so the MVM plane kernel is bitwise
@@ -53,7 +53,7 @@ struct WearLevelingParams {
   double resolved_wear_budget() const;
 };
 
-/// Durable per-crossbar wear/remap state (checkpoint payload v4). Vectors
+/// Durable per-crossbar wear/remap state (serving checkpoint). Vectors
 /// are indexed by physical row; `remap` maps logical row → physical row for
 /// the most recent campaign (empty until the first leveled program).
 struct WearMap {
@@ -67,9 +67,26 @@ struct WearMap {
   std::int64_t writes_leveled = 0;       ///< row writes redirected off-identity
 };
 
-/// Binary codec for the checkpoint frame (same idiom as encode_health).
-/// decode returns nullopt on truncated or inconsistent input.
-void encode_wear_map(const WearMap& map, common::ByteWriter& out);
-std::optional<WearMap> decode_wear_map(common::ByteReader& in);
+/// Wire layout (common/binary_io.hpp).
+template <typename S, common::MaybeConst<WearMap> M>
+void fields(S& s, M& m) {
+  s.field(m.rows);
+  s.field(m.spare_rows);
+  s.field(m.rotation);
+  s.field(m.rows_remapped);
+  s.field(m.writes_leveled);
+  s.seq(m.row_writes, common::kMaxSeq);
+  s.seq(m.retired, common::kMaxSeq);
+  s.seq(m.remap, common::kMaxSeq);
+}
+
+/// Binary codec for the checkpoint frame; decode returns nullopt on
+/// truncated or inconsistent input.
+inline void encode_wear_map(const WearMap& map, common::ByteWriter& out) {
+  out.field(map);
+}
+inline std::optional<WearMap> decode_wear_map(common::ByteReader& in) {
+  return common::decode<WearMap>(in);
+}
 
 }  // namespace odin::reram

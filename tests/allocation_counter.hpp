@@ -1,9 +1,10 @@
 // Allocation counter for zero-allocation tests: replaces the global
-// operator new/delete with forwarding versions that count every new, so a
-// steady-state path can assert it allocates nothing. Only the count is
-// instrumented; allocation itself goes to malloc/free. The replacements
-// are definitions, so include this from exactly one translation unit of a
-// test binary.
+// operator new/delete with forwarding versions that count every new and
+// track the largest single request, so a steady-state path can assert it
+// allocates nothing and a decoder that a forged count may not drive a
+// large allocation. Allocation itself goes to malloc/free. The
+// replacements are definitions, so include this from exactly one
+// translation unit of a test binary.
 #pragma once
 
 #include <atomic>
@@ -13,10 +14,15 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest_allocation{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > largest && !g_largest_allocation.compare_exchange_weak(
+                               largest, size, std::memory_order_relaxed)) {
+  }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }

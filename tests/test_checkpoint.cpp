@@ -1,7 +1,9 @@
-// Crash-safe checkpoint layer: payload round-trip properties, the
-// double-buffered atomic file pair, and corruption fuzzing (random byte
-// flips must always be detected and must always fall back to the other
-// slot — the durability contract of core/checkpoint.hpp).
+// Crash-safe checkpoint layer: payload round-trip properties, the pinned
+// payload layout, the double-buffered atomic file pair, corruption fuzzing
+// (random byte flips must always be detected and must always fall back to
+// the other slot — the durability contract of core/checkpoint.hpp), and a
+// decoder that refuses forged counts, trailing bytes and mutated payloads
+// without large allocations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "allocation_counter.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "core/checkpoint.hpp"
@@ -234,6 +237,246 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   return ckpt;
 }
 
+/// Every field of every surface set by hand, each to a value distinct from
+/// the fields around it (one running counter), with literal policy blobs
+/// instead of a trained controller so no training arithmetic reaches the
+/// bytes. Five samples per sketch fill its markers without P² updates.
+ServingCheckpoint pinned_checkpoint() {
+  int k = 0;
+  const auto n = [&k] { return ++k; };
+  const auto x = [&k] { return ++k + 0.5; };
+  const auto sketch = [&x](auto& sk) {
+    for (int i = 0; i < 5; ++i) sk.add(-x());
+  };
+  const auto breaker = [&n] {
+    CircuitBreaker::Snapshot b;
+    b.state = n();
+    b.window_bits = n();
+    b.window_fill = n();
+    b.hold_left = n();
+    b.hold_runs = n();
+    b.opens = n();
+    b.reopens = n();
+    b.probes = n();
+    b.closes = n();
+    return b;
+  };
+  const auto entry = [&n, &x] {
+    policy::ReplayBuffer::Entry e;
+    e.features = {x(), x(), x(), x()};
+    e.best = {n(), n()};
+    return e;
+  };
+
+  ServingCheckpoint c;
+  c.segment = n();
+  c.next_run = n();
+  c.segments = n();
+  c.horizon_runs = n();
+  c.t_start_s = x();
+  c.t_end_s = x();
+  c.tenant_names = {"alpha", "beta"};
+  c.result.label = "pinned";
+  c.result.tenants.resize(2);
+  for (TenantStats& t : c.result.tenants) {
+    t.name = "tenant" + std::to_string(n());
+    t.runs = n();
+    t.reprograms = n();
+    t.mismatches = n();
+    t.retries = n();
+    t.degraded_runs = n();
+    t.updates_accepted = n();
+    t.updates_rejected = n();
+    t.updates_rolled_back = n();
+    t.buffer_dropped = n();
+    t.buffer_quarantined = n();
+    t.slo_s = x();
+    t.shed_runs = n();
+    t.breaker_open_runs = n();
+    t.deadline_misses = n();
+    t.deferred_reprograms = n();
+    t.deadline_stopped_retries = n();
+    t.searches_truncated = n();
+    t.breaker_opens = n();
+    t.breaker_reopens = n();
+    t.breaker_probes = n();
+    t.breaker_closes = n();
+    t.watchdog_stalls = n();
+    t.batches_formed = n();
+    t.batch_members = n();
+    t.max_batch = n();
+    t.batch_slo_capped = n();
+    t.rows_remapped = n();
+    t.crossbars_retired = n();
+    t.writes_leveled = n();
+    t.wear_deferred_reprograms = n();
+    t.spares_remaining = n();
+    t.service_s = x();
+    t.pipelined_runs = n();
+    t.failovers = n();
+    t.restored_stale = n();
+    t.lost_runs = n();
+    t.outage_dropped = n();
+    t.rpo_s = x();
+    t.rto_s = x();
+    t.sojourn_s = {x(), x()};
+    sketch(t.sojourn_sketch);
+    t.sojourn_dropped = n();
+    t.inference = {x(), x()};
+    t.reprogram = {x(), x()};
+  }
+  c.result.programming = {x(), x()};
+  c.result.switches = n();
+  c.result.policy_updates = n();
+
+  ControllerSnapshot& ctl = c.controller;
+  ctl.programmed_at_s = x();
+  ctl.reprogram_count = n();
+  ctl.update_count = n();
+  ctl.health_fraction = x();
+  ctl.degraded = true;
+  ctl.eta_scale = x();
+  ctl.retry_count = n();
+  ctl.degraded_runs = n();
+  ctl.wear_deferred_reprograms = n();
+  ctl.retired_seen = n();
+  ctl.updates_accepted = n();
+  ctl.updates_rejected = n();
+  ctl.updates_rolled_back = n();
+  ctl.probation_left = n();
+  ctl.probation_mismatches = n();
+  ctl.probation_layers = n();
+  ctl.pre_update_rate = x();
+  ctl.mismatch_rate_ema = x();
+  ctl.buffer_entries = {entry(), entry()};
+  ctl.buffer_quarantine = {entry()};
+  ctl.last_update_batch = {entry()};
+  ctl.buffer_dropped = n();
+  ctl.buffer_quarantine_hits = n();
+  ctl.policy_blob = "literal policy blob";
+  ctl.last_good_blob = "literal last-good blob";
+
+  c.has_faults = true;
+  c.wear = {n(), n(), n(), n(), n()};
+  reram::CrossbarHealth health;
+  health.ou_rows = n();
+  health.ou_cols = n();
+  health.stuck_cells = n();
+  health.scanned_cells = n();
+  health.worst_window_stuck = n();
+  health.fault_fraction = x();
+  health.worst_window_fraction = x();
+  health.degraded = true;
+  health.windows = {{n(), n(), n()}, {n(), n(), n()}};
+  c.health_maps = {health};
+  c.has_resilience = true;
+  c.shed_policy = n();
+  c.queue_capacity = n();
+  c.busy_until_s = x();
+  c.pending_runs = {static_cast<std::uint64_t>(n()),
+                    static_cast<std::uint64_t>(n())};
+  c.breakers = {breaker(), breaker()};
+  c.fallback_ous = {{n(), n()}, {n(), n()}};
+  c.batching_enabled = true;
+  c.batch_cap = n();
+  c.leveling_enabled = true;
+  c.leveling_spare_rows = n();
+  c.leveling_wear_budget = x();
+  c.wear_seg_base_rows_remapped = n();
+  c.wear_seg_base_crossbars_retired = n();
+  c.wear_seg_base_writes_leveled = n();
+  reram::WearMap map;
+  map.rows = n();
+  map.spare_rows = n();
+  map.rotation = n();
+  map.row_writes = {n(), n()};
+  map.retired = {1, 0};
+  map.remap = {n(), n()};
+  map.rows_remapped = n();
+  map.writes_leveled = n();
+  c.wear_maps = {map};
+  c.fleet_shards = n();
+  c.fleet_shard_index = n();
+  c.has_service_models = true;
+  c.service_models = {{{x(), x()}, x()}, {{x(), x()}, x()}};
+  c.sojourn_cap = n();
+
+  c.has_scenario = true;
+  CampaignState& sc = c.scenario;
+  sc.seed = n();
+  sc.requests = n();
+  sc.tenants = n();
+  sc.shards = n();
+  sc.epochs = n();
+  sc.autoscale = true;
+  sc.next_event = n();
+  sc.clock_s = x();
+  sc.epoch = n();
+  sc.storms_fired = n();
+  sc.rescales = n();
+  sc.migrations = n();
+  sc.storm_campaigns_fired = n();
+  sc.misses = n();
+  sc.sheds = n();
+  sc.flash_requests = n();
+  sc.energy_j = x();
+  sc.edp_sum = x();
+  sc.migration_s = x();
+  sc.migration_energy_j = x();
+  sc.shard_busy_until_s = {x(), x()};
+  sc.shard_pes = {n(), n()};
+  sc.tenant_shard = {n(), n()};
+  sc.shard_demand = {x(), x()};
+  sc.tenant_demand = {x(), x()};
+  sc.shard_wear = {{n(), n(), n(), n(), n()}, {n(), n(), n(), n(), n()}};
+  sc.storm_shard_mask = {static_cast<std::uint64_t>(n()),
+                         static_cast<std::uint64_t>(n())};
+  sketch(sc.slack_p1);
+  sketch(sc.flash_slack_p1);
+  for (QuantileSketch& q : sc.tier_slack_p1) sketch(q);
+  sketch(sc.sojourn);
+  sc.epoch_energy_j = {x(), x()};
+  sc.epoch_edp_sum = {x(), x()};
+  sc.epoch_requests = {n(), n()};
+  sc.epoch_misses = {n(), n()};
+  sc.epoch_sheds = {n(), n()};
+  sc.epoch_slack_p1 = {QuantileSketch(0.25), QuantileSketch(0.75)};
+  for (QuantileSketch& q : sc.epoch_slack_p1) sketch(q);
+
+  c.has_cluster = true;
+  ClusterState& cl = c.cluster;
+  cl.meshes = n();
+  cl.replication_epochs = n();
+  cl.failover = true;
+  cl.outages_fired = n();
+  cl.replication_rounds = n();
+  cl.mesh_down = {1, 0};
+  cl.mesh_down_until_s = {x(), x()};
+  cl.mesh_served = {n(), n()};
+  cl.replica_runs = {n(), n()};
+  cl.replica_time_s = {x(), x()};
+  cl.replica_mesh = {n(), n()};
+  cl.tenant_ready_s = {x(), x()};
+  cl.tenant_victim = {0, 1};
+  cl.breakers = {breaker(), breaker()};
+  cl.failovers = n();
+  cl.restored_stale = n();
+  cl.lost_runs = n();
+  cl.outage_dropped = n();
+  cl.degraded_runs = n();
+  cl.bootstrap_campaigns = n();
+  cl.victim_offered = n();
+  cl.victim_served = n();
+  cl.rto_max_s = x();
+  cl.rto_sum_s = x();
+  cl.rpo_max_s = x();
+  cl.rpo_sum_s = x();
+  cl.replication_bytes = x();
+  cl.replication_s = x();
+  cl.replication_energy_j = x();
+  return c;
+}
+
 TEST(Checkpoint, PayloadRoundTripIsExact) {
   const auto tenant = testing::tiny_mapped();
   const ServingCheckpoint ckpt = sample_checkpoint(tenant);
@@ -436,77 +679,6 @@ TEST(Checkpoint, BothSlotsCorruptMeansNulloptNotCrash) {
   remove_slots(base);
 }
 
-/// A minimal-but-complete *version 1* payload, written field by field
-/// against the layout v1 shipped with (no resilience fields anywhere).
-/// Exists so a layout drift in the decoder's v1 path is caught even after
-/// every writer in the tree moved on to v2.
-std::string v1_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v1 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(false);  // has_faults
-  out.i32(0);          // wear x4
-  out.i32(0);
-  out.i32(0);
-  out.i32(0);
-  out.u64(0);  // health_maps
-  return out.bytes();
-}
-
 /// Frame a payload the way write_frame does, but with a caller-chosen
 /// version number (write_frame always stamps the current one).
 std::string frame_with_version(std::uint32_t version, std::uint64_t sequence,
@@ -525,621 +697,6 @@ std::string frame_with_version(std::uint32_t version, std::uint64_t sequence,
   header.u64(payload.size());
   header.u32(crc);
   return header.bytes() + payload;
-}
-
-TEST(Checkpoint, Version1FrameDecodesWithResilienceDefaults) {
-  const std::string path = temp_base("v1frame") + ".a";
-  write_file(path, frame_with_version(1, 9, v1_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  EXPECT_EQ(ckpt->sequence, 9u);
-  // The v1 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_EQ(ckpt->next_run, 41u);
-  EXPECT_EQ(ckpt->tenant_names, std::vector<std::string>{"TinyNet"});
-  ASSERT_EQ(ckpt->result.tenants.size(), 1u);
-  EXPECT_EQ(ckpt->result.tenants[0].mismatches, 77);
-  EXPECT_EQ(ckpt->controller.update_count, 4);
-  // ...and every field v1 predates comes back in the resilience-disabled
-  // default state: the walk resumes exactly as a pre-resilience build
-  // would have resumed it.
-  EXPECT_FALSE(ckpt->has_resilience);
-  EXPECT_EQ(ckpt->queue_capacity, 0u);
-  EXPECT_EQ(ckpt->busy_until_s, 0.0);
-  EXPECT_TRUE(ckpt->pending_runs.empty());
-  EXPECT_TRUE(ckpt->breakers.empty());
-  EXPECT_TRUE(ckpt->fallback_ous.empty());
-  EXPECT_EQ(ckpt->result.tenants[0].slo_s, 0.0);
-  EXPECT_EQ(ckpt->result.tenants[0].shed_runs, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].deadline_misses, 0);
-  EXPECT_TRUE(ckpt->result.tenants[0].sojourn_s.empty());
-  std::remove(path.c_str());
-}
-
-/// A minimal *version 3* payload: the v1 layout plus the v2 resilience
-/// fields and the v3 batching fingerprint, ending exactly where v3 ended —
-/// no wear-leveling tail. Pins the decoder's pre-v4 path.
-std::string v3_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v3 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-    out.f64(0.0);  // v2: slo_s
-    out.i32(0);    // shed_runs
-    out.i32(0);    // breaker_open_runs
-    out.i32(0);    // deadline_misses
-    out.i32(0);    // deferred_reprograms
-    out.i32(0);    // deadline_stopped_retries
-    out.i32(0);    // searches_truncated
-    out.i32(0);    // breaker_opens
-    out.i32(0);    // breaker_reopens
-    out.i32(0);    // breaker_probes
-    out.i32(0);    // breaker_closes
-    out.i32(0);    // watchdog_stalls
-    out.u64(0);    // sojourn samples
-    out.i32(0);    // v3: batches_formed
-    out.i32(0);    // batch_members
-    out.i32(0);    // max_batch
-    out.i32(0);    // batch_slo_capped
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot (unversioned, same as v1)
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(true);  // has_faults
-  out.i32(7);         // wear: campaigns
-  out.i32(12);        // stuck_cells
-  out.i32(1);         // failed_wordlines
-  out.i32(0);         // failed_bitlines
-  out.u64(0);         // health_maps
-  out.boolean(false);  // v2: has_resilience
-  out.i32(0);          // shed_policy
-  out.u64(0);          // queue_capacity
-  out.f64(0.0);        // busy_until_s
-  out.u64(0);          // pending_runs
-  out.u64(0);          // breakers
-  out.u64(0);          // fallback_ous
-  out.boolean(false);  // v3: batching_enabled
-  out.i32(0);          // batch_cap
-  return out.bytes();
-}
-
-TEST(Checkpoint, Version3FrameDecodesWithEmptyWearMaps) {
-  const std::string path = temp_base("v3wear") + ".a";
-  write_file(path, frame_with_version(3, 9, v3_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  // The v3 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_TRUE(ckpt->has_faults);
-  EXPECT_EQ(ckpt->wear.campaigns, 7);
-  // ...and the whole wear-leveling surface comes back in the
-  // feature-disabled state a pre-leveling build would have resumed with:
-  // leveling off, retirement count zero, empty wear maps.
-  EXPECT_FALSE(ckpt->leveling_enabled);
-  EXPECT_EQ(ckpt->leveling_spare_rows, 0);
-  EXPECT_EQ(ckpt->leveling_wear_budget, 0.0);
-  EXPECT_EQ(ckpt->wear.crossbars_retired, 0);
-  EXPECT_EQ(ckpt->wear_seg_base_rows_remapped, 0);
-  EXPECT_EQ(ckpt->wear_seg_base_crossbars_retired, 0);
-  EXPECT_EQ(ckpt->wear_seg_base_writes_leveled, 0);
-  EXPECT_EQ(ckpt->controller.wear_deferred_reprograms, 0);
-  EXPECT_EQ(ckpt->controller.retired_seen, 0);
-  EXPECT_TRUE(ckpt->wear_maps.empty());
-  EXPECT_EQ(ckpt->result.tenants[0].rows_remapped, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].crossbars_retired, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].writes_leveled, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].spares_remaining, 0);
-  std::remove(path.c_str());
-}
-
-/// A minimal *version 4* payload: the v3 layout plus the wear-leveling
-/// tails, ending exactly where v4 ended — no fleet surface. Pins the
-/// decoder's pre-fleet path: a frame written by a single-shard build must
-/// resume as shard 0 of a 1-shard fleet with no service models.
-std::string v4_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v4 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-    out.f64(0.0);  // v2: slo_s
-    out.i32(0);    // shed_runs
-    out.i32(0);    // breaker_open_runs
-    out.i32(0);    // deadline_misses
-    out.i32(0);    // deferred_reprograms
-    out.i32(0);    // deadline_stopped_retries
-    out.i32(0);    // searches_truncated
-    out.i32(0);    // breaker_opens
-    out.i32(0);    // breaker_reopens
-    out.i32(0);    // breaker_probes
-    out.i32(0);    // breaker_closes
-    out.i32(0);    // watchdog_stalls
-    out.u64(0);    // sojourn samples
-    out.i32(0);    // v3: batches_formed
-    out.i32(0);    // batch_members
-    out.i32(0);    // max_batch
-    out.i32(0);    // batch_slo_capped
-    out.i32(6);    // v4: rows_remapped
-    out.i32(1);    // crossbars_retired
-    out.i64(384);  // writes_leveled
-    out.i32(2);    // wear_deferred_reprograms
-    out.i32(10);   // spares_remaining
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot (unversioned, same as v1)
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(true);  // has_faults
-  out.i32(7);         // wear: campaigns
-  out.i32(12);        // stuck_cells
-  out.i32(1);         // failed_wordlines
-  out.i32(0);         // failed_bitlines
-  out.u64(0);         // health_maps
-  out.boolean(false);  // v2: has_resilience
-  out.i32(0);          // shed_policy
-  out.u64(0);          // queue_capacity
-  out.f64(0.0);        // busy_until_s
-  out.u64(0);          // pending_runs
-  out.u64(0);          // breakers
-  out.u64(0);          // fallback_ous
-  out.boolean(false);  // v3: batching_enabled
-  out.i32(0);          // batch_cap
-  out.boolean(true);   // v4: leveling_enabled
-  out.i32(16);         // leveling_spare_rows
-  out.f64(0.8);        // leveling_wear_budget
-  out.i32(1);          // wear.crossbars_retired
-  out.i32(4);          // wear_seg_base_rows_remapped
-  out.i32(1);          // wear_seg_base_crossbars_retired
-  out.i64(256);        // wear_seg_base_writes_leveled
-  out.i32(2);          // controller.wear_deferred_reprograms
-  out.i32(1);          // controller.retired_seen
-  out.u64(0);          // wear_maps
-  return out.bytes();
-}
-
-TEST(Checkpoint, Version4FrameDecodesAsSingleShardFleet) {
-  const std::string path = temp_base("v4fleet") + ".a";
-  write_file(path, frame_with_version(4, 9, v4_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  // The v4 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_TRUE(ckpt->leveling_enabled);
-  EXPECT_EQ(ckpt->leveling_spare_rows, 16);
-  EXPECT_EQ(ckpt->wear.crossbars_retired, 1);
-  EXPECT_EQ(ckpt->result.tenants[0].rows_remapped, 6);
-  EXPECT_EQ(ckpt->result.tenants[0].spares_remaining, 10);
-  // ...and the fleet surface comes back in the single-shard default state:
-  // a pre-fleet frame is shard 0 of a 1-shard fleet with no service
-  // models, so resume_with_odin accepts it for the plain serving loop and
-  // resume_fleet refuses to graft it onto a multi-shard campaign.
-  EXPECT_EQ(ckpt->fleet_shards, 1);
-  EXPECT_EQ(ckpt->fleet_shard_index, 0);
-  EXPECT_FALSE(ckpt->has_service_models);
-  EXPECT_TRUE(ckpt->service_models.empty());
-  EXPECT_EQ(ckpt->result.tenants[0].service_s, 0.0);
-  EXPECT_EQ(ckpt->result.tenants[0].pipelined_runs, 0);
-  std::remove(path.c_str());
-}
-
-/// A minimal *version 5* payload: the v4 layout plus the fleet surface,
-/// ending exactly where v5 ended — no scenario tail. Pins the decoder's
-/// pre-scenario path: a frame written before the campaign engine existed
-/// must resume with sojourn retention uncapped and no embedded campaign.
-std::string v5_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v5 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-    out.f64(0.0);  // v2: slo_s
-    out.i32(0);    // shed_runs
-    out.i32(0);    // breaker_open_runs
-    out.i32(0);    // deadline_misses
-    out.i32(0);    // deferred_reprograms
-    out.i32(0);    // deadline_stopped_retries
-    out.i32(0);    // searches_truncated
-    out.i32(0);    // breaker_opens
-    out.i32(0);    // breaker_reopens
-    out.i32(0);    // breaker_probes
-    out.i32(0);    // breaker_closes
-    out.i32(0);    // watchdog_stalls
-    out.u64(2);    // sojourn samples
-    out.f64(3.5e-4);
-    out.f64(1.9e-3);
-    out.i32(0);    // v3: batches_formed
-    out.i32(0);    // batch_members
-    out.i32(0);    // max_batch
-    out.i32(0);    // batch_slo_capped
-    out.i32(6);    // v4: rows_remapped
-    out.i32(1);    // crossbars_retired
-    out.i64(384);  // writes_leveled
-    out.i32(2);    // wear_deferred_reprograms
-    out.i32(10);   // spares_remaining
-    out.f64(4.75e-3);  // v5: service_s
-    out.i32(17);       // pipelined_runs
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot (unversioned, same as v1)
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(true);  // has_faults
-  out.i32(7);         // wear: campaigns
-  out.i32(12);        // stuck_cells
-  out.i32(1);         // failed_wordlines
-  out.i32(0);         // failed_bitlines
-  out.u64(0);         // health_maps
-  out.boolean(false);  // v2: has_resilience
-  out.i32(0);          // shed_policy
-  out.u64(0);          // queue_capacity
-  out.f64(0.0);        // busy_until_s
-  out.u64(0);          // pending_runs
-  out.u64(0);          // breakers
-  out.u64(0);          // fallback_ous
-  out.boolean(false);  // v3: batching_enabled
-  out.i32(0);          // batch_cap
-  out.boolean(true);   // v4: leveling_enabled
-  out.i32(16);         // leveling_spare_rows
-  out.f64(0.8);        // leveling_wear_budget
-  out.i32(1);          // wear.crossbars_retired
-  out.i32(4);          // wear_seg_base_rows_remapped
-  out.i32(1);          // wear_seg_base_crossbars_retired
-  out.i64(256);        // wear_seg_base_writes_leveled
-  out.i32(2);          // controller.wear_deferred_reprograms
-  out.i32(1);          // controller.retired_seen
-  out.u64(0);          // wear_maps
-  out.i32(2);          // v5: fleet_shards
-  out.i32(1);          // fleet_shard_index
-  out.boolean(true);   // has_service_models
-  out.u64(1);          // service_models
-  out.f64(1.5e-9);     // noc_extra.energy_j
-  out.f64(2.5e-7);     // noc_extra.latency_s
-  out.f64(0.62);       // pipeline_overlap
-  return out.bytes();
-}
-
-TEST(Checkpoint, Version5FrameDecodesWithScenarioDefaults) {
-  const std::string path = temp_base("v5scenario") + ".a";
-  write_file(path, frame_with_version(5, 9, v5_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  // The v5 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_EQ(ckpt->fleet_shards, 2);
-  EXPECT_EQ(ckpt->fleet_shard_index, 1);
-  ASSERT_EQ(ckpt->service_models.size(), 1u);
-  EXPECT_EQ(ckpt->service_models[0].pipeline_overlap, 0.62);
-  ASSERT_EQ(ckpt->result.tenants.size(), 1u);
-  EXPECT_EQ(ckpt->result.tenants[0].service_s, 4.75e-3);
-  EXPECT_EQ(ckpt->result.tenants[0].pipelined_runs, 17);
-  // ...and the scenario surface comes back in the pre-campaign default
-  // state: retention uncapped (the vector holds every sample, so the
-  // sketch fallback never triggers), no embedded campaign, a
-  // default-constructed CampaignState.
-  EXPECT_EQ(ckpt->sojourn_cap, 0u);
-  EXPECT_FALSE(ckpt->has_scenario);
-  EXPECT_EQ(ckpt->scenario.seed, 0u);
-  EXPECT_EQ(ckpt->scenario.next_event, 0u);
-  EXPECT_TRUE(ckpt->scenario.shard_pes.empty());
-  EXPECT_TRUE(ckpt->scenario.storm_shard_mask.empty());
-  EXPECT_EQ(ckpt->scenario.slack_p1.count(), 0u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_sketch.count(), 0u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_dropped, 0);
-  ASSERT_EQ(ckpt->result.tenants[0].sojourn_s.size(), 2u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_s[1], 1.9e-3);
-  std::remove(path.c_str());
-}
-
-/// A minimal *version 6* payload: the v5 layout plus the scenario surface,
-/// ending exactly where v6 ended — no cluster tail. Pins the decoder's
-/// pre-cluster path: a frame written before the cluster layer existed must
-/// resume as a single-mesh cluster with replication and failover off. The
-/// v6 sub-blocks (sojourn sketch, campaign state) use the public codecs —
-/// their layouts are pinned by their own round-trip tests.
-std::string v6_payload() {
-  common::ByteWriter out;
-  out.u64(2);       // segment
-  out.u64(41);      // next_run
-  out.i32(6);       // segments
-  out.i32(120);     // horizon_runs
-  out.f64(1.0);     // t_start_s
-  out.f64(1e8);     // t_end_s
-  out.u64(1);       // tenant_names
-  out.str("TinyNet");
-  out.str("Odin");  // result.label
-  out.u64(1);       // result.tenants
-  {                 // one v6 tenant record
-    out.str("TinyNet");
-    out.i32(41);   // runs
-    out.i32(3);    // reprograms
-    out.i32(77);   // mismatches
-    out.i32(2);    // retries
-    out.i32(1);    // degraded_runs
-    out.i32(4);    // updates_accepted
-    out.i32(0);    // updates_rejected
-    out.i32(0);    // updates_rolled_back
-    out.i64(5);    // buffer_dropped
-    out.i64(0);    // buffer_quarantined
-    out.f64(1.25e-3);  // inference energy/latency
-    out.f64(3.5e-4);
-    out.f64(4.0e-3);  // reprogram energy/latency
-    out.f64(9.0e-4);
-    out.f64(0.0);  // v2: slo_s
-    out.i32(0);    // shed_runs
-    out.i32(0);    // breaker_open_runs
-    out.i32(0);    // deadline_misses
-    out.i32(0);    // deferred_reprograms
-    out.i32(0);    // deadline_stopped_retries
-    out.i32(0);    // searches_truncated
-    out.i32(0);    // breaker_opens
-    out.i32(0);    // breaker_reopens
-    out.i32(0);    // breaker_probes
-    out.i32(0);    // breaker_closes
-    out.i32(0);    // watchdog_stalls
-    out.u64(2);    // sojourn samples
-    out.f64(3.5e-4);
-    out.f64(1.9e-3);
-    out.i32(0);    // v3: batches_formed
-    out.i32(0);    // batch_members
-    out.i32(0);    // max_batch
-    out.i32(0);    // batch_slo_capped
-    out.i32(6);    // v4: rows_remapped
-    out.i32(1);    // crossbars_retired
-    out.i64(384);  // writes_leveled
-    out.i32(2);    // wear_deferred_reprograms
-    out.i32(10);   // spares_remaining
-    out.f64(4.75e-3);  // v5: service_s
-    out.i32(17);       // pipelined_runs
-    SojournSketch sketch;  // v6: live sojourn sketch + dropped counter
-    sketch.add(3.5e-4);
-    sketch.add(1.9e-3);
-    encode_sojourn_sketch(sketch, out);
-    out.i64(11);  // sojourn_dropped
-  }
-  out.f64(2.0e-3);  // programming energy/latency
-  out.f64(1.0e-4);
-  out.i32(3);  // switches
-  out.i32(4);  // policy_updates
-  {            // controller snapshot (unversioned, same as v1)
-    out.f64(12.5);    // programmed_at_s
-    out.i32(3);       // reprogram_count
-    out.i32(4);       // update_count
-    out.f64(1.0);     // health_fraction
-    out.boolean(false);
-    out.f64(1.0);     // eta_scale
-    out.i32(2);       // retry_count
-    out.i32(1);       // degraded_runs
-    out.i32(4);       // updates_accepted
-    out.i32(0);       // updates_rejected
-    out.i32(0);       // updates_rolled_back
-    out.i32(0);       // probation_left
-    out.i64(0);       // probation_mismatches
-    out.i64(0);       // probation_layers
-    out.f64(0.0);     // pre_update_rate
-    out.f64(0.0);     // mismatch_rate_ema
-    out.u64(0);       // buffer_entries
-    out.u64(0);       // buffer_quarantine
-    out.u64(0);       // last_update_batch
-    out.u64(5);       // buffer_dropped
-    out.u64(0);       // buffer_quarantine_hits
-    out.str("");      // policy_blob
-    out.str("");      // last_good_blob
-  }
-  out.boolean(true);  // has_faults
-  out.i32(7);         // wear: campaigns
-  out.i32(12);        // stuck_cells
-  out.i32(1);         // failed_wordlines
-  out.i32(0);         // failed_bitlines
-  out.u64(0);         // health_maps
-  out.boolean(false);  // v2: has_resilience
-  out.i32(0);          // shed_policy
-  out.u64(0);          // queue_capacity
-  out.f64(0.0);        // busy_until_s
-  out.u64(0);          // pending_runs
-  out.u64(0);          // breakers
-  out.u64(0);          // fallback_ous
-  out.boolean(false);  // v3: batching_enabled
-  out.i32(0);          // batch_cap
-  out.boolean(true);   // v4: leveling_enabled
-  out.i32(16);         // leveling_spare_rows
-  out.f64(0.8);        // leveling_wear_budget
-  out.i32(1);          // wear.crossbars_retired
-  out.i32(4);          // wear_seg_base_rows_remapped
-  out.i32(1);          // wear_seg_base_crossbars_retired
-  out.i64(256);        // wear_seg_base_writes_leveled
-  out.i32(2);          // controller.wear_deferred_reprograms
-  out.i32(1);          // controller.retired_seen
-  out.u64(0);          // wear_maps
-  out.i32(2);          // v5: fleet_shards
-  out.i32(1);          // fleet_shard_index
-  out.boolean(true);   // has_service_models
-  out.u64(1);          // service_models
-  out.f64(1.5e-9);     // noc_extra.energy_j
-  out.f64(2.5e-7);     // noc_extra.latency_s
-  out.f64(0.62);       // pipeline_overlap
-  out.u64(64);         // v6: sojourn_cap
-  out.boolean(false);  // has_scenario
-  encode_campaign_state(CampaignState{}, out);
-  return out.bytes();
-}
-
-TEST(Checkpoint, Version6FrameDecodesAsSingleMeshCluster) {
-  const std::string path = temp_base("v6cluster") + ".a";
-  write_file(path, frame_with_version(6, 9, v6_payload()));
-  const auto ckpt = load_checkpoint_file(path);
-  ASSERT_TRUE(ckpt.has_value());
-  // The v6 fields decode as written...
-  EXPECT_EQ(ckpt->segment, 2u);
-  EXPECT_EQ(ckpt->sojourn_cap, 64u);
-  ASSERT_EQ(ckpt->result.tenants.size(), 1u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_sketch.count(), 2u);
-  EXPECT_EQ(ckpt->result.tenants[0].sojourn_dropped, 11);
-  // ...and the cluster surface comes back in the pre-cluster default
-  // state: a single-mesh cluster with replication and failover off,
-  // nothing fired, empty per-mesh/per-tenant vectors, zeroed ledgers —
-  // and zeroed per-tenant failover counters.
-  EXPECT_FALSE(ckpt->has_cluster);
-  EXPECT_EQ(ckpt->cluster.meshes, 1);
-  EXPECT_EQ(ckpt->cluster.replication_epochs, 0);
-  EXPECT_FALSE(ckpt->cluster.failover);
-  EXPECT_EQ(ckpt->cluster.outages_fired, 0);
-  EXPECT_EQ(ckpt->cluster.replication_rounds, 0);
-  EXPECT_TRUE(ckpt->cluster.mesh_down.empty());
-  EXPECT_TRUE(ckpt->cluster.replica_runs.empty());
-  EXPECT_TRUE(ckpt->cluster.breakers.empty());
-  EXPECT_EQ(ckpt->cluster.failovers, 0);
-  EXPECT_EQ(ckpt->cluster.outage_dropped, 0);
-  EXPECT_EQ(ckpt->cluster.rpo_max_s, 0.0);
-  EXPECT_EQ(ckpt->result.tenants[0].failovers, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].restored_stale, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].lost_runs, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].outage_dropped, 0);
-  EXPECT_EQ(ckpt->result.tenants[0].rpo_s, 0.0);
-  EXPECT_EQ(ckpt->result.tenants[0].rto_s, 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, MidFrameTruncationSweepAlwaysFallsBack) {
@@ -1199,15 +756,115 @@ TEST(Checkpoint, ZeroLengthFilesAreNulloptNotCrash) {
   remove_slots(base);
 }
 
-TEST(Checkpoint, FutureVersionFrameIsRejectedNotMisparsed) {
-  // A payload from a newer build has an unknown layout; guessing would be
-  // silent corruption. Same bytes, same CRC — only the version differs.
-  const std::string path = temp_base("v3frame") + ".a";
-  write_file(path, frame_with_version(kCheckpointVersion + 1, 9, v1_payload()));
-  EXPECT_FALSE(load_checkpoint_file(path).has_value());
-  write_file(path, frame_with_version(0, 9, v1_payload()));
-  EXPECT_FALSE(load_checkpoint_file(path).has_value());
+TEST(Checkpoint, OnlyTheCurrentVersionFrameLoads) {
+  // There is one payload layout. Same bytes, same CRC: under any other
+  // version the frame is refused — an older layout would be misparsed and
+  // a newer one is unknown — and under kCheckpointVersion it loads.
+  const auto tenant = testing::tiny_mapped();
+  common::ByteWriter payload;
+  encode_checkpoint(sample_checkpoint(tenant), payload);
+  const std::string path = temp_base("versions") + ".a";
+  for (std::uint32_t version : {0u, 1u, 6u, 8u}) {
+    write_file(path, frame_with_version(version, 9, payload.bytes()));
+    EXPECT_FALSE(load_checkpoint_file(path).has_value())
+        << "version=" << version;
+  }
+  write_file(path, frame_with_version(kCheckpointVersion, 9, payload.bytes()));
+  const auto ckpt = load_checkpoint_file(path);
+  ASSERT_TRUE(ckpt.has_value());
+  EXPECT_EQ(ckpt->sequence, 9u);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, PayloadLayoutIsPinned) {
+  // The round-trip tests cannot see a walk that swaps two fields (both
+  // directions swap together); the payload bytes can. Every field of
+  // pinned_checkpoint differs from its neighbours, so a reorder changes
+  // the CRC. A deliberate layout change bumps kCheckpointVersion and
+  // re-pins both values.
+  common::ByteWriter out;
+  encode_checkpoint(pinned_checkpoint(), out);
+  EXPECT_EQ(out.bytes().size(), 4212u);
+  EXPECT_EQ(common::crc32(out.bytes().data(), out.bytes().size()),
+            0x72c797d9u);
+}
+
+TEST(Checkpoint, ForgedCountsAndTrailingBytesAreRefused) {
+  // Anyone can compute the frame CRC, so a CRC-valid frame may claim any
+  // count. A count is checked against the bytes left before any element
+  // is read: a 16M-element claim in a payload cut right after it must be
+  // refused without a large allocation. Each count's offset is the first
+  // byte at which the payloads with zero and with one element differ.
+  ServingCheckpoint base;
+  base.result.tenants.resize(1);
+  common::ByteWriter valid;
+  encode_checkpoint(base, valid);
+  const auto forge = [&](const auto& add_one) {
+    ServingCheckpoint one = base;
+    add_one(one);
+    common::ByteWriter grown;
+    encode_checkpoint(one, grown);
+    const std::string& a = valid.bytes();
+    const std::string& b = grown.bytes();
+    const auto at = static_cast<std::size_t>(
+        std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+        a.begin());
+    std::string forged = b.substr(0, at + 8);
+    for (std::size_t i = 0; i < 8; ++i)
+      forged[at + i] = static_cast<char>(((1ull << 24) >> (8 * i)) & 0xff);
+    return forged;
+  };
+  const std::string forged[] = {
+      forge([](ServingCheckpoint& c) {
+        c.controller.buffer_entries.emplace_back();
+      }),
+      forge([](ServingCheckpoint& c) {
+        c.result.tenants[0].sojourn_s.push_back(1.0);
+      }),
+  };
+  for (const std::string& payload : forged) {
+    g_largest_allocation.store(0);
+    common::ByteReader in(payload);
+    EXPECT_FALSE(decode_checkpoint(in).has_value());
+    EXPECT_LE(g_largest_allocation.load(), std::size_t{1} << 20);
+  }
+  // One byte past the layout, under a valid CRC, is not this layout.
+  const std::string path = temp_base("trailing") + ".a";
+  write_file(path, frame_with_version(kCheckpointVersion, 3,
+                                      valid.bytes() + '\0'));
+  EXPECT_FALSE(load_checkpoint_file(path).has_value());
+  write_file(path, frame_with_version(kCheckpointVersion, 3, valid.bytes()));
+  EXPECT_TRUE(load_checkpoint_file(path).has_value());
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, MutatedPayloadsDecodeOrRefuseWithoutLargeAllocations) {
+  // Seeded byte mutations fed straight to the decoder, past the CRC that
+  // would refuse them on disk: each mutant decodes or is refused — never
+  // read out of bounds (the asan lane runs this) — and no claimed count or
+  // length drives an allocation beyond a small multiple of the payload.
+  const auto tenant = testing::tiny_mapped();
+  common::ByteWriter encoded;
+  encode_checkpoint(sample_checkpoint(tenant), encoded);
+  const std::string& pristine = encoded.bytes();
+  common::Rng rng(0xdec0de);
+  int decoded = 0;
+  int refused = 0;
+  std::size_t largest = 0;
+  for (int trial = 0; trial < 4096; ++trial) {
+    std::string mutant = pristine;
+    const std::uint64_t writes = 1 + rng.uniform_index(8);
+    for (std::uint64_t w = 0; w < writes; ++w)
+      mutant[rng.uniform_index(mutant.size())] =
+          static_cast<char>(rng.uniform_index(256));
+    g_largest_allocation.store(0);
+    common::ByteReader in(mutant);
+    ++(decode_checkpoint(in).has_value() ? decoded : refused);
+    largest = std::max(largest, g_largest_allocation.load());
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(refused, 0);
+  EXPECT_LE(largest, 16 * pristine.size());
 }
 
 TEST(Checkpoint, ControllerSnapshotRestoreRoundTrip) {
