@@ -111,11 +111,11 @@ int main(int argc, char** argv) {
   core::ServingCheckpoint ckpt;
   ckpt.segment = 1;
   ckpt.next_run = 40;
-  ckpt.segments = 4;
-  ckpt.horizon_runs = 160;
-  ckpt.t_start_s = 1.0;
-  ckpt.t_end_s = 1e8;
-  ckpt.tenant_names = {vgg11.model().name};
+  ckpt.fingerprint.segments = 4;
+  ckpt.fingerprint.horizon_runs = 160;
+  ckpt.fingerprint.t_start_s = 1.0;
+  ckpt.fingerprint.t_end_s = 1e8;
+  ckpt.fingerprint.tenant_names = {vgg11.model().name};
   ckpt.result.label = "Odin";
   ckpt.result.tenants.resize(1);
   ckpt.result.tenants[0].name = vgg11.model().name;

@@ -60,6 +60,8 @@ struct EnergyLatency {
   }
   /// Energy-delay product, the paper's headline metric.
   constexpr double edp() const noexcept { return energy_j * latency_s; }
+
+  bool operator==(const EnergyLatency&) const = default;
 };
 
 /// Wire layout (common/binary_io.hpp).

@@ -23,23 +23,26 @@ constexpr std::uint64_t kMaxPayload = 1ull << 30;
 /// Count bound for the tenant- and crossbar-indexed lists.
 constexpr std::uint64_t kMaxShortSeq = 1u << 16;
 
-/// Wire layout of the whole payload (common/binary_io.hpp).
+/// Wire layout of the whole payload (common/binary_io.hpp). The
+/// fingerprint has no walk of its own: its fields sit among the state they
+/// gate, at the offsets the layout gave them when each layer was added.
 template <typename S, common::MaybeConst<ServingCheckpoint> C>
 void fields(S& s, C& c) {
+  auto& fp = c.fingerprint;
   s.field(c.segment);
   s.field(c.next_run);
-  s.field(c.segments);
-  s.field(c.horizon_runs);
-  s.field(c.t_start_s);
-  s.field(c.t_end_s);
-  s.seq(c.tenant_names, kMaxShortSeq);
+  s.field(fp.segments);
+  s.field(fp.horizon_runs);
+  s.field(fp.t_start_s);
+  s.field(fp.t_end_s);
+  s.seq(fp.tenant_names, kMaxShortSeq);
   s.field(c.result.label);
   s.seq(c.result.tenants, kMaxShortSeq);
   s.field(c.result.programming);
   s.field(c.result.switches);
   s.field(c.result.policy_updates);
   s.field(c.controller);
-  s.field(c.has_faults);
+  s.field(fp.has_faults);
   // The wear fingerprint is listed here, split, rather than by the
   // WearState walk: crossbars_retired sits with the leveling fields below.
   s.field(c.wear.campaigns);
@@ -47,9 +50,9 @@ void fields(S& s, C& c) {
   s.field(c.wear.failed_wordlines);
   s.field(c.wear.failed_bitlines);
   s.seq(c.health_maps, kMaxShortSeq);
-  s.field(c.has_resilience);
-  s.field(c.shed_policy);
-  s.field(c.queue_capacity);
+  s.field(fp.has_resilience);
+  s.field(fp.shed_policy);
+  s.field(fp.queue_capacity);
   s.field(c.busy_until_s);
   s.seq(c.pending_runs, common::kMaxSeq);
   s.seq(c.breakers, kMaxShortSeq);
@@ -57,11 +60,11 @@ void fields(S& s, C& c) {
     st.field(ou.rows);
     st.field(ou.cols);
   });
-  s.field(c.batching_enabled);
-  s.field(c.batch_cap);
-  s.field(c.leveling_enabled);
-  s.field(c.leveling_spare_rows);
-  s.field(c.leveling_wear_budget);
+  s.field(fp.batching_enabled);
+  s.field(fp.batch_cap);
+  s.field(fp.leveling_enabled);
+  s.field(fp.leveling_spare_rows);
+  s.field(fp.leveling_wear_budget);
   // wear.crossbars_retired and the controller's wear_deferred_reprograms
   // and retired_seen belong to other structs, but the layout carries them
   // in this wear-leveling block; listing them with their own structs would
@@ -73,14 +76,14 @@ void fields(S& s, C& c) {
   s.field(c.controller.wear_deferred_reprograms);
   s.field(c.controller.retired_seen);
   s.seq(c.wear_maps, kMaxShortSeq);
-  s.field(c.fleet_shards);
-  s.field(c.fleet_shard_index);
-  s.field(c.has_service_models);
-  s.seq(c.service_models, kMaxShortSeq, [](auto& st, auto& m) {
+  s.field(fp.fleet_shards);
+  s.field(fp.fleet_shard_index);
+  s.field(fp.has_service_models);
+  s.seq(fp.service_models, kMaxShortSeq, [](auto& st, auto& m) {
     st.field(m.noc_extra);
     st.field(m.pipeline_overlap);
   });
-  s.field(c.sojourn_cap);
+  s.field(fp.sojourn_cap);
   s.field(c.has_scenario);
   s.field(c.scenario);
   s.field(c.has_cluster);
@@ -109,8 +112,13 @@ struct Frame {
 };
 
 std::optional<Frame> read_frame(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;
+  // The header may claim any payload size; the buffer is sized only once
+  // the file is known to hold that many bytes.
+  const std::streamoff file_bytes = in.tellg();
+  if (file_bytes < static_cast<std::streamoff>(kHeaderSize) || !in.seekg(0))
+    return std::nullopt;
   char header[kHeaderSize];
   if (!in.read(header, static_cast<std::streamsize>(kHeaderSize)))
     return std::nullopt;
@@ -125,10 +133,12 @@ std::optional<Frame> read_frame(const std::string& path) {
   frame.sequence = hr.u64();
   const std::uint64_t size = hr.u64();
   const std::uint32_t crc = hr.u32();
-  if (size > kMaxPayload) return std::nullopt;
+  if (size > kMaxPayload ||
+      size > static_cast<std::uint64_t>(file_bytes) - kHeaderSize)
+    return std::nullopt;  // torn write: payload shorter than the header says
   frame.payload.resize(size);
   if (!in.read(frame.payload.data(), static_cast<std::streamsize>(size)))
-    return std::nullopt;  // torn write: payload shorter than the header says
+    return std::nullopt;
   if (frame_crc(frame.sequence, frame.payload) != crc)
     return std::nullopt;  // bit rot / partial overwrite
   return frame;

@@ -45,6 +45,43 @@ namespace odin::core {
 /// frames of any other version are refused.
 inline constexpr std::uint32_t kCheckpointVersion = 7;
 
+/// The configuration a checkpointed walk ran under. The serving walk
+/// builds one from its arguments both when it writes a checkpoint and when
+/// it resumes one, and resume refuses any difference: the state only
+/// transfers onto the same horizon/segment layout, the same tenants in the
+/// same order, the same device wear and leveling knobs, the same admission
+/// and batching geometry, and the same fleet shard and placement-derived
+/// service models. Fields of a layer that is off keep their defaults. The
+/// campaign engine fills the layout fields and `sojourn_cap` of its frames
+/// and checks its own state on resume.
+struct ServingFingerprint {
+  int segments = 0;
+  int horizon_runs = 0;
+  double t_start_s = 0.0;
+  double t_end_s = 0.0;
+  std::vector<std::string> tenant_names;
+  /// A leveled campaign history only replays under the same spare pool
+  /// and wear budget.
+  bool has_faults = false;
+  bool leveling_enabled = false;
+  std::int32_t leveling_spare_rows = 0;  ///< resolved pool in force
+  double leveling_wear_budget = 0.0;     ///< resolved budget fraction
+  bool has_resilience = false;
+  std::int32_t shed_policy = 0;      ///< ShedPolicy in force
+  std::uint64_t queue_capacity = 0;  ///< admission bound
+  bool batching_enabled = false;
+  std::int32_t batch_cap = 0;  ///< resolved max batch in force
+  std::int32_t fleet_shards = 1;
+  std::int32_t fleet_shard_index = 0;
+  bool has_service_models = false;
+  std::vector<TenantServiceModel> service_models;
+  /// Raw sojourn retention cap: the campaign engine's bound; serving walks
+  /// keep every sample and write 0.
+  std::uint64_t sojourn_cap = 0;
+
+  bool operator==(const ServingFingerprint&) const = default;
+};
+
 /// The complete serving state at a run boundary. `segment`/`next_run`
 /// locate the resume point: the next inference to execute is
 /// schedule[next_run] inside `segment` (whose tenant-switch programming
@@ -55,19 +92,13 @@ struct ServingCheckpoint {
   /// Resume position.
   std::uint64_t segment = 0;
   std::uint64_t next_run = 0;
-  /// Configuration fingerprint — resume refuses a checkpoint taken under a
-  /// different horizon/segment layout or tenant set.
-  int segments = 0;
-  int horizon_runs = 0;
-  double t_start_s = 0.0;
-  double t_end_s = 0.0;
-  std::vector<std::string> tenant_names;
+  /// Resume refuses a checkpoint taken under another configuration.
+  ServingFingerprint fingerprint;
   /// Accumulated serving totals up to (but excluding) next_run.
   ServingResult result;
   /// The in-flight controller (policy, buffer, guard, drift clock).
   ControllerSnapshot controller;
-  /// Device wear fingerprint (meaningful when has_faults).
-  bool has_faults = false;
+  /// Device wear fingerprint (meaningful when fingerprint.has_faults).
   reram::FaultInjector::WearState wear;
   /// Measured per-crossbar health maps from the last read-verify. No
   /// serving path fills them and resume does not read them; they stay so
@@ -75,43 +106,21 @@ struct ServingCheckpoint {
   std::vector<reram::CrossbarHealth> health_maps;
   /// Resilience serving state (defaulted when the walk ran with
   /// resilience disabled).
-  bool has_resilience = false;
-  std::int32_t shed_policy = 0;      ///< fingerprint: ShedPolicy in force
-  std::uint64_t queue_capacity = 0;  ///< fingerprint: admission bound
   double busy_until_s = 0.0;         ///< when the FIFO device frees up
   std::vector<std::uint64_t> pending_runs;  ///< queued arrival indices
   std::vector<CircuitBreaker::Snapshot> breakers;  ///< one per tenant
   std::vector<ou::OuConfig> fallback_ous;          ///< one per tenant
-  /// Batch-formation fingerprint. The queue state only transfers onto the
-  /// same batching geometry.
-  bool batching_enabled = false;
-  std::int32_t batch_cap = 0;  ///< resolved max batch in force
-  /// Wear-leveling state. The fingerprint fields gate resume: a leveled
-  /// campaign history only replays correctly under the same spare pool and
-  /// wear budget. The seg-base fields restore mid-segment per-tenant
+  /// Wear-leveling segment baselines: restore mid-segment per-tenant
   /// attribution of the device-global counters.
-  bool leveling_enabled = false;
-  std::int32_t leveling_spare_rows = 0;   ///< resolved pool in force
-  double leveling_wear_budget = 0.0;      ///< resolved budget fraction
   int wear_seg_base_rows_remapped = 0;
   int wear_seg_base_crossbars_retired = 0;
   long long wear_seg_base_writes_leveled = 0;
   /// Measured per-crossbar wear maps (Crossbar::wear_map). Like
   /// health_maps, never filled or read outside the codec.
   std::vector<reram::WearMap> wear_maps;
-  /// Fleet surface. A shard's checkpoint only resumes onto the same shard
-  /// index of the same-size fleet under the same placement-derived service
-  /// models.
-  std::int32_t fleet_shards = 1;
-  std::int32_t fleet_shard_index = 0;
-  bool has_service_models = false;
-  std::vector<TenantServiceModel> service_models;
-  /// Scenario surface. `sojourn_cap` is a resume fingerprint: a different
-  /// retention cap would desynchronize the sojourn vectors of a resumed
-  /// walk. The campaign state is only meaningful when has_scenario (the
-  /// campaign engine's checkpoints); the plain serving loop writes it
-  /// defaulted.
-  std::uint64_t sojourn_cap = 0;
+  /// Scenario surface. The campaign state is only meaningful when
+  /// has_scenario (the campaign engine's checkpoints); the plain serving
+  /// loop writes it defaulted.
   bool has_scenario = false;
   CampaignState scenario;
   /// Cluster surface. Set on every frame the campaign engine writes — a

@@ -362,16 +362,17 @@ std::optional<ClusterResult> run_cluster_impl(
     ServingCheckpoint ckpt;
     ckpt.segment = static_cast<std::uint64_t>(st.epoch);
     ckpt.next_run = st.next_event;
-    ckpt.segments = E;
-    ckpt.horizon_runs = static_cast<int>(std::min<long long>(
+    ServingFingerprint& fp = ckpt.fingerprint;
+    fp.segments = E;
+    fp.horizon_runs = static_cast<int>(std::min<long long>(
         scfg.requests, std::numeric_limits<int>::max()));
-    ckpt.t_start_s = 0.0;
-    ckpt.t_end_s = h;
+    fp.t_start_s = 0.0;
+    fp.t_end_s = h;
     for (const ScenarioTenant& t : trace.tenants)
-      ckpt.tenant_names.push_back(t.name);
+      fp.tenant_names.push_back(t.name);
+    fp.sojourn_cap = static_cast<std::uint64_t>(camp.sojourn_cap);
     ckpt.result.label = "cluster";
     ckpt.result.tenants = stats;
-    ckpt.sojourn_cap = static_cast<std::uint64_t>(camp.sojourn_cap);
     ckpt.has_scenario = true;
     ckpt.scenario = st;
     ckpt.has_cluster = true;
@@ -891,7 +892,7 @@ std::optional<ClusterResult> resume_cluster(const ClusterConfig& config) {
       s.epochs != std::max(1, config.campaign.epochs) ||
       s.autoscale != config.campaign.autoscale.resolved_enabled())
     return std::nullopt;
-  if (ckpt->sojourn_cap !=
+  if (ckpt->fingerprint.sojourn_cap !=
       static_cast<std::uint64_t>(config.campaign.sojourn_cap))
     return std::nullopt;
   const ClusterState& c = ckpt->cluster;

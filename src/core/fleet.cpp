@@ -84,21 +84,18 @@ ServingConfig shard_serving_config(const FleetConfig& config,
   // same no matter how the fleet is sharded — only queueing changes.
   const std::vector<double> global_schedule =
       run_schedule(config.serving.horizon);
-  const std::size_t runs = global_schedule.size();
-  const std::size_t per = runs / static_cast<std::size_t>(global_segments);
+  const auto bounds = segment_bounds(global_schedule.size(), global_segments);
   std::vector<double> schedule;
   std::vector<std::size_t> sizes;
-  std::size_t start = 0;
-  for (int s = 0; s < global_segments; ++s) {
-    const std::size_t end = s + 1 == global_segments ? runs : start + per;
-    if (std::find(members.begin(), members.end(), s % total_tenants) !=
-        members.end()) {
-      schedule.insert(schedule.end(),
-                      global_schedule.begin() + static_cast<long>(start),
-                      global_schedule.begin() + static_cast<long>(end));
-      sizes.push_back(end - start);
-    }
-    start = end;
+  for (std::size_t s = 0; s < bounds.size(); ++s) {
+    if (std::find(members.begin(), members.end(),
+                  static_cast<int>(s) % total_tenants) == members.end())
+      continue;
+    const auto [start, end] = bounds[s];
+    schedule.insert(schedule.end(),
+                    global_schedule.begin() + static_cast<long>(start),
+                    global_schedule.begin() + static_cast<long>(end));
+    sizes.push_back(end - start);
   }
   sc.segments = static_cast<int>(sizes.size());
   sc.horizon.runs = static_cast<int>(schedule.size());
@@ -471,17 +468,26 @@ double FleetResult::slack_percentile(double p) const {
   return percentile(std::move(slack), 100.0 - p);
 }
 
-FleetResult serve_fleet(const std::vector<const ou::MappedModel*>& tenants,
-                        const ou::NonIdealityModel& nonideal,
-                        const ou::OuCostModel& cost,
-                        policy::OuPolicy initial_policy,
-                        const FleetConfig& config,
-                        const std::vector<reram::FaultInjector*>& shard_faults) {
+namespace {
+
+/// The one fleet driver: place, derive each shard's ServingConfig, and run
+/// every shard's loop concurrently (common::parallel_transform), one cloned
+/// policy per shard. With `resume` each shard continues from its own
+/// checkpoint pair when it has one; nullopt when a shard's checkpoint fails
+/// to reinstate.
+std::optional<FleetResult> run_fleet(
+    const std::vector<const ou::MappedModel*>& tenants,
+    const ou::NonIdealityModel& nonideal, const ou::OuCostModel& cost,
+    policy::OuPolicy& initial_policy, const FleetConfig& config,
+    const std::vector<reram::FaultInjector*>& shard_faults, bool resume) {
   assert(!tenants.empty());
   const int shards = config.resolved_shards();
   FleetResult out;
   const std::vector<const reram::FaultInjector*> cfaults(shard_faults.begin(),
                                                          shard_faults.end());
+  // Placement is a pure function of (tenants, config, fresh injectors), so
+  // a resume recomputes the interrupted run's geometry — and the per-shard
+  // checkpoints verify that via the service-model fingerprint.
   out.placement = place_fleet(tenants, cost, config, cfaults);
   out.shard_tenants.assign(static_cast<std::size_t>(shards), {});
   for (const TenantPlacement& p : out.placement.tenants)
@@ -493,33 +499,56 @@ FleetResult serve_fleet(const std::vector<const ou::MappedModel*>& tenants,
   policies.reserve(static_cast<std::size_t>(shards));
   for (int k = 0; k < shards; ++k) policies.push_back(initial_policy.clone());
 
-  out.shards = common::parallel_transform(
-      static_cast<std::size_t>(shards), 1, [&](std::size_t k) {
+  auto results = common::parallel_transform(
+      static_cast<std::size_t>(shards), 1,
+      [&](std::size_t k) -> std::optional<ServingResult> {
+        ServingResult idle;
+        idle.label = "Odin";
         const std::vector<int>& members = out.shard_tenants[k];
-        if (members.empty()) {
-          ServingResult empty;
-          empty.label = "Odin";
-          return empty;
-        }
+        if (members.empty()) return idle;
         std::vector<const ou::MappedModel*> local;
         local.reserve(members.size());
         for (int g : members)
           local.push_back(tenants[static_cast<std::size_t>(g)]);
-        const ServingConfig sc = shard_serving_config(
+        ServingConfig sc = shard_serving_config(
             config, out.placement, members, static_cast<int>(k), shards);
-        if (sc.horizon.runs == 0) {
-          // Fewer global segments than tenants: these members never serve
-          // (matching the single-shard walk, which skips them too).
-          ServingResult empty;
-          empty.label = "Odin";
-          return empty;
-        }
+        // Fewer global segments than tenants: these members never serve
+        // (matching the single-shard walk, which skips them too).
+        if (sc.horizon.runs == 0) return idle;
         reram::FaultInjector* faults =
             k < shard_faults.size() ? shard_faults[k] : nullptr;
-        return serve_with_odin(local, nonideal, cost,
-                               std::move(policies[k]), sc, faults);
+        if (resume) {
+          // The crash hook belongs to the interrupted invocation.
+          sc.max_runs = 0;
+          if (!sc.checkpoint.base_path.empty())
+            if (const auto ckpt =
+                    load_latest_checkpoint(sc.checkpoint.base_path))
+              return resume_with_odin(local, nonideal, cost, *ckpt, sc,
+                                      faults);
+        }
+        return serve_with_odin(local, nonideal, cost, std::move(policies[k]),
+                               sc, faults);
       });
+  out.shards.reserve(results.size());
+  for (std::optional<ServingResult>& r : results) {
+    if (!r.has_value()) return std::nullopt;
+    out.shards.push_back(std::move(*r));
+  }
   return out;
+}
+
+}  // namespace
+
+FleetResult serve_fleet(const std::vector<const ou::MappedModel*>& tenants,
+                        const ou::NonIdealityModel& nonideal,
+                        const ou::OuCostModel& cost,
+                        policy::OuPolicy initial_policy,
+                        const FleetConfig& config,
+                        const std::vector<reram::FaultInjector*>& shard_faults) {
+  auto out = run_fleet(tenants, nonideal, cost, initial_policy, config,
+                       shard_faults, false);
+  assert(out.has_value());  // only a resume checkpoint can fail
+  return std::move(*out);
 }
 
 std::optional<FleetResult> resume_fleet(
@@ -527,52 +556,8 @@ std::optional<FleetResult> resume_fleet(
     const ou::NonIdealityModel& nonideal, const ou::OuCostModel& cost,
     policy::OuPolicy initial_policy, const FleetConfig& config,
     const std::vector<reram::FaultInjector*>& shard_faults) {
-  assert(!tenants.empty());
-  const int shards = config.resolved_shards();
-  FleetResult out;
-  const std::vector<const reram::FaultInjector*> cfaults(shard_faults.begin(),
-                                                         shard_faults.end());
-  // Placement is a pure function of (tenants, config, fresh injectors), so
-  // recomputing it reproduces the interrupted run's geometry — and the
-  // per-shard checkpoints verify that via the service-model fingerprint.
-  out.placement = place_fleet(tenants, cost, config, cfaults);
-  out.shard_tenants.assign(static_cast<std::size_t>(shards), {});
-  for (const TenantPlacement& p : out.placement.tenants)
-    out.shard_tenants[static_cast<std::size_t>(p.shard)].push_back(p.tenant);
-
-  out.shards.resize(static_cast<std::size_t>(shards));
-  for (std::size_t k = 0; k < static_cast<std::size_t>(shards); ++k) {
-    const std::vector<int>& members = out.shard_tenants[k];
-    if (members.empty()) {
-      out.shards[k].label = "Odin";
-      continue;
-    }
-    std::vector<const ou::MappedModel*> local;
-    local.reserve(members.size());
-    for (int g : members) local.push_back(tenants[static_cast<std::size_t>(g)]);
-    ServingConfig sc = shard_serving_config(config, out.placement, members,
-                                            static_cast<int>(k), shards);
-    if (sc.horizon.runs == 0) {
-      out.shards[k].label = "Odin";
-      continue;
-    }
-    sc.max_runs = 0;  // the crash hook belongs to the interrupted invocation
-    reram::FaultInjector* faults =
-        k < shard_faults.size() ? shard_faults[k] : nullptr;
-    std::optional<ServingCheckpoint> ckpt;
-    if (!sc.checkpoint.base_path.empty())
-      ckpt = load_latest_checkpoint(sc.checkpoint.base_path);
-    if (ckpt.has_value()) {
-      auto resumed =
-          resume_with_odin(local, nonideal, cost, *ckpt, sc, faults);
-      if (!resumed.has_value()) return std::nullopt;
-      out.shards[k] = std::move(*resumed);
-    } else {
-      out.shards[k] = serve_with_odin(local, nonideal, cost,
-                                      initial_policy.clone(), sc, faults);
-    }
-  }
-  return out;
+  return run_fleet(tenants, nonideal, cost, initial_policy, config,
+                   shard_faults, true);
 }
 
 }  // namespace odin::core

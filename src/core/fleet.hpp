@@ -15,12 +15,13 @@
 // followed by `refine_passes` single-tenant best-move passes that accept
 // strict global-objective decreases — deterministic, no randomness.
 //
-// Each shard then runs the full PR 5-7 serving loop (admission queue,
-// breakers, batching, checkpoints) over its own tenants, with a
-// placement-derived TenantServiceModel charging NoC transit per serve and
-// crediting inter-layer pipelining across the shard's PEs
-// (arch::interlayer_pipeline). A single-shard fleet passes the ServingConfig
-// through untouched and is bitwise identical to serve_with_odin.
+// Each shard then runs the full serving loop (admission queue, breakers,
+// batching, checkpoints) over its own tenants, with a placement-derived
+// TenantServiceModel charging NoC transit per serve and crediting
+// inter-layer pipelining across the shard's PEs (arch::interlayer_pipeline).
+// A single-shard fleet passes the ServingConfig through untouched, so its
+// walk prices every serve with the neutral service model exactly as
+// serve_with_odin does, and is bitwise identical to it.
 #pragma once
 
 #include <cstdint>
@@ -160,13 +161,13 @@ FleetResult serve_fleet(
 
 /// Resume an interrupted fleet from each shard's checkpoint pair (the
 /// fleet writes shard k's pair at `<base>.shard<k>.a/.b`; a single-shard
-/// fleet uses `<base>.a/.b` unchanged). Placement is recomputed — it is a
-/// pure function of tenants and config, so it reproduces the interrupted
-/// run's geometry; `shard_faults` must be freshly constructed injectors
-/// (their wear is replayed and verified per shard). Shards without a
-/// checkpoint run fresh; a shard whose checkpoint fails to reinstate fails
-/// the whole resume. The fleet's `serving.max_runs` crash hook is cleared
-/// on resume.
+/// fleet uses `<base>.a/.b` unchanged). The same driver as serve_fleet, so
+/// shards resume concurrently. Placement is recomputed — it is a pure
+/// function of tenants and config, so it reproduces the interrupted run's
+/// geometry; `shard_faults` must be freshly constructed injectors (their
+/// wear is replayed and verified per shard). Shards without a checkpoint
+/// run fresh; a shard whose checkpoint fails to reinstate fails the whole
+/// resume. The fleet's `serving.max_runs` crash hook is cleared on resume.
 std::optional<FleetResult> resume_fleet(
     const std::vector<const ou::MappedModel*>& tenants,
     const ou::NonIdealityModel& nonideal, const ou::OuCostModel& cost,

@@ -98,20 +98,13 @@ struct ResilienceConfig {
   /// CancellationToken when real time exceeds it. 0 disables the watchdog
   /// (and with it the only nondeterministic input to the loop).
   double watchdog_bound_s = 0.0;
-  /// Test hook (hung-worker simulation): the run with this global schedule
-  /// index spins instead of inferencing until the watchdog cancels it.
-  /// Negative disables.
+  /// Test hook (hung-worker simulation): the controller pass led by the run
+  /// with this global schedule index — the run alone, or a batch it leads —
+  /// spins instead of inferencing until the watchdog cancels it, and its
+  /// members are served degraded. Needs the watchdog; negative disables.
   long long hang_run_index = -1;
   /// Deadline-aware batch formation over the admission queue.
   BatchingConfig batching{};
-  /// Upper bound on raw sojourn samples retained per tenant. 0 (the
-  /// default) keeps every sample — the pre-scenario behaviour, exact
-  /// percentiles, and the bitwise pins that compare sojourn vectors. A
-  /// positive cap bounds TenantStats memory during million-request
-  /// campaigns: past the cap the vector stops growing and percentile
-  /// reporting switches to the streaming P^2 sketch (core/sketch.hpp),
-  /// which absorbs every sample either way.
-  std::size_t sojourn_sample_cap = 0;
 
   double slo_s(std::size_t tenant) const noexcept {
     const double t = tenant < tenant_slo_s.size() ? tenant_slo_s[tenant] : 0.0;

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "arch/batching.hpp"
@@ -235,9 +236,6 @@ int ServingResult::total_pipelined_runs() const noexcept {
   return n;
 }
 
-namespace {
-
-/// Contiguous segment boundaries over the run schedule.
 std::vector<std::pair<std::size_t, std::size_t>> segment_bounds(
     std::size_t runs, int segments) {
   std::vector<std::pair<std::size_t, std::size_t>> out;
@@ -251,6 +249,8 @@ std::vector<std::pair<std::size_t, std::size_t>> segment_bounds(
   }
   return out;
 }
+
+namespace {
 
 common::EnergyLatency full_programming_cost(const ou::MappedModel& model,
                                             const ou::OuCostModel& cost) {
@@ -274,9 +274,43 @@ common::EnergyLatency fallback_serve_cost(const ou::MappedModel& model,
   return total;
 }
 
-}  // namespace
-
-namespace {
+/// The fingerprint of a walk over `tenants` under `config` and `faults`:
+/// stamped on every checkpoint the walk writes, and compared whole against
+/// the checkpoint on resume.
+ServingFingerprint serving_fingerprint(
+    const std::vector<const ou::MappedModel*>& tenants,
+    const ServingConfig& config, const reram::FaultInjector* faults) {
+  ServingFingerprint fp;
+  fp.segments = config.segments;
+  fp.horizon_runs = config.horizon.runs;
+  fp.t_start_s = config.horizon.t_start_s;
+  fp.t_end_s = config.horizon.t_end_s;
+  for (const ou::MappedModel* t : tenants)
+    fp.tenant_names.push_back(t->model().name);
+  if (faults != nullptr) {
+    fp.has_faults = true;
+    const reram::WearLevelingParams& lv = faults->params().leveling;
+    fp.leveling_enabled = lv.enabled;
+    if (lv.enabled) {
+      fp.leveling_spare_rows = lv.resolved_spare_rows();
+      fp.leveling_wear_budget = lv.resolved_wear_budget();
+    }
+  }
+  const ResilienceConfig& res = config.resilience;
+  if (res.enabled) {
+    fp.has_resilience = true;
+    fp.shed_policy = static_cast<std::int32_t>(res.shed);
+    fp.queue_capacity = res.queue_capacity;
+    fp.batching_enabled = res.batching.enabled;
+    fp.batch_cap =
+        res.batching.enabled ? res.batching.resolved_max_batch() : 1;
+  }
+  fp.fleet_shards = config.fleet_shards;
+  fp.fleet_shard_index = config.fleet_shard_index;
+  fp.has_service_models = !config.service_models.empty();
+  fp.service_models = config.service_models;
+  return fp;
+}
 
 /// One driver for both the fresh and the resumed walk. `resume` (optional)
 /// positions the walk mid-horizon: totals start from the checkpointed
@@ -289,11 +323,8 @@ std::optional<ServingResult> serve_odin_impl(
     policy::OuPolicy initial_policy, const ServingConfig& config,
     reram::FaultInjector* faults, const ServingCheckpoint* resume) {
   assert(!tenants.empty());
-  // Fleet service-time models (empty outside a multi-shard fleet). When
-  // absent, every expression below reduces to the unmodeled walk — the
-  // shards=1 bitwise pin depends on that.
-  const bool modeled = !config.service_models.empty();
-  assert(!modeled || config.service_models.size() == tenants.size());
+  assert(config.service_models.empty() ||
+         config.service_models.size() == tenants.size());
   ServingResult result;
   result.label = "Odin";
   result.tenants.resize(tenants.size());
@@ -376,8 +407,11 @@ std::optional<ServingResult> serve_odin_impl(
       return std::nullopt;
     if (res.enabled) {
       busy_until_s = resume->busy_until_s;
-      for (std::uint64_t j : resume->pending_runs)
+      for (std::uint64_t j : resume->pending_runs) {
+        // Only arrivals before the cursor can be queued.
+        if (j >= i0) return std::nullopt;
         pending.push_back(static_cast<std::size_t>(j));
+      }
       for (std::size_t i = 0; i < tenants.size(); ++i)
         breakers[i].restore(resume->breakers[i]);
       fallback = resume->fallback_ous;
@@ -393,51 +427,30 @@ std::optional<ServingResult> serve_odin_impl(
   std::unique_ptr<CheckpointWriter> writer;
   if (!config.checkpoint.base_path.empty())
     writer = std::make_unique<CheckpointWriter>(config.checkpoint.base_path);
+  const ServingFingerprint fingerprint =
+      serving_fingerprint(tenants, config, faults);
 
   auto make_checkpoint = [&](std::size_t seg, std::size_t next_run,
                              OdinController& controller) {
     ServingCheckpoint ckpt;
     ckpt.segment = seg;
     ckpt.next_run = next_run;
-    ckpt.segments = config.segments;
-    ckpt.horizon_runs = config.horizon.runs;
-    ckpt.t_start_s = config.horizon.t_start_s;
-    ckpt.t_end_s = config.horizon.t_end_s;
-    for (const ou::MappedModel* t : tenants)
-      ckpt.tenant_names.push_back(t->model().name);
+    ckpt.fingerprint = fingerprint;
     ckpt.result = result;
     ckpt.controller = controller.snapshot();
-    ckpt.fleet_shards = config.fleet_shards;
-    ckpt.fleet_shard_index = config.fleet_shard_index;
-    ckpt.has_service_models = modeled;
-    ckpt.service_models = config.service_models;
     if (faults != nullptr) {
-      ckpt.has_faults = true;
       ckpt.wear = faults->wear_state();
-      const reram::WearLevelingParams& lv = faults->params().leveling;
-      ckpt.leveling_enabled = lv.enabled;
-      if (lv.enabled) {
-        ckpt.leveling_spare_rows = lv.resolved_spare_rows();
-        ckpt.leveling_wear_budget = lv.resolved_wear_budget();
-      }
       ckpt.wear_seg_base_rows_remapped = seg_base_rows_remapped;
       ckpt.wear_seg_base_crossbars_retired = seg_base_crossbars_retired;
       ckpt.wear_seg_base_writes_leveled = seg_base_writes_leveled;
     }
     if (res.enabled) {
-      ckpt.has_resilience = true;
-      ckpt.shed_policy = static_cast<std::int32_t>(res.shed);
-      ckpt.queue_capacity = res.queue_capacity;
       ckpt.busy_until_s = busy_until_s;
       for (std::size_t j : pending)
         ckpt.pending_runs.push_back(static_cast<std::uint64_t>(j));
       for (const CircuitBreaker& b : breakers)
         ckpt.breakers.push_back(b.snapshot());
       ckpt.fallback_ous = fallback;
-      ckpt.batching_enabled = batching;
-      ckpt.batch_cap = batch_cap;
-      ckpt.sojourn_cap =
-          static_cast<std::uint64_t>(res.sojourn_sample_cap);
     }
     return ckpt;
   };
@@ -451,8 +464,12 @@ std::optional<ServingResult> serve_odin_impl(
     const std::size_t tenant_idx = s % tenants.size();
     const ou::MappedModel& tenant = *tenants[tenant_idx];
     TenantStats& stats = result.tenants[tenant_idx];
-    const TenantServiceModel svc =
-        modeled ? config.service_models[tenant_idx] : TenantServiceModel{};
+    // Every serve is priced through the tenant's service model; outside a
+    // fleet that is the neutral model, under which each pricing expression
+    // below is bitwise the bare controller cost.
+    const TenantServiceModel svc = config.service_models.empty()
+                                       ? TenantServiceModel{}
+                                       : config.service_models[tenant_idx];
     const bool resuming = resume != nullptr && s == s0;
 
     if (!resuming) {
@@ -501,40 +518,63 @@ std::optional<ServingResult> serve_odin_impl(
     auto serve_fallback = [&](std::size_t j, bool shed) {
       const double t_arr = schedule[j];
       const double start = std::max(busy_until_s, t_arr);
-      common::EnergyLatency c =
-          fallback_serve_cost(tenant, cost, fallback[tenant_idx]);
       // Fallback serves still cross the shard's NoC (no pipeline credit:
       // the degraded path runs unoverlapped).
-      if (modeled) c += svc.noc_extra;
+      const common::EnergyLatency c =
+          fallback_serve_cost(tenant, cost, fallback[tenant_idx]) +
+          svc.noc_extra;
       busy_until_s = start + c.latency_s;
       stats.inference += c;
       stats.service_s += c.latency_s;
       ++stats.runs;
-      stats.record_sojourn(busy_until_s - t_arr, res.sojourn_sample_cap);
+      stats.record_sojourn(busy_until_s - t_arr);
       if (shed)
         ++stats.shed_runs;
       else
         ++stats.breaker_open_runs;
     };
-    auto serve_full = [&](std::size_t j) {
-      const double t_arr = schedule[j];
-      const double start = std::max(busy_until_s, t_arr);
+    // The per-run controller counters every full serve folds in, the
+    // resilience-off loop's included (without a deadline the three
+    // deadline counters stay zero).
+    auto fold_run = [&](const RunResult& run) {
+      stats.reprogram += run.reprogram;
+      stats.mismatches += run.mismatches;
+      stats.degraded_runs += run.degraded ? 1 : 0;
+      if (run.deadline_deferred_reprogram) ++stats.deferred_reprograms;
+      if (run.deadline_stopped_retries) ++stats.deadline_stopped_retries;
+      stats.searches_truncated += run.searches_truncated;
+    };
+    struct Pass {
+      RunResult run;
+      int evals = 0;         ///< search evaluations charged to the pass
+      bool stalled = false;  ///< the watchdog cancelled it
+    };
+    // The guarded controller pass single and batched serves share, over
+    // `members` (queued arrivals of this tenant in arrival order, served
+    // from `start`): the breaker gate, then one controller run under the
+    // leader's (longest-waiting member's) deadline with the watchdog armed
+    // around it. nullopt when the controller did not run — the breaker
+    // held open, or the hang hook stalled the pass — and every member has
+    // already been served degraded.
+    auto guarded_pass = [&](std::span<const std::size_t> members,
+                            double start) -> std::optional<Pass> {
       if (!breaker->allow()) {
         // Breaker holding open: degraded service, search skipped entirely.
-        serve_fallback(j, false);
+        for (std::size_t j : members) serve_fallback(j, false);
         sync_breaker();
-        return;
+        return std::nullopt;
       }
+      const std::size_t lead = members.front();
       token.reset();
       const bool guarded = watchdog.has_value();
       if (guarded)
         watchdog->arm(&token,
                       std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::duration<double>(res.watchdog_bound_s)));
-      RunResult run;
+      Pass pass;
       bool hung = false;
       if (guarded && res.hang_run_index >= 0 &&
-          static_cast<long long>(j) == res.hang_run_index) {
+          static_cast<long long>(lead) == res.hang_run_index) {
         // Hung-worker simulation: spin (with a failsafe so a broken
         // watchdog cannot hang the suite) until the watchdog cancels the
         // token, exactly like a stuck chunk that never returns.
@@ -545,63 +585,67 @@ std::optional<ServingResult> serve_odin_impl(
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         hung = true;
       } else {
-        common::Deadline deadline(slo - (start - t_arr),
+        common::Deadline deadline(slo - (start - schedule[lead]),
                                   res.search_eval_cost_s,
                                   guarded ? &token : nullptr);
-        run = controller.run_inference(start, &deadline);
+        pass.run = controller.run_inference(start, &deadline);
       }
-      const bool stalled = guarded && watchdog->disarm();
-      if (stalled) ++stats.watchdog_stalls;
+      pass.stalled = guarded && watchdog->disarm();
+      if (pass.stalled) ++stats.watchdog_stalls;
       if (hung) {
-        // The run never reached the controller: serve it degraded, count
+        // The pass never reached the controller: serve it degraded, count
         // it shed, and let the breaker see the failure.
-        serve_fallback(j, true);
+        for (std::size_t j : members) serve_fallback(j, true);
         breaker->record(false);
         sync_breaker();
-        return;
+        return std::nullopt;
       }
-      int evals = 0;
-      for (const LayerDecision& d : run.decisions) evals += d.evaluations;
-      double service =
-          run.inference.latency_s + run.reprogram.latency_s +
-          static_cast<double>(evals) * res.search_eval_cost_s;
-      if (modeled) {
-        // A primed pipeline (the device was still busy when this request
-        // arrived) serves back-to-back inferences at the overlapped rate;
-        // an idle device pays the full fill. NoC transit is charged either
-        // way.
-        const bool pipelined = start > t_arr && svc.pipeline_overlap < 1.0;
-        if (pipelined) ++stats.pipelined_runs;
-        service = run.inference.latency_s *
-                      (pipelined ? svc.pipeline_overlap : 1.0) +
-                  run.reprogram.latency_s +
-                  static_cast<double>(evals) * res.search_eval_cost_s +
-                  svc.noc_extra.latency_s;
-        stats.inference += svc.noc_extra;
-      }
+      for (const LayerDecision& d : pass.run.decisions)
+        pass.evals += d.evaluations;
+      return pass;
+    };
+    // Settle a pass, `missed` when any member overran its SLO: fold its
+    // counters, feed the breaker, and keep its first-layer OU as the
+    // tenant's last-known-good fallback. A crossbar retirement is the
+    // device migrating the tenant to a fresh array — planned sparing, not
+    // a tenant failure; it must not feed the breaker's failure window.
+    auto settle = [&](const Pass& pass, bool missed) {
+      fold_run(pass.run);
+      const bool success = (!missed && !pass.run.write_verify_failed &&
+                            !pass.stalled) ||
+                           pass.run.crossbar_retired;
+      breaker->record(success);
+      if (success && !pass.run.decisions.empty())
+        fallback[tenant_idx] = pass.run.decisions.front().executed;
+      sync_breaker();
+    };
+    auto serve_full = [&](std::size_t j) {
+      const double t_arr = schedule[j];
+      const double start = std::max(busy_until_s, t_arr);
+      const std::optional<Pass> pass =
+          guarded_pass(std::span<const std::size_t>(&j, 1), start);
+      if (!pass) return;
+      const RunResult& run = pass->run;
+      // A primed pipeline (the device was still busy when this request
+      // arrived) serves back-to-back inferences at the overlapped rate; an
+      // idle device pays the full fill. NoC transit is charged either way.
+      const bool pipelined = start > t_arr && svc.pipeline_overlap < 1.0;
+      if (pipelined) ++stats.pipelined_runs;
+      const double service =
+          run.inference.latency_s * (pipelined ? svc.pipeline_overlap : 1.0) +
+          run.reprogram.latency_s +
+          static_cast<double>(pass->evals) * res.search_eval_cost_s +
+          svc.noc_extra.latency_s;
       busy_until_s = start + service;
       stats.service_s += service;
-      const double sojourn = busy_until_s - t_arr;
-      stats.record_sojourn(sojourn, res.sojourn_sample_cap);
+      stats.inference += svc.noc_extra;
       stats.inference += run.inference;
-      stats.reprogram += run.reprogram;
-      stats.mismatches += run.mismatches;
-      stats.degraded_runs += run.degraded ? 1 : 0;
+      const double sojourn = busy_until_s - t_arr;
+      stats.record_sojourn(sojourn);
       ++stats.runs;
       const bool miss = std::isfinite(slo) && sojourn > slo;
       if (miss) ++stats.deadline_misses;
-      if (run.deadline_deferred_reprogram) ++stats.deferred_reprograms;
-      if (run.deadline_stopped_retries) ++stats.deadline_stopped_retries;
-      stats.searches_truncated += run.searches_truncated;
-      // A crossbar retirement is the device migrating the tenant to a
-      // fresh array — planned sparing, not a tenant failure; it must not
-      // feed the breaker's failure window.
-      const bool success = (!miss && !run.write_verify_failed && !stalled) ||
-                           run.crossbar_retired;
-      breaker->record(success);
-      if (success && !run.decisions.empty())
-        fallback[tenant_idx] = run.decisions.front().executed;
-      sync_breaker();
+      settle(*pass, miss);
     };
     // Would a batch of exactly `members` keep every member's SLO slack
     // non-negative? Estimated with the pipelined batch-cost model at the
@@ -636,42 +680,20 @@ std::optional<ServingResult> serve_odin_impl(
         serve_full(members.front());
         return;
       }
-      const double t_lead = schedule[members.front()];
       const double start = std::max(busy_until_s, schedule[members.back()]);
-      if (!breaker->allow()) {
-        // Breaker holding open: every member gets the degraded fallback
-        // serve (no pipelined pass, no search).
-        for (std::size_t j : members) serve_fallback(j, false);
-        sync_breaker();
-        return;
-      }
-      token.reset();
-      const bool guarded = watchdog.has_value();
-      if (guarded)
-        watchdog->arm(&token,
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::duration<double>(res.watchdog_bound_s)));
-      // The leader (longest-waiting member) has the tightest budget.
-      common::Deadline deadline(slo - (start - t_lead),
-                                res.search_eval_cost_s,
-                                guarded ? &token : nullptr);
-      RunResult run = controller.run_inference(start, &deadline);
-      const bool stalled = guarded && watchdog->disarm();
-      if (stalled) ++stats.watchdog_stalls;
-      int evals = 0;
-      for (const LayerDecision& d : run.decisions) evals += d.evaluations;
-      // Search + reprogram happen once, before the pipeline fills.
-      double pre =
+      const std::optional<Pass> pass = guarded_pass(members, start);
+      if (!pass) return;
+      const RunResult& run = pass->run;
+      // Search + reprogram happen once, before the pipeline fills. The
+      // batch's activations cross the NoC once per member; the latency is
+      // pipelined behind the pass and charged up front.
+      const double pre =
           run.reprogram.latency_s +
-          static_cast<double>(evals) * res.search_eval_cost_s;
-      if (modeled) {
-        // The batch's activations cross the NoC once per member; the
-        // latency is pipelined behind the pass and charged up front.
-        pre += svc.noc_extra.latency_s;
-        stats.inference += common::EnergyLatency{
-            svc.noc_extra.energy_j * static_cast<double>(b),
-            svc.noc_extra.latency_s};
-      }
+          static_cast<double>(pass->evals) * res.search_eval_cost_s +
+          svc.noc_extra.latency_s;
+      stats.inference += common::EnergyLatency{
+          svc.noc_extra.energy_j * static_cast<double>(b),
+          svc.noc_extra.latency_s};
       batch_configs.clear();
       if (run.decisions.size() == tenant.layer_count()) {
         for (const LayerDecision& d : run.decisions)
@@ -684,31 +706,18 @@ std::optional<ServingResult> serve_odin_impl(
       busy_until_s = start + pre + bc.total.latency_s;
       stats.service_s += pre + bc.total.latency_s;
       stats.inference += bc.total;
-      stats.reprogram += run.reprogram;
-      stats.mismatches += run.mismatches;
-      stats.degraded_runs += run.degraded ? 1 : 0;
       bool any_miss = false;
       for (int k = 0; k < b; ++k) {
         const double sojourn = start + pre + bc.member_exit_latency_s(k) -
                                schedule[members[static_cast<std::size_t>(k)]];
-        stats.record_sojourn(sojourn, res.sojourn_sample_cap);
+        stats.record_sojourn(sojourn);
         ++stats.runs;
         if (std::isfinite(slo) && sojourn > slo) {
           ++stats.deadline_misses;
           any_miss = true;
         }
       }
-      if (run.deadline_deferred_reprogram) ++stats.deferred_reprograms;
-      if (run.deadline_stopped_retries) ++stats.deadline_stopped_retries;
-      stats.searches_truncated += run.searches_truncated;
-      // Retirement/migration is planned sparing, not failure (see above).
-      const bool success =
-          (!any_miss && !run.write_verify_failed && !stalled) ||
-          run.crossbar_retired;
-      breaker->record(success);
-      if (success && !run.decisions.empty())
-        fallback[tenant_idx] = run.decisions.front().executed;
-      sync_breaker();
+      settle(*pass, any_miss);
     };
     auto drain_queue = [&](double until_s) {
       while (!pending.empty() && busy_until_s <= until_s) {
@@ -746,19 +755,13 @@ std::optional<ServingResult> serve_odin_impl(
       if (!res.enabled) {
         const RunResult run = controller.run_inference(schedule[i]);
         stats.inference += run.inference;
-        stats.reprogram += run.reprogram;
-        stats.mismatches += run.mismatches;
-        stats.degraded_runs += run.degraded ? 1 : 0;
-        double service = run.inference.latency_s + run.reprogram.latency_s;
-        if (modeled) {
-          // No admission queue here, so back-to-back segment traffic always
-          // runs with the pipeline primed.
-          stats.inference += svc.noc_extra;
-          service = run.inference.latency_s * svc.pipeline_overlap +
-                    run.reprogram.latency_s + svc.noc_extra.latency_s;
-          if (svc.pipeline_overlap < 1.0) ++stats.pipelined_runs;
-        }
-        stats.service_s += service;
+        fold_run(run);
+        // No admission queue here, so back-to-back segment traffic always
+        // runs with the pipeline primed.
+        stats.inference += svc.noc_extra;
+        stats.service_s += run.inference.latency_s * svc.pipeline_overlap +
+                           run.reprogram.latency_s + svc.noc_extra.latency_s;
+        if (svc.pipeline_overlap < 1.0) ++stats.pipelined_runs;
         ++stats.runs;
       } else {
         // Event-driven FIFO: serve whatever the device finished before
@@ -867,75 +870,18 @@ std::optional<ServingResult> resume_with_odin(
     const ServingCheckpoint& ckpt, const ServingConfig& config,
     reram::FaultInjector* faults) {
   assert(!tenants.empty());
-  // Fingerprint validation: the checkpoint must have been taken under this
-  // exact horizon/segment layout and tenant set.
-  if (ckpt.segments != config.segments ||
-      ckpt.horizon_runs != config.horizon.runs ||
-      ckpt.t_start_s != config.horizon.t_start_s ||
-      ckpt.t_end_s != config.horizon.t_end_s)
+  if (ckpt.fingerprint != serving_fingerprint(tenants, config, faults))
     return std::nullopt;
-  if (ckpt.tenant_names.size() != tenants.size()) return std::nullopt;
-  for (std::size_t i = 0; i < tenants.size(); ++i)
-    if (ckpt.tenant_names[i] != tenants[i]->model().name)
-      return std::nullopt;
+  // The state must also fit the walk it is reinstated into: one stats
+  // entry per tenant and, with resilience, one breaker and one fallback OU
+  // per tenant.
   if (ckpt.result.tenants.size() != tenants.size()) return std::nullopt;
-  // Resilience layout: the queue/breaker state only transfers onto the
-  // same admission geometry it was captured under.
-  if (ckpt.has_resilience != config.resilience.enabled) return std::nullopt;
-  if (config.resilience.enabled) {
-    if (ckpt.shed_policy !=
-            static_cast<std::int32_t>(config.resilience.shed) ||
-        ckpt.queue_capacity != config.resilience.queue_capacity)
-      return std::nullopt;
-    if (ckpt.breakers.size() != tenants.size() ||
-        ckpt.fallback_ous.size() != tenants.size())
-      return std::nullopt;
-    // Batch formation changes which runs share a pipelined pass, so the
-    // queue state only transfers onto the same batching geometry.
-    if (ckpt.batching_enabled != config.resilience.batching.enabled)
-      return std::nullopt;
-    if (config.resilience.batching.enabled &&
-        ckpt.batch_cap != config.resilience.batching.resolved_max_batch())
-      return std::nullopt;
-    // A different retention cap would make the resumed walk's sojourn
-    // vectors diverge from the uninterrupted run's, breaking the bitwise
-    // resume guarantee.
-    if (ckpt.sojourn_cap !=
-        static_cast<std::uint64_t>(config.resilience.sojourn_sample_cap))
-      return std::nullopt;
-  }
-  // Fleet geometry: a shard's checkpoint only transfers onto the same
-  // shard of the same-size fleet, and the placement-derived service models
-  // must match exactly (a placement change alters every service time).
-  if (ckpt.fleet_shards != config.fleet_shards ||
-      ckpt.fleet_shard_index != config.fleet_shard_index)
+  if (config.resilience.enabled &&
+      (ckpt.breakers.size() != tenants.size() ||
+       ckpt.fallback_ous.size() != tenants.size()))
     return std::nullopt;
-  if (ckpt.has_service_models != !config.service_models.empty())
-    return std::nullopt;
-  if (ckpt.has_service_models) {
-    if (ckpt.service_models.size() != config.service_models.size())
-      return std::nullopt;
-    for (std::size_t i = 0; i < config.service_models.size(); ++i) {
-      const TenantServiceModel& a = ckpt.service_models[i];
-      const TenantServiceModel& b = config.service_models[i];
-      if (a.noc_extra.energy_j != b.noc_extra.energy_j ||
-          a.noc_extra.latency_s != b.noc_extra.latency_s ||
-          a.pipeline_overlap != b.pipeline_overlap)
-        return std::nullopt;
-    }
-  }
   // Device wear: replay the campaign history on the caller's freshly
-  // seeded injector and verify the fingerprint. Leveling changes how a
-  // campaign count maps to wear, so the knobs must match too.
-  if (ckpt.has_faults != (faults != nullptr)) return std::nullopt;
-  if (faults != nullptr) {
-    const reram::WearLevelingParams& lv = faults->params().leveling;
-    if (ckpt.leveling_enabled != lv.enabled) return std::nullopt;
-    if (lv.enabled &&
-        (ckpt.leveling_spare_rows != lv.resolved_spare_rows() ||
-         ckpt.leveling_wear_budget != lv.resolved_wear_budget()))
-      return std::nullopt;
-  }
+  // seeded injector and verify the wear fingerprint.
   if (faults != nullptr && !faults->fast_forward(ckpt.wear))
     return std::nullopt;
 

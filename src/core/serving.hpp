@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.hpp"
@@ -38,10 +39,12 @@ struct CheckpointConfig {
 
 /// Per-tenant service-time model the fleet scheduler derives from its
 /// placement: NoC transit charged on every serve, and the steady-state
-/// inter-layer pipeline overlap applied to back-to-back inferences. Empty
+/// inter-layer pipeline overlap applied to back-to-back inferences. Every
+/// serve is priced through one; the default-constructed model (no NoC
+/// cost, overlap 1.0) is neutral — each pricing expression reduces
+/// bitwise to the bare controller cost — and is what a walk with empty
 /// `ServingConfig::service_models` (the default, and always the case for a
-/// single-shard fleet) leaves the serving walk bitwise identical to the
-/// unmodeled loop.
+/// single-shard fleet) uses for every tenant.
 struct TenantServiceModel {
   /// Inter-PE activation traffic per inference (arch::SystemMapping's
   /// noc_per_inference for this tenant's shard placement).
@@ -50,6 +53,8 @@ struct TenantServiceModel {
   /// (arch::InterLayerPipeline::overlap_factor); applies only when the
   /// request arrives while the device is busy (the pipeline is primed).
   double pipeline_overlap = 1.0;
+
+  bool operator==(const TenantServiceModel&) const = default;
 };
 
 struct ServingConfig {
@@ -70,7 +75,8 @@ struct ServingConfig {
   /// pre-resilience behaviour.
   ResilienceConfig resilience{};
   /// Fleet surface (core/fleet.hpp fills these; empty/defaults outside a
-  /// fleet). One entry per tenant, parallel to the `tenants` argument.
+  /// fleet). One entry per tenant, parallel to the `tenants` argument;
+  /// empty prices every tenant with the neutral TenantServiceModel{}.
   std::vector<TenantServiceModel> service_models;
   int fleet_shards = 1;       ///< total shards in the owning fleet
   int fleet_shard_index = 0;  ///< this loop's shard id in [0, fleet_shards)
@@ -85,6 +91,13 @@ struct ServingConfig {
   /// segment, summing to horizon.runs).
   std::vector<std::size_t> segment_sizes;
 };
+
+/// The default split of a `runs`-long schedule into `segments` (>= 1)
+/// contiguous [begin, end) ranges of runs / segments runs each, the last
+/// also taking the remainder. The fleet cuts its per-shard slices from the
+/// same split.
+std::vector<std::pair<std::size_t, std::size_t>> segment_bounds(
+    std::size_t runs, int segments);
 
 struct TenantStats {
   std::string name;
@@ -147,8 +160,9 @@ struct TenantStats {
   double rpo_s = 0.0;            ///< worst replica staleness at failover
   double rto_s = 0.0;            ///< worst outage-to-ready recovery time
   /// Per-served-run sojourn (queue wait + service latency), in arrival
-  /// order; feeds the percentile reporting below. Retention is bounded by
-  /// ResilienceConfig::sojourn_sample_cap (0 = keep all).
+  /// order; feeds the percentile reporting below. The serving walk keeps
+  /// every sample; the campaign engine bounds retention by
+  /// CampaignConfig::sojourn_cap.
   std::vector<double> sojourn_s;
   /// Streaming percentile sketch fed by *every* sojourn sample, including
   /// those the cap dropped from the vector.
@@ -160,7 +174,7 @@ struct TenantStats {
 
   /// Record one sojourn sample under retention cap `cap` (0 = unbounded):
   /// always feeds the sketch, appends to the vector only below the cap.
-  void record_sojourn(double sojourn, std::size_t cap);
+  void record_sojourn(double sojourn, std::size_t cap = 0);
 
   /// Nearest-rank percentile of the sojourn samples (p in [0, 100]).
   /// Exact while every sample was retained; the sketch estimate once the

@@ -59,11 +59,11 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   ServingCheckpoint ckpt;
   ckpt.segment = 2;
   ckpt.next_run = 41;
-  ckpt.segments = 6;
-  ckpt.horizon_runs = 120;
-  ckpt.t_start_s = 1.0;
-  ckpt.t_end_s = 1e8;
-  ckpt.tenant_names = {"TinyNet", "OtherNet"};
+  ckpt.fingerprint.segments = 6;
+  ckpt.fingerprint.horizon_runs = 120;
+  ckpt.fingerprint.t_start_s = 1.0;
+  ckpt.fingerprint.t_end_s = 1e8;
+  ckpt.fingerprint.tenant_names = {"TinyNet", "OtherNet"};
   ckpt.result.label = "Odin";
   ckpt.result.tenants.resize(2);
   ckpt.result.tenants[0].name = "TinyNet";
@@ -96,11 +96,11 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   ckpt.controller = controller.snapshot();
   ckpt.controller.wear_deferred_reprograms = 2;
   ckpt.controller.retired_seen = 1;
-  ckpt.has_faults = true;
+  ckpt.fingerprint.has_faults = true;
   ckpt.wear = {7, 12, 1, 0, 1};
-  ckpt.leveling_enabled = true;
-  ckpt.leveling_spare_rows = 16;
-  ckpt.leveling_wear_budget = 0.8;
+  ckpt.fingerprint.leveling_enabled = true;
+  ckpt.fingerprint.leveling_spare_rows = 16;
+  ckpt.fingerprint.leveling_wear_budget = 0.8;
   ckpt.wear_seg_base_rows_remapped = 4;
   ckpt.wear_seg_base_crossbars_retired = 1;
   ckpt.wear_seg_base_writes_leveled = 256;
@@ -115,9 +115,9 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
     for (int k = 0; k < 7; ++k) xbar.program(w, 8, 8, 1.0 + k);
     ckpt.wear_maps.push_back(xbar.wear_map());
   }
-  ckpt.has_resilience = true;
-  ckpt.shed_policy = 1;  // kShedOldest
-  ckpt.queue_capacity = 8;
+  ckpt.fingerprint.has_resilience = true;
+  ckpt.fingerprint.shed_policy = 1;  // kShedOldest
+  ckpt.fingerprint.queue_capacity = 8;
   ckpt.busy_until_s = 123.5;
   ckpt.pending_runs = {41, 42};
   CircuitBreaker::Snapshot breaker;
@@ -140,20 +140,21 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   health.fault_fraction = 9.0 / 4096.0;
   health.windows = {{0, 0, 3}, {8, 16, 6}};
   ckpt.health_maps.push_back(std::move(health));
-  // v5 fleet surface: this frame claims to be shard 1 of a 2-shard fleet
+  // Fleet surface: this frame claims to be shard 1 of a 2-shard fleet
   // with a placement-derived service model per tenant.
-  ckpt.fleet_shards = 2;
-  ckpt.fleet_shard_index = 1;
-  ckpt.has_service_models = true;
-  ckpt.service_models = {{{1.5e-9, 2.5e-7}, 0.62}, {{0.0, 0.0}, 1.0}};
+  ckpt.fingerprint.fleet_shards = 2;
+  ckpt.fingerprint.fleet_shard_index = 1;
+  ckpt.fingerprint.has_service_models = true;
+  ckpt.fingerprint.service_models = {{{1.5e-9, 2.5e-7}, 0.62},
+                                     {{0.0, 0.0}, 1.0}};
   ckpt.result.tenants[0].service_s = 4.75e-3;
   ckpt.result.tenants[0].pipelined_runs = 17;
-  // v6 scenario surface: bounded sojourn retention (live per-tenant
+  // Scenario surface: bounded sojourn retention (live per-tenant
   // sketches past the cap) plus an embedded mid-campaign state.
   for (int i = 0; i < 9; ++i)
     ckpt.result.tenants[0].sojourn_sketch.add(1e-4 * (i + 1));
   ckpt.result.tenants[0].sojourn_dropped = 11;
-  ckpt.sojourn_cap = 64;
+  ckpt.fingerprint.sojourn_cap = 64;
   ckpt.has_scenario = true;
   ckpt.scenario.seed = 42;
   ckpt.scenario.requests = 100'000;
@@ -196,7 +197,7 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   ckpt.scenario.epoch_sheds = {2, 0};
   ckpt.scenario.epoch_slack_p1.resize(2, QuantileSketch(0.01));
   ckpt.scenario.epoch_slack_p1[0].add(2e-3);
-  // v7 cluster surface: per-tenant failover counters plus an embedded
+  // Cluster surface: per-tenant failover counters plus an embedded
   // mid-failover cluster state (mesh 0 dark, tenant 0 evacuated).
   ckpt.result.tenants[0].failovers = 1;
   ckpt.result.tenants[0].restored_stale = 1;
@@ -271,11 +272,11 @@ ServingCheckpoint pinned_checkpoint() {
   ServingCheckpoint c;
   c.segment = n();
   c.next_run = n();
-  c.segments = n();
-  c.horizon_runs = n();
-  c.t_start_s = x();
-  c.t_end_s = x();
-  c.tenant_names = {"alpha", "beta"};
+  c.fingerprint.segments = n();
+  c.fingerprint.horizon_runs = n();
+  c.fingerprint.t_start_s = x();
+  c.fingerprint.t_end_s = x();
+  c.fingerprint.tenant_names = {"alpha", "beta"};
   c.result.label = "pinned";
   c.result.tenants.resize(2);
   for (TenantStats& t : c.result.tenants) {
@@ -356,7 +357,7 @@ ServingCheckpoint pinned_checkpoint() {
   ctl.policy_blob = "literal policy blob";
   ctl.last_good_blob = "literal last-good blob";
 
-  c.has_faults = true;
+  c.fingerprint.has_faults = true;
   c.wear = {n(), n(), n(), n(), n()};
   reram::CrossbarHealth health;
   health.ou_rows = n();
@@ -369,19 +370,19 @@ ServingCheckpoint pinned_checkpoint() {
   health.degraded = true;
   health.windows = {{n(), n(), n()}, {n(), n(), n()}};
   c.health_maps = {health};
-  c.has_resilience = true;
-  c.shed_policy = n();
-  c.queue_capacity = n();
+  c.fingerprint.has_resilience = true;
+  c.fingerprint.shed_policy = n();
+  c.fingerprint.queue_capacity = n();
   c.busy_until_s = x();
   c.pending_runs = {static_cast<std::uint64_t>(n()),
                     static_cast<std::uint64_t>(n())};
   c.breakers = {breaker(), breaker()};
   c.fallback_ous = {{n(), n()}, {n(), n()}};
-  c.batching_enabled = true;
-  c.batch_cap = n();
-  c.leveling_enabled = true;
-  c.leveling_spare_rows = n();
-  c.leveling_wear_budget = x();
+  c.fingerprint.batching_enabled = true;
+  c.fingerprint.batch_cap = n();
+  c.fingerprint.leveling_enabled = true;
+  c.fingerprint.leveling_spare_rows = n();
+  c.fingerprint.leveling_wear_budget = x();
   c.wear_seg_base_rows_remapped = n();
   c.wear_seg_base_crossbars_retired = n();
   c.wear_seg_base_writes_leveled = n();
@@ -395,11 +396,11 @@ ServingCheckpoint pinned_checkpoint() {
   map.rows_remapped = n();
   map.writes_leveled = n();
   c.wear_maps = {map};
-  c.fleet_shards = n();
-  c.fleet_shard_index = n();
-  c.has_service_models = true;
-  c.service_models = {{{x(), x()}, x()}, {{x(), x()}, x()}};
-  c.sojourn_cap = n();
+  c.fingerprint.fleet_shards = n();
+  c.fingerprint.fleet_shard_index = n();
+  c.fingerprint.has_service_models = true;
+  c.fingerprint.service_models = {{{x(), x()}, x()}, {{x(), x()}, x()}};
+  c.fingerprint.sojourn_cap = n();
 
   c.has_scenario = true;
   CampaignState& sc = c.scenario;
@@ -491,7 +492,7 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   // Spot-check the fields a resume depends on...
   EXPECT_EQ(decoded->segment, 2u);
   EXPECT_EQ(decoded->next_run, 41u);
-  EXPECT_EQ(decoded->tenant_names, ckpt.tenant_names);
+  EXPECT_EQ(decoded->fingerprint.tenant_names, ckpt.fingerprint.tenant_names);
   EXPECT_TRUE(decoded->result.resumed);
   EXPECT_EQ(decoded->result.tenants[0].mismatches, 77);
   EXPECT_EQ(decoded->wear.campaigns, 7);
@@ -499,8 +500,8 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   EXPECT_EQ(decoded->health_maps[0].windows.size(), 2u);
   EXPECT_EQ(decoded->controller.buffer_entries, ckpt.controller.buffer_entries);
   EXPECT_EQ(decoded->controller.policy_blob, ckpt.controller.policy_blob);
-  EXPECT_TRUE(decoded->has_resilience);
-  EXPECT_EQ(decoded->queue_capacity, 8u);
+  EXPECT_TRUE(decoded->fingerprint.has_resilience);
+  EXPECT_EQ(decoded->fingerprint.queue_capacity, 8u);
   EXPECT_EQ(decoded->pending_runs, ckpt.pending_runs);
   ASSERT_EQ(decoded->breakers.size(), 2u);
   EXPECT_EQ(decoded->breakers[0].window_bits, 0b1011u);
@@ -509,10 +510,10 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   EXPECT_EQ(decoded->fallback_ous[1].cols, 16);
   EXPECT_EQ(decoded->result.tenants[0].sojourn_s, ckpt.result.tenants[0].sojourn_s);
   EXPECT_EQ(decoded->result.tenants[0].deadline_misses, 9);
-  // v4 wear-leveling surface.
-  EXPECT_TRUE(decoded->leveling_enabled);
-  EXPECT_EQ(decoded->leveling_spare_rows, 16);
-  EXPECT_EQ(decoded->leveling_wear_budget, 0.8);
+  // Wear-leveling surface.
+  EXPECT_TRUE(decoded->fingerprint.leveling_enabled);
+  EXPECT_EQ(decoded->fingerprint.leveling_spare_rows, 16);
+  EXPECT_EQ(decoded->fingerprint.leveling_wear_budget, 0.8);
   EXPECT_EQ(decoded->wear.crossbars_retired, 1);
   EXPECT_EQ(decoded->wear_seg_base_rows_remapped, 4);
   EXPECT_EQ(decoded->wear_seg_base_writes_leveled, 256);
@@ -524,19 +525,20 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   EXPECT_EQ(decoded->wear_maps[0].rows, ckpt.wear_maps[0].rows);
   EXPECT_EQ(decoded->wear_maps[0].row_writes, ckpt.wear_maps[0].row_writes);
   EXPECT_EQ(decoded->wear_maps[0].remap, ckpt.wear_maps[0].remap);
-  // v5 fleet surface.
-  EXPECT_EQ(decoded->fleet_shards, 2);
-  EXPECT_EQ(decoded->fleet_shard_index, 1);
-  EXPECT_TRUE(decoded->has_service_models);
-  ASSERT_EQ(decoded->service_models.size(), 2u);
-  EXPECT_EQ(decoded->service_models[0].noc_extra.energy_j, 1.5e-9);
-  EXPECT_EQ(decoded->service_models[0].noc_extra.latency_s, 2.5e-7);
-  EXPECT_EQ(decoded->service_models[0].pipeline_overlap, 0.62);
-  EXPECT_EQ(decoded->service_models[1].pipeline_overlap, 1.0);
+  // Fleet surface.
+  EXPECT_EQ(decoded->fingerprint.fleet_shards, 2);
+  EXPECT_EQ(decoded->fingerprint.fleet_shard_index, 1);
+  EXPECT_TRUE(decoded->fingerprint.has_service_models);
+  const auto& models = decoded->fingerprint.service_models;
+  ASSERT_EQ(models.size(), 2u);
+  EXPECT_EQ(models[0].noc_extra.energy_j, 1.5e-9);
+  EXPECT_EQ(models[0].noc_extra.latency_s, 2.5e-7);
+  EXPECT_EQ(models[0].pipeline_overlap, 0.62);
+  EXPECT_EQ(models[1].pipeline_overlap, 1.0);
   EXPECT_EQ(decoded->result.tenants[0].service_s, 4.75e-3);
   EXPECT_EQ(decoded->result.tenants[0].pipelined_runs, 17);
-  // v6 scenario surface.
-  EXPECT_EQ(decoded->sojourn_cap, 64u);
+  // Scenario surface.
+  EXPECT_EQ(decoded->fingerprint.sojourn_cap, 64u);
   EXPECT_EQ(decoded->result.tenants[0].sojourn_dropped, 11);
   EXPECT_TRUE(decoded->result.tenants[0].sojourn_sketch ==
               ckpt.result.tenants[0].sojourn_sketch);
@@ -551,7 +553,7 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   ASSERT_EQ(decoded->scenario.epoch_slack_p1.size(), 2u);
   EXPECT_TRUE(decoded->scenario.epoch_slack_p1[0] ==
               ckpt.scenario.epoch_slack_p1[0]);
-  // v7 cluster surface.
+  // Cluster surface.
   EXPECT_TRUE(decoded->has_cluster);
   EXPECT_EQ(decoded->cluster.meshes, 2);
   EXPECT_EQ(decoded->cluster.outages_fired, 1);
@@ -836,6 +838,31 @@ TEST(Checkpoint, ForgedCountsAndTrailingBytesAreRefused) {
   write_file(path, frame_with_version(kCheckpointVersion, 3, valid.bytes()));
   EXPECT_TRUE(load_checkpoint_file(path).has_value());
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ClaimedPayloadSizeIsBoundedByTheFile) {
+  // The header's size field is read before the CRC can vouch for it. A
+  // 32-byte header claiming a 1 GiB payload over a file that holds 64 KiB
+  // is a torn write: refused before any buffer is sized from the claim, by
+  // the loader and by the writer's slot scan alike.
+  const std::string base = temp_base("claimedsize");
+  remove_slots(base);
+  const std::string payload(std::size_t{64} << 10, 'x');
+  std::string file = frame_with_version(kCheckpointVersion, 5, payload);
+  const std::uint64_t claim = std::uint64_t{1} << 30;
+  constexpr std::size_t kSizeOffset = 8 + 4 + 8;  // magic, version, sequence
+  for (std::size_t i = 0; i < 8; ++i)
+    file[kSizeOffset + i] = static_cast<char>((claim >> (8 * i)) & 0xff);
+  write_file(base + ".a", file);
+
+  g_largest_allocation.store(0);
+  EXPECT_FALSE(load_checkpoint_file(base + ".a").has_value());
+  EXPECT_LT(g_largest_allocation.load(), file.size());
+  g_largest_allocation.store(0);
+  const CheckpointWriter writer(base);
+  EXPECT_LT(g_largest_allocation.load(), file.size());
+  EXPECT_EQ(writer.last_sequence(), 0u);
+  remove_slots(base);
 }
 
 TEST(Checkpoint, MutatedPayloadsDecodeOrRefuseWithoutLargeAllocations) {

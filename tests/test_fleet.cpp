@@ -1,9 +1,10 @@
 // Fleet-scale sharded serving (DESIGN.md §16): NoC-/wear-aware tenant
 // placement over the mesh, per-shard serving loops with placement-derived
-// service models, and the v5 checkpoint surface. The two regression pins
-// the whole subsystem hangs off: a single-shard fleet is bitwise identical
-// to serve_with_odin, and a mid-campaign multi-shard checkpoint/resume is
-// bitwise identical to an uninterrupted fleet run.
+// service models, and the shard fields of the checkpoint fingerprint. The
+// two regression pins the whole subsystem hangs off: a single-shard fleet
+// is bitwise identical to serve_with_odin, and a mid-campaign multi-shard
+// checkpoint/resume (shards resumed concurrently) is bitwise identical to
+// an uninterrupted fleet run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -291,13 +292,14 @@ TEST(Fleet, MultiShardCheckpointResumeIsBitwise) {
                                           fx.policy(), crashed);
   EXPECT_LT(partial.total_runs(), uninterrupted.total_runs());
 
-  // The shard checkpoints carry the v5 fleet surface.
+  // Each shard checkpoint's fingerprint names its shard of the fleet and
+  // carries the placement-derived service models.
   const auto ckpt = load_latest_checkpoint(base + ".shard0");
   ASSERT_TRUE(ckpt.has_value());
-  EXPECT_EQ(ckpt->fleet_shards, 2);
-  EXPECT_EQ(ckpt->fleet_shard_index, 0);
-  EXPECT_TRUE(ckpt->has_service_models);
-  EXPECT_FALSE(ckpt->service_models.empty());
+  EXPECT_EQ(ckpt->fingerprint.fleet_shards, 2);
+  EXPECT_EQ(ckpt->fingerprint.fleet_shard_index, 0);
+  EXPECT_TRUE(ckpt->fingerprint.has_service_models);
+  EXPECT_FALSE(ckpt->fingerprint.service_models.empty());
 
   FleetConfig resume_cfg = cfg;
   resume_cfg.serving.checkpoint.base_path = base;

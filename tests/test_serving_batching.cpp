@@ -165,9 +165,9 @@ TEST(ServingBatching, CheckpointResumeRoundTripsBatchStateBitwise) {
 
   const auto ckpt = load_latest_checkpoint(base);
   ASSERT_TRUE(ckpt.has_value());
-  EXPECT_TRUE(ckpt->has_resilience);
-  EXPECT_TRUE(ckpt->batching_enabled);
-  EXPECT_EQ(ckpt->batch_cap, 8);
+  EXPECT_TRUE(ckpt->fingerprint.has_resilience);
+  EXPECT_TRUE(ckpt->fingerprint.batching_enabled);
+  EXPECT_EQ(ckpt->fingerprint.batch_cap, 8);
 
   const auto resumed = resume_with_odin(fx.tenants(), fx.nonideal, fx.cost,
                                         *ckpt, cfg);

@@ -6,9 +6,12 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/serving.hpp"
+#include "dnn/pruning.hpp"
 #include "reram/fault_injection.hpp"
 #include "test_helpers.hpp"
 
@@ -166,7 +169,7 @@ TEST(ServingRecovery, ResumeReplaysDeviceWearExactly) {
                   crashed, &first);
   const auto ckpt = load_latest_checkpoint(base);
   ASSERT_TRUE(ckpt.has_value());
-  ASSERT_TRUE(ckpt->has_faults);
+  ASSERT_TRUE(ckpt->fingerprint.has_faults);
 
   // The resuming process constructs a brand-new injector with the original
   // seed; resume replays the wear campaigns and verifies the fingerprint.
@@ -217,6 +220,69 @@ TEST(ServingRecovery, MismatchedConfigurationIsRefused) {
   EXPECT_FALSE(resume_with_odin(fx.tenants(), fx.nonideal, fx.cost, *ckpt,
                                 cfg, &faults)
                    .has_value());
+  remove_slots(base);
+}
+
+TEST(ServingRecovery, EachFingerprintFieldAloneRefusesResume) {
+  // Resume compares one fingerprint. Each case changes one field no other
+  // refusal test changes, and must be refused; the unchanged configuration
+  // must still resume. The walk runs as shard 0 of a two-shard fleet with
+  // service models and a leveled injector, so those fields are live.
+  Fixture fx;
+  // A second name, so the tenants in another order differ.
+  const ou::MappedModel other(
+      dnn::prune_model(testing::tiny_model("OtherNet"), 22), 128);
+  const std::vector<const ou::MappedModel*> tenants = {&fx.tenant_a, &other};
+  const std::string base = temp_base("fingerprint");
+  remove_slots(base);
+  ServingConfig cfg = fx.config(base);
+  cfg.fleet_shards = 2;
+  cfg.service_models = {{{1e-9, 2e-6}, 0.75}, {{3e-9, 4e-6}, 0.5}};
+  reram::FaultScheduleParams wear = fx.fault_params();
+  wear.leveling.enabled = true;
+  wear.leveling.spare_rows = 8;
+  wear.leveling.wear_budget_percent = 70;
+  {
+    ServingConfig crashed = cfg;
+    crashed.max_runs = 30;
+    reram::FaultInjector faults(wear, 0x5eed);
+    serve_with_odin(tenants, fx.nonideal, fx.cost, fx.fresh_policy(), crashed,
+                    &faults);
+  }
+  const auto ckpt = load_latest_checkpoint(base);
+  ASSERT_TRUE(ckpt.has_value());
+
+  using Tenants = std::vector<const ou::MappedModel*>;
+  struct Case {
+    const char* field;
+    void (*change)(ServingConfig&, Tenants&, reram::FaultScheduleParams&);
+  };
+  const Case cases[] = {
+      {"t_start_s", [](auto& c, auto&, auto&) { c.horizon.t_start_s = 2.0; }},
+      {"t_end_s", [](auto& c, auto&, auto&) { c.horizon.t_end_s = 1e7; }},
+      {"tenant order", [](auto&, auto& t, auto&) { std::swap(t[0], t[1]); }},
+      {"fleet_shard_index",
+       [](auto& c, auto&, auto&) { c.fleet_shard_index = 1; }},
+      {"service_models",
+       [](auto& c, auto&, auto&) {
+         c.service_models[1].pipeline_overlap = 0.6;
+       }},
+      {"spare rows", [](auto&, auto&, auto& w) { w.leveling.spare_rows = 9; }},
+      {"wear budget",
+       [](auto&, auto&, auto& w) { w.leveling.wear_budget_percent = 71; }},
+  };
+  const auto resumes = [&](const Case* c) {
+    ServingConfig config = cfg;
+    Tenants order = tenants;
+    reram::FaultScheduleParams params = wear;
+    if (c != nullptr) c->change(config, order, params);
+    reram::FaultInjector faults(params, 0x5eed);
+    return resume_with_odin(order, fx.nonideal, fx.cost, *ckpt, config,
+                            &faults)
+        .has_value();
+  };
+  for (const Case& c : cases) EXPECT_FALSE(resumes(&c)) << c.field;
+  EXPECT_TRUE(resumes(nullptr));
   remove_slots(base);
 }
 

@@ -443,10 +443,10 @@ TEST(ServingResilience, CheckpointResumeRoundTripsResilienceStateBitwise) {
 
   const auto ckpt = load_latest_checkpoint(base);
   ASSERT_TRUE(ckpt.has_value());
-  EXPECT_TRUE(ckpt->has_resilience);
-  EXPECT_EQ(ckpt->shed_policy,
+  EXPECT_TRUE(ckpt->fingerprint.has_resilience);
+  EXPECT_EQ(ckpt->fingerprint.shed_policy,
             static_cast<std::int32_t>(ShedPolicy::kShedOldest));
-  EXPECT_EQ(ckpt->queue_capacity, 2u);
+  EXPECT_EQ(ckpt->fingerprint.queue_capacity, 2u);
   EXPECT_EQ(ckpt->breakers.size(), 3u);
   EXPECT_EQ(ckpt->fallback_ous.size(), 3u);
 
@@ -481,6 +481,14 @@ TEST(ServingResilience, CheckpointResumeRoundTripsResilienceStateBitwise) {
   other.resilience.enabled = false;
   EXPECT_FALSE(resume_with_odin(fx.tenants(), fx.nonideal, fx.cost, *ckpt,
                                 other)
+                   .has_value());
+  // A queued arrival at or past the resume cursor cannot come from a real
+  // walk: a CRC-valid forged frame carrying one is refused before the walk
+  // indexes the schedule with it.
+  ServingCheckpoint forged = *ckpt;
+  forged.pending_runs.push_back(std::uint64_t{1} << 40);
+  EXPECT_FALSE(resume_with_odin(fx.tenants(), fx.nonideal, fx.cost, forged,
+                                cfg)
                    .has_value());
   std::remove((base + ".a").c_str());
   std::remove((base + ".b").c_str());
