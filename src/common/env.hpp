@@ -4,9 +4,8 @@
 // typo in a deployment manifest would change behaviour without a trace.
 // Every knob therefore parses strictly: the whole value must be well
 // formed, anything else warns once to stderr and falls back to the
-// built-in default (ODIN_THREADS, ODIN_PARALLEL_MIN_NS, ODIN_BATCH_MAX,
-// ODIN_SIMD, ODIN_SPARE_ROWS and ODIN_WEAR_BUDGET all follow this
-// contract).
+// built-in default (ODIN_THREADS, ODIN_BATCH_MAX, ODIN_SIMD,
+// ODIN_SPARE_ROWS and ODIN_WEAR_BUDGET all follow this contract).
 #pragma once
 
 namespace odin::common {

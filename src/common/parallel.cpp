@@ -28,21 +28,7 @@ int threads_from_env() {
 constexpr std::size_t kJobClosed =
     std::numeric_limits<std::size_t>::max() / 2;
 
-std::size_t min_work_from_env() {
-  long long v = 0;
-  if (env_long("ODIN_PARALLEL_MIN_NS", v) && v >= 0)
-    return static_cast<std::size_t>(v);
-  // Fork-join (wake + join) costs a handful of microseconds; below ~100us
-  // of total work the pool cannot break even even at perfect scaling.
-  return 100'000;
-}
-
 }  // namespace
-
-std::size_t ThreadPool::min_parallel_work_ns() noexcept {
-  static const std::size_t cutoff = min_work_from_env();
-  return cutoff;
-}
 
 ThreadPool& ThreadPool::instance() {
   static ThreadPool pool(threads_from_env());

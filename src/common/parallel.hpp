@@ -88,9 +88,11 @@ class ThreadPool {
   }
 
   /// Total-work cutoff (nanoseconds) below which hinted regions run
-  /// inline. Read once from ODIN_PARALLEL_MIN_NS (default 100000 = 100us,
-  /// several times the measured fork-join wake+join overhead).
-  static std::size_t min_parallel_work_ns() noexcept;
+  /// inline: 100us, several times the measured fork-join wake+join
+  /// overhead, so below it the pool cannot break even at perfect scaling.
+  static constexpr std::size_t min_parallel_work_ns() noexcept {
+    return 100'000;
+  }
 
   ~ThreadPool();
 

@@ -198,7 +198,7 @@ struct ClusterResult {
   std::vector<MeshOutage> outages;  ///< resolved windows, ascending start
 
   /// Post-outage served fraction of victim-tenant arrivals (1 when no
-  /// outage produced victims) — the bench's recovery figure.
+  /// outage produced victims) — the cluster's recovery figure.
   double victim_recovery() const noexcept;
   double rto_mean_s() const noexcept;
   double rpo_mean_s() const noexcept;

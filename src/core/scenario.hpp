@@ -3,11 +3,6 @@
 // tenant priority tiers, tenant churn, correlated fault storms, and a
 // reactive PE-block autoscaler.
 //
-// Naming note: this is the *workload* trace layer — the deterministic
-// stream of request arrivals, churn and chaos events a campaign replays.
-// It is unrelated to core/trace.hpp, which records per-run *outputs* of a
-// finished walk into a CSV (see the disambiguation note there).
-//
 // Design (DESIGN.md §17):
 //  * ScenarioConfig → build_trace() expands one seed into the full cast:
 //    tenants with tier-derived SLO budgets, arrival weights, service
@@ -175,8 +170,8 @@ struct ScenarioTrace {
 
   double diurnal(double t_s) const;
   bool crowd_active(std::size_t crowd, double t_s) const;
-  /// True when any flash crowd is active at t (the "flash phase" the
-  /// bench compares autoscaled vs static placement over).
+  /// True when any flash crowd is active at t (the "flash phase" over
+  /// which autoscaled and static placement are compared).
   bool in_flash_phase(double t_s) const;
   /// Effective arrival weight of tenant i at time t (0 while churned out;
   /// amplified by flash crowds targeting it).

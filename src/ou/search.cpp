@@ -45,8 +45,8 @@ Score evaluate(const LayerContext& ctx, OuConfig config) {
 
 /// Analytic evaluation is ~1us per candidate; fan-outs of a handful of
 /// neighbours (or one small grid) sit far below the fork-join break-even,
-/// so the hint keeps them on the inline path (BENCH_parallel.json showed
-/// sub-1.0x "speedups" when these tiny regions woke the pool).
+/// so the hint keeps them on the inline path (waking the pool for these
+/// tiny regions measured slower than running them inline).
 constexpr std::size_t kEvaluateCostNs = 1000;
 
 int snap_level(const OuLevelGrid& grid, int size) {

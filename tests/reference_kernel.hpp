@@ -2,8 +2,7 @@
 // Crossbar MVM path (device physics evaluated per access, no precomputed
 // planes), rebuilt on top of the public state accessors. The plane-based
 // kernel in reram/crossbar.cpp must stay bitwise identical to this —
-// tests/test_mvm_kernel.cpp enforces it and bench/micro_mvm.cpp times the
-// two against each other.
+// tests/test_mvm_kernel.cpp enforces it.
 //
 // The reference evaluates noise-free: it matches a noisy crossbar exactly
 // only when every stochastic magnitude is zero (read_sigma = 0 makes the

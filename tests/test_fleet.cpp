@@ -4,15 +4,20 @@
 // two regression pins the whole subsystem hangs off: a single-shard fleet
 // is bitwise identical to serve_with_odin, and a mid-campaign multi-shard
 // checkpoint/resume (shards resumed concurrently) is bitwise identical to
-// an uninterrupted fleet run.
+// an uninterrupted fleet run. One case carries the sharded-throughput
+// headline: 9 shards serve ten mixed-width tenants at >= 3x one shard's
+// images/s, per-request EDP within 5%, with a better p99 slack than
+// round-robin placement.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
+#include "policy/offline.hpp"
 #include "test_helpers.hpp"
 
 namespace odin::core {
@@ -265,6 +270,67 @@ TEST(Fleet, ServiceModelsChargeNocAndCreditPipelining) {
       serve_fleet(tenants, fx.nonideal, fx.cost, fx.policy(), fx.fleet(1));
   EXPECT_GT(fleet.aggregate_images_per_s(),
             single.aggregate_images_per_s());
+}
+
+// --- sharded throughput headline --------------------------------------------
+
+TEST(Fleet, NineShardsTripleThroughputAtFlatEdpAndAwarePlacementWinsTail) {
+  Fixture fx;
+  // Ten tenants of mixed width. Indices 0 and 9 are the widest, so
+  // round-robin at 9 shards (t % 9) stacks them on shard 0, and with two
+  // segments per tenant their bursts are back-to-back in time: the shared
+  // device backlogs and its sojourn tail blows up.
+  const int scales[] = {6, 1, 2, 1, 3, 1, 2, 1, 2, 6};
+  std::vector<ou::MappedModel> models;
+  for (std::size_t i = 0; i < std::size(scales); ++i)
+    models.push_back(scaled_mapped("tenant" + std::to_string(i), scales[i],
+                                   0x51ee7 + i));
+  std::vector<const ou::MappedModel*> tenants;
+  for (const auto& m : models) tenants.push_back(&m);
+
+  // A design-time model outside the tenant list bootstraps the policy, so
+  // every fleet starts near-converged and the per-shard learning chains
+  // barely diverge.
+  const ou::MappedModel design = scaled_mapped("design", 4, 0xde51);
+  const ou::MappedModel* known[] = {&design};
+  policy::OfflineTrainConfig boot;
+  boot.time_samples = 4;
+  boot.t_start_s = 1.0;
+  boot.t_end_s = 2.0;
+  policy::OuPolicy bootstrapped = policy::train_offline_policy(
+      known, fx.nonideal, fx.cost, ou::OuLevelGrid(128), boot);
+
+  // A burst horizon whose inter-arrival gaps sit below every tenant's
+  // service time, so each segment queues and its backlog spills into the
+  // shard's next segment. No flat per-eval search cost: a width-blind
+  // service term would make tenant count the balance that matters.
+  FleetConfig base;
+  base.serving.horizon =
+      HorizonConfig{.t_start_s = 1.0, .t_end_s = 1.05, .runs = 400};
+  base.serving.segments = 20;
+  base.serving.resilience.enabled = true;
+  base.serving.resilience.queue_capacity = 10'000;
+  base.serving.resilience.shed = ShedPolicy::kBlock;
+  base.serving.resilience.breaker.failure_threshold = 1'000'000;
+  base.serving.resilience.default_slo_s = 1.0;
+  auto serve = [&](int shards, bool noc_aware) {
+    FleetConfig cfg = base;
+    cfg.shards = shards;
+    cfg.noc_aware = noc_aware;
+    return serve_fleet(tenants, fx.nonideal, fx.cost, bootstrapped.clone(),
+                       cfg);
+  };
+  const FleetResult one = serve(1, true);
+  const FleetResult nine = serve(9, true);
+  const FleetResult round_robin = serve(9, false);
+
+  // Sharding scales: the same physical serves spread over the mesh.
+  EXPECT_GE(nine.aggregate_images_per_s(), 3.0 * one.aggregate_images_per_s())
+      << nine.aggregate_images_per_s() / one.aggregate_images_per_s() << "x";
+  EXPECT_NEAR(nine.edp_per_request(), one.edp_per_request(),
+              0.05 * one.edp_per_request());
+  // Placement matters: aware placement keeps the two widest tenants apart.
+  EXPECT_GT(nine.slack_percentile(99.0), round_robin.slack_percentile(99.0));
 }
 
 // --- multi-shard checkpoint/resume ------------------------------------------

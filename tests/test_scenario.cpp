@@ -378,7 +378,7 @@ TEST(Scenario, AutoscaledBeatsStaticOnFlashPhaseSlack) {
   cfg.scenario.storms = {storm1, storm2};
   cfg.shards = 6;
   cfg.epochs = 96;
-  cfg.queue_shed_slo_mult = 400.0;  // keep flash backlogs visible (bench)
+  cfg.queue_shed_slo_mult = 400.0;  // keep flash backlogs visible
 
   cfg.autoscale.enabled = 1;
   const CampaignResult autoscaled = run_campaign(cfg);
