@@ -59,14 +59,35 @@ class Rng {
     return static_cast<std::uint64_t>(uniform() * static_cast<double>(n));
   }
 
+  /// Uniform in (0, 1): uniform() with its exact zero redrawn.
+  double uniform_positive() noexcept {
+    double u = uniform();
+    while (u <= 0.0) u = uniform();
+    return u;
+  }
+
+  /// The Box-Muller transform normal() applies to its two draws, u1 in
+  /// (0, 1) and u2 in [0, 1). Callers that inspect u1 before paying for
+  /// log/cos (dnn::prune_layer) finish through here, so their values
+  /// cannot drift from normal()'s.
+  static double box_muller(double u1, double u2) noexcept {
+    return std::sqrt(-2.0 * std::log(u1)) *
+           std::cos(2.0 * std::numbers::pi * u2);
+  }
+
   /// Standard normal via Box-Muller (no cached second value, keeps state
   /// strictly sequential and therefore easy to reason about in tests).
   double normal() noexcept {
-    double u1 = uniform();
-    while (u1 <= 0.0) u1 = uniform();
-    const double u2 = uniform();
-    return std::sqrt(-2.0 * std::log(u1)) *
-           std::cos(2.0 * std::numbers::pi * u2);
+    const double u1 = uniform_positive();
+    return box_muller(u1, uniform());
+  }
+
+  /// Advance the state exactly as normal() does, without the transform:
+  /// the same redraws of a zero u1, then the u2 draw.
+  void discard_normal() noexcept {
+    while ((next_u64() >> 11) == 0) {
+    }
+    (void)next_u64();
   }
 
   double normal(double mean, double stddev) noexcept {
@@ -74,6 +95,10 @@ class Rng {
   }
 
   bool bernoulli(double p) noexcept { return uniform() < p; }
+
+  /// Equal iff both generators hold the same state (and so draw the same
+  /// stream from here on).
+  friend bool operator==(const Rng&, const Rng&) = default;
 
   /// Derive an independent child generator (for per-layer / per-module
   /// streams that must not perturb each other when one consumes more draws).

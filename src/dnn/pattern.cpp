@@ -39,6 +39,21 @@ bool WeightPattern::test(int r, int c) const noexcept {
   return (words_[word_index(r, c)] >> (c & 63)) & 1ULL;
 }
 
+std::span<std::uint64_t> WeightPattern::row_words(int r) noexcept {
+  assert(r >= 0 && r < rows_);
+  return {words_.data() + word_index(r, 0), words_per_row_};
+}
+
+std::span<const std::uint64_t> WeightPattern::row_words(int r) const noexcept {
+  assert(r >= 0 && r < rows_);
+  return {words_.data() + word_index(r, 0), words_per_row_};
+}
+
+void WeightPattern::recount() noexcept {
+  nonzeros_ = 0;
+  for (const std::uint64_t w : words_) nonzeros_ += std::popcount(w);
+}
+
 double WeightPattern::sparsity() const noexcept {
   const double total = static_cast<double>(rows_) * cols_;
   return total > 0 ? 1.0 - static_cast<double>(nonzeros_) / total : 0.0;

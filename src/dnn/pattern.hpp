@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace odin::dnn {
@@ -26,6 +27,17 @@ class WeightPattern {
 
   std::int64_t nonzeros() const noexcept { return nonzeros_; }
   double sparsity() const noexcept;
+
+  /// Row r's mask words: column c is bit (c & 63) of word (c >> 6). Writing
+  /// them directly lets rows be filled concurrently, one row per task;
+  /// nonzeros() is stale until recount().
+  std::span<std::uint64_t> row_words(int r) noexcept;
+  std::span<const std::uint64_t> row_words(int r) const noexcept;
+
+  /// Recompute nonzeros() from the words after row_words() writes.
+  void recount() noexcept;
+
+  bool operator==(const WeightPattern&) const = default;
 
   /// True iff the rectangle [r0, r0+h) x [c0, c0+w) contains at least one
   /// non-zero weight (rectangle clipped to the matrix bounds).

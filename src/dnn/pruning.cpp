@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <span>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace odin::dnn {
@@ -20,6 +23,16 @@ common::Rng row_rng(std::uint64_t layer_seed, int row) {
 double row_importance(common::Rng& rng, double sigma) {
   return std::exp(sigma * rng.normal());
 }
+
+/// Relative widening of pass 2's early-reject bound. Rounding in the
+/// magnitude chain is below 1e-15 relative, so 1e-6 leaves orders of
+/// magnitude of room and sends only a ~1e-6 share of weights down the
+/// exact path.
+constexpr double kRejectMargin = 1e-6;
+
+/// Rough cost of one weight in either pass (ns), for the pool's cutoff
+/// that keeps small layers inline.
+constexpr std::size_t kNsPerWeight = 25;
 
 }  // namespace
 
@@ -73,37 +86,73 @@ WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
       0.05, 0.95);
 
   const std::int64_t total = layer.weight_count();
-  const std::int64_t stride =
-      std::max<std::int64_t>(1, total / config.quantile_samples);
+  const std::int64_t stride = std::max<std::int64_t>(
+      1, total / std::max<std::int64_t>(1, config.quantile_samples));
+  const double sigma = config.row_importance_sigma;
+  const auto rows = static_cast<std::size_t>(layer.fan_in);
+  const std::int64_t cols = layer.outputs;
 
-  // Pass 1: strided sample of magnitudes -> quantile threshold.
-  std::vector<double> sample;
-  sample.reserve(static_cast<std::size_t>(total / stride + 1));
-  std::int64_t flat = 0;
-  for (int r = 0; r < layer.fan_in; ++r) {
-    common::Rng rng = row_rng(seed, r);
-    const double imp = row_importance(rng, config.row_importance_sigma);
-    for (int c = 0; c < layer.outputs; ++c, ++flat) {
-      const double mag = imp * std::abs(rng.normal());
-      if (flat % stride == 0) sample.push_back(mag);
-    }
-  }
-  std::sort(sample.begin(), sample.end());
-  const auto cut = static_cast<std::size_t>(
-      target * static_cast<double>(sample.size()));
-  const double threshold =
-      cut >= sample.size() ? sample.back() + 1.0 : sample[cut];
+  // Pass 1: the magnitudes at flat indices 0, stride, 2*stride, ... form
+  // the quantile sample; row r fills its own slots. Every other weight
+  // only advances the row's stream. The sample is freed before the mask
+  // is allocated, so the two never coexist.
+  const double threshold = [&] {
+    std::vector<double> sample(
+        static_cast<std::size_t>((total + stride - 1) / stride));
+    common::parallel_for(
+        0, rows, 0,
+        [&](std::size_t r) {
+          common::Rng rng = row_rng(seed, static_cast<int>(r));
+          const double imp = row_importance(rng, sigma);
+          const std::int64_t first = static_cast<std::int64_t>(r) * cols;
+          std::int64_t slot = (first + stride - 1) / stride;
+          std::int64_t next = slot * stride - first;  // next sampled column
+          for (std::int64_t c = 0; c < cols; ++c) {
+            if (c == next) {
+              sample[static_cast<std::size_t>(slot++)] =
+                  imp * std::abs(rng.normal());
+              next += stride;
+            } else {
+              rng.discard_normal();
+            }
+          }
+        },
+        static_cast<std::size_t>(cols) * kNsPerWeight);
+    // target <= 0.95 keeps the cut inside the sample.
+    const auto cut = static_cast<std::size_t>(
+        target * static_cast<double>(sample.size()));
+    assert(cut < sample.size());
+    std::nth_element(sample.begin(),
+                     sample.begin() + static_cast<std::ptrdiff_t>(cut),
+                     sample.end());
+    return sample[cut];
+  }();
 
   // Pass 2: regenerate the identical stream; keep weights above threshold.
+  // |cos| <= 1 bounds a magnitude by imp * sqrt(-2 ln u1), so a weight whose
+  // u1 exceeds exp(-(threshold/imp)^2 / 2) cannot reach the threshold and
+  // skips log/cos; the margin absorbs rounding (DESIGN.md §21).
   WeightPattern pattern(layer.fan_in, layer.outputs);
-  for (int r = 0; r < layer.fan_in; ++r) {
-    common::Rng rng = row_rng(seed, r);
-    const double imp = row_importance(rng, config.row_importance_sigma);
-    for (int c = 0; c < layer.outputs; ++c) {
-      const double mag = imp * std::abs(rng.normal());
-      if (mag >= threshold) pattern.set(r, c);
-    }
-  }
+  common::parallel_for(
+      0, rows, 0,
+      [&](std::size_t r) {
+        common::Rng rng = row_rng(seed, static_cast<int>(r));
+        const double imp = row_importance(rng, sigma);
+        const double ratio = threshold / imp;
+        const double reject_above =
+            std::exp(-0.5 * ratio * ratio) * (1.0 + kRejectMargin);
+        const std::span<std::uint64_t> words =
+            pattern.row_words(static_cast<int>(r));
+        for (std::int64_t c = 0; c < cols; ++c) {
+          const double u1 = rng.uniform_positive();
+          const double u2 = rng.uniform();
+          if (u1 > reject_above) continue;
+          if (imp * std::abs(common::Rng::box_muller(u1, u2)) >= threshold)
+            words[static_cast<std::size_t>(c >> 6)] |= 1ULL << (c & 63);
+        }
+      },
+      static_cast<std::size_t>(cols) * kNsPerWeight);
+  pattern.recount();
   // Never prune a layer to fully-zero: keep at least one weight so the
   // mapper always has work (mirrors real pruners' per-layer floors).
   if (pattern.nonzeros() == 0) pattern.set(0, 0);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/math.hpp"
@@ -62,6 +63,30 @@ TEST(Rng, NormalHasApproximatelyUnitMoments) {
   }
   EXPECT_NEAR(sum / kN, 0.0, 0.02);
   EXPECT_NEAR(sq / kN, 1.0, 0.03);
+}
+
+TEST(Rng, DiscardNormalAdvancesExactlyLikeNormal) {
+  // dnn::prune_layer skips unsampled magnitudes with discard_normal(); the
+  // weights after them are only right if the stream ends up where
+  // normal() would have left it.
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0x0d1e5eedULL, ~0ULL}) {
+    Rng drawn(seed), discarded(seed);
+    for (int i = 0; i < 300'000; ++i) {
+      (void)drawn.normal();
+      discarded.discard_normal();
+      ASSERT_TRUE(drawn == discarded) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Rng, NormalIsBoxMullerOfItsTwoDraws) {
+  Rng a(5), b(5);
+  for (int i = 0; i < 10'000; ++i) {
+    const double u1 = b.uniform_positive();
+    const double u2 = b.uniform();
+    ASSERT_EQ(a.normal(), Rng::box_muller(u1, u2));
+  }
+  EXPECT_TRUE(a == b);
 }
 
 TEST(Rng, ForkedStreamsAreIndependentOfParentConsumption) {

@@ -1,9 +1,17 @@
 // Tests for the crossbar-aware pruner: sparsity targeting, determinism,
-// and the row-structured zero patterns that OU skipping relies on.
+// the row-structured zero patterns that OU skipping relies on, and the
+// bitwise pins of the row-parallel pruner against the serial reference
+// (tests/reference_pruning.hpp) and against recorded mask checksums.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/crc32.hpp"
+#include "core/experiment.hpp"
 #include "dnn/pruning.hpp"
 #include "dnn/zoo.hpp"
+#include "reference_pruning.hpp"
 
 namespace odin::dnn {
 namespace {
@@ -87,6 +95,98 @@ TEST(PruneLayer, NeverFullyZero) {
   layer.fan_in = 2;
   const WeightPattern p = prune_layer(layer, 1);
   EXPECT_GE(p.nonzeros(), 1);
+}
+
+TEST(PruneLayer, NonPositiveQuantileSamplesClampToOne) {
+  // A zero or negative sample cap used to divide by zero; it now means a
+  // one-weight sample, exactly as quantile_samples = 1 does.
+  const auto layer = conv_layer(16, 32, 3);
+  PruningConfig one;
+  one.quantile_samples = 1;
+  const WeightPattern expected = prune_layer(layer, 5, one);
+  EXPECT_TRUE(expected == testref::prune_layer(layer, 5, one));
+  for (const std::int64_t samples : {0LL, -1LL, -200'000LL}) {
+    PruningConfig config;
+    config.quantile_samples = samples;
+    EXPECT_TRUE(prune_layer(layer, 5, config) == expected)
+        << "quantile_samples " << samples;
+  }
+}
+
+LayerDescriptor matrix_layer(LayerType type, int fan_in, int outputs) {
+  LayerDescriptor l = conv_layer(fan_in, outputs, 1);
+  l.type = type;
+  return l;
+}
+
+TEST(PruneLayer, MatchesSerialReferenceAcrossShapes) {
+  struct Shape {
+    const char* name;
+    LayerDescriptor layer;
+  };
+  const std::vector<Shape> shapes = {
+      {"3x3 conv, stride 1", conv_layer(64, 128, 3)},
+      {"outputs 10", matrix_layer(LayerType::kConv, 300, 10)},
+      {"outputs 64", conv_layer(32, 64, 3)},
+      {"outputs 65", matrix_layer(LayerType::kConv, 777, 65)},
+      {"outputs 65, stride 3", matrix_layer(LayerType::kConv, 10'000, 65)},
+      {"outputs 100, 399,900 weights (stride 1)",
+       matrix_layer(LayerType::kConv, 3'999, 100)},
+      {"outputs 100, 400,000 weights (stride 2)",
+       matrix_layer(LayerType::kConv, 4'000, 100)},
+      {"outputs 100, 400,100 weights (stride 2)",
+       matrix_layer(LayerType::kConv, 4'001, 100)},
+      {"fan_in 1", matrix_layer(LayerType::kConv, 1, 200)},
+      {"fc 512x10", matrix_layer(LayerType::kFullyConnected, 512, 10)},
+      {"attention 384x1152", matrix_layer(LayerType::kAttention, 384, 1152)},
+      {"4608x512 (stride 11)", conv_layer(512, 512, 3)},
+  };
+  for (const std::uint64_t seed : {1ULL, 0x0d1e5eedULL, 0xfeedfaceULL}) {
+    for (const Shape& s : shapes)
+      EXPECT_TRUE(prune_layer(s.layer, seed) ==
+                  testref::prune_layer(s.layer, seed))
+          << s.name << ", seed " << seed;
+  }
+}
+
+/// CRC-32 of every mask word of every layer, fed little-endian, so the pin
+/// does not depend on the host's byte order.
+std::uint32_t mask_crc(const PrunedModel& pm) {
+  std::uint32_t crc = 0;
+  for (const WeightPattern& p : pm.patterns)
+    for (int r = 0; r < p.rows(); ++r)
+      for (const std::uint64_t w : p.row_words(r)) {
+        unsigned char bytes[8];
+        for (int i = 0; i < 8; ++i)
+          bytes[i] = static_cast<unsigned char>(w >> (8 * i));
+        crc = common::crc32(bytes, sizeof bytes, crc);
+      }
+  return crc;
+}
+
+TEST(PruneModel, MasksMatchRecordedChecksums) {
+  // Recorded from the serial two-pass pruner at the paper set-up's prune
+  // seed. Every mask feeds Phi_2 and the OU block counts, so any change
+  // here moves simulated figures.
+  struct Pin {
+    DnnModel (*make)(data::DatasetKind);
+    std::uint32_t crc;
+    std::int64_t nonzeros;
+  };
+  const Pin pins[] = {
+      {make_resnet18, 0x54404a55u, 2'312'810},
+      {make_vgg11, 0xce5728ecu, 1'836'942},
+      {make_googlenet, 0x0201f7fcu, 1'653'678},
+      {make_vit, 0x354eb3b0u, 1'765'309},
+      {make_mobilenetv1, 0xc5f4a925u, 1'349'937},
+  };
+  const std::uint64_t seed = core::Setup{}.prune_seed;
+  for (const Pin& pin : pins) {
+    const PrunedModel pm =
+        prune_model(pin.make(data::DatasetKind::kCifar10), seed);
+    EXPECT_EQ(mask_crc(pm), pin.crc) << pm.model.name;
+    EXPECT_EQ(pm.total_nonzeros(), pin.nonzeros) << pm.model.name;
+  }
 }
 
 TEST(PruneModel, UpdatesDescriptorsAndKeepsAlignment) {

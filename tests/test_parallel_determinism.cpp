@@ -1,6 +1,7 @@
 // Determinism contract of the parallel execution layer: every parallelized
 // tier (tile MVM/programming, OU search, experiment sweeps, offline dataset
-// generation) must produce results bitwise identical to ODIN_THREADS=1.
+// generation, set-up pruning) must produce results bitwise identical to
+// ODIN_THREADS=1.
 // Every comparison below is exact (EXPECT_EQ on doubles), not tolerance-
 // based — that is the whole point.
 #include <gtest/gtest.h>
@@ -11,9 +12,12 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/baselines.hpp"
+#include "core/experiment.hpp"
 #include "core/hardware_inference.hpp"
 #include "core/serving.hpp"
 #include "data/synthetic.hpp"
+#include "dnn/pruning.hpp"
+#include "dnn/zoo.hpp"
 #include "policy/offline.hpp"
 #include "policy/policy.hpp"
 #include "reram/fault_injection.hpp"
@@ -38,6 +42,31 @@ AggregateResult run_odin(int threads) {
                      policy::OuPolicy(ou::OuLevelGrid(128)));
   const HorizonConfig horizon{.t_start_s = 1.0, .t_end_s = 1e7, .runs = 40};
   return simulate_odin(ctl, horizon);
+}
+
+std::vector<dnn::PrunedModel> prune_zoo(int threads) {
+  common::ThreadPool::instance().set_threads(threads);
+  const auto ds = data::DatasetKind::kCifar10;
+  const std::uint64_t seed = Setup{}.prune_seed;
+  std::vector<dnn::PrunedModel> out;
+  for (auto make : {dnn::make_resnet18, dnn::make_vgg11, dnn::make_googlenet,
+                    dnn::make_vit, dnn::make_mobilenetv1})
+    out.push_back(dnn::prune_model(make(ds), seed));
+  return out;
+}
+
+TEST(ParallelDeterminism, PruneModelBitwiseIdentical) {
+  // Rows are pruned concurrently; each owns its RNG stream, its quantile
+  // sample slots and its mask words.
+  const auto seq = prune_zoo(1);
+  const auto par = prune_zoo(4);
+  ASSERT_EQ(seq.size(), par.size());
+  for (std::size_t m = 0; m < seq.size(); ++m) {
+    ASSERT_EQ(seq[m].patterns.size(), par[m].patterns.size());
+    for (std::size_t i = 0; i < seq[m].patterns.size(); ++i)
+      EXPECT_TRUE(seq[m].patterns[i] == par[m].patterns[i])
+          << seq[m].model.name << " layer " << i;
+  }
 }
 
 TEST(ParallelDeterminism, OdinExperimentBitwiseIdentical) {
