@@ -1,11 +1,12 @@
-// Strict environment-variable parsing, shared by every ODIN_* knob.
+// Strict environment-variable parsing for the two environment knobs,
+// ODIN_THREADS (common/parallel) and ODIN_SIMD (reram/batch_gemm). Both
+// pick how the host computes, never a simulated number.
 //
 // std::strtol alone maps "abc" to 0 and "8cores" to 8, both silently — a
 // typo in a deployment manifest would change behaviour without a trace.
-// Every knob therefore parses strictly: the whole value must be well
+// Each knob therefore parses strictly: the whole value must be well
 // formed, anything else warns once to stderr and falls back to the
-// built-in default (ODIN_THREADS, ODIN_BATCH_MAX, ODIN_SIMD,
-// ODIN_SPARE_ROWS and ODIN_WEAR_BUDGET all follow this contract).
+// built-in default.
 #pragma once
 
 namespace odin::common {

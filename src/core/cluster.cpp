@@ -8,11 +8,9 @@
 #include <limits>
 #include <memory>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "arch/noc.hpp"
-#include "common/env.hpp"
 #include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 
@@ -20,9 +18,6 @@ namespace odin::core {
 
 namespace {
 
-constexpr int kMaxMeshes = 8;
-constexpr int kDefaultReplicationEpochs = 4;
-constexpr int kMaxReplicationEpochs = 64;
 /// Serialized tenant state per replication push (and per restore pull):
 /// policy blob + breaker/ledger state at checkpoint granularity.
 constexpr double kReplicaBytesPerTenant = 4096.0;
@@ -38,40 +33,6 @@ int shards_per_mesh(const CampaignConfig& campaign, int meshes) {
 }
 
 }  // namespace
-
-int ClusterConfig::resolved_meshes() const {
-  long long n = meshes;
-  if (n <= 0) {
-    n = 1;
-    long long v = 0;
-    if (common::env_long("ODIN_MESHES", v) && v >= 1) n = v;
-  }
-  return static_cast<int>(std::clamp<long long>(n, 1, kMaxMeshes));
-}
-
-int ClusterConfig::resolved_replication_epochs() const {
-  long long n = replication_epochs;
-  if (n <= 0) {
-    n = kDefaultReplicationEpochs;
-    long long v = 0;
-    if (common::env_long("ODIN_REPLICATION_EPOCHS", v) && v >= 1) n = v;
-  }
-  return static_cast<int>(std::clamp<long long>(n, 1, kMaxReplicationEpochs));
-}
-
-bool FailoverConfig::resolved_enabled() const {
-  if (enabled >= 0) return enabled > 0;
-  const char* v = common::env_string("ODIN_FAILOVER");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  if (s == "on" || s == "1") return true;
-  if (s == "off" || s == "0") return false;
-  std::fprintf(stderr,
-               "odin: ignoring ODIN_FAILOVER='%s' (not on|off|1|0); "
-               "using default (on)\n",
-               v);
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // The campaign engine: one loop for a plain campaign (one mesh, pinned
@@ -190,8 +151,8 @@ std::optional<ClusterResult> run_cluster_impl(
   const int S = M * K;  ///< global shard count
   const int E = std::max(1, camp.epochs);
   const int R = config.resolved_replication_epochs();
-  const bool autoscale = camp.autoscale.resolved_enabled();
-  const bool fo = config.failover.resolved_enabled();
+  const bool autoscale = camp.autoscale.enabled;
+  const bool fo = config.failover.enabled;
   const std::size_t T = trace.tenants.size();
   const double h = scfg.horizon_s;
 
@@ -890,7 +851,7 @@ std::optional<ClusterResult> resume_cluster(const ClusterConfig& config) {
                         std::max<long long>(0, scfg.requests)) ||
       s.tenants != std::max(1, scfg.tenants) || s.shards != M * K ||
       s.epochs != std::max(1, config.campaign.epochs) ||
-      s.autoscale != config.campaign.autoscale.resolved_enabled())
+      s.autoscale != config.campaign.autoscale.enabled)
     return std::nullopt;
   if (ckpt->fingerprint.sojourn_cap !=
       static_cast<std::uint64_t>(config.campaign.sojourn_cap))
@@ -898,7 +859,7 @@ std::optional<ClusterResult> resume_cluster(const ClusterConfig& config) {
   const ClusterState& c = ckpt->cluster;
   if (c.meshes != M ||
       c.replication_epochs != config.resolved_replication_epochs() ||
-      c.failover != config.failover.resolved_enabled())
+      c.failover != config.failover.enabled)
     return std::nullopt;
   ClusterConfig cont = config;
   cont.campaign.max_requests = 0;
@@ -907,17 +868,15 @@ std::optional<ClusterResult> resume_cluster(const ClusterConfig& config) {
 
 namespace {
 
-/// The cluster a plain campaign runs as. Every cluster knob is pinned
-/// here, so no ODIN_MESHES / ODIN_FAILOVER / ODIN_REPLICATION_EPOCHS value
-/// reaches a campaign. One mesh with no outages never replicates, fails
-/// over or drops an arrival; the cadence only fills the fingerprint.
+/// The cluster a plain campaign runs as: the default one-mesh cluster
+/// with no outages and failover off. One mesh with no outages never
+/// replicates, fails over or drops an arrival; the cadence only fills the
+/// fingerprint.
 ClusterConfig one_mesh(const CampaignConfig& campaign) {
   ClusterConfig c;
   c.campaign = campaign;
-  c.meshes = 1;
   c.mesh_outages = 0;  // and no pinned `outages`
-  c.replication_epochs = kDefaultReplicationEpochs;
-  c.failover.enabled = 0;
+  c.failover.enabled = false;
   return c;
 }
 
@@ -983,7 +942,7 @@ std::optional<ClusterConfig> parse_cluster(std::istream& in) {
       if (args.size() != 1 || (args[0] != "on" && args[0] != "off" &&
                                args[0] != "1" && args[0] != "0"))
         return fail("want on|off|1|0");
-      cfg.failover.enabled = (args[0] == "on" || args[0] == "1") ? 1 : 0;
+      cfg.failover.enabled = args[0] == "on" || args[0] == "1";
     } else if (key == "outage") {
       MeshOutage o;
       long long mesh = -1;

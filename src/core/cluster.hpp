@@ -40,6 +40,7 @@
 // not fit that geometry.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -63,9 +64,7 @@ struct MeshOutage {
 
 /// Failover policy for tenants on a lost mesh.
 struct FailoverConfig {
-  /// Tri-state: < 0 defers to ODIN_FAILOVER ("on"/"off"/"1"/"0", strict
-  /// parse, garbage warns and keeps the default on), 0 = off, > 0 = on.
-  int enabled = -1;
+  bool enabled = true;
   /// Outage-to-detection delay before the first restore can start.
   double detection_s = 30.0;
   /// Per-tenant restore work on the destination (state reinstatement,
@@ -75,30 +74,32 @@ struct FailoverConfig {
   /// Breaker hold (in tenant runs) a restored tenant is pre-opened for —
   /// the degraded-admission regime until the half-open probe passes.
   int degraded_window = 8;
-
-  bool resolved_enabled() const;
 };
+
+/// Upper bounds of ClusterConfig::meshes and ::replication_epochs.
+inline constexpr int kMaxMeshes = 8;
+inline constexpr int kMaxReplicationEpochs = 64;
 
 struct ClusterConfig {
   /// The per-mesh campaign (scenario, shards *per mesh*, autoscale,
   /// epochs, checkpointing).
   CampaignConfig campaign{};
-  /// Mesh count; <= 0 defers to ODIN_MESHES (strict env_long parse,
-  /// default 1). Clamped to [1, 8].
-  int meshes = 0;
+  /// Mesh count. Clamped to [1, 8].
+  int meshes = 1;
   /// Outage windows; when empty, `mesh_outages` windows are drawn from the
   /// scenario seed with `outage_duration_frac` each.
   std::vector<MeshOutage> outages;
   int mesh_outages = 1;
   double outage_duration_frac = 0.25;
-  /// Replicate tenant state to a peer mesh every this many epochs; <= 0
-  /// defers to ODIN_REPLICATION_EPOCHS (strict parse, default 4). Clamped
-  /// to [1, 64].
-  int replication_epochs = 0;
+  /// Replicate tenant state to a peer mesh every this many epochs.
+  /// Clamped to [1, 64].
+  int replication_epochs = 4;
   FailoverConfig failover{};
 
-  int resolved_meshes() const;
-  int resolved_replication_epochs() const;
+  int resolved_meshes() const { return std::clamp(meshes, 1, kMaxMeshes); }
+  int resolved_replication_epochs() const {
+    return std::clamp(replication_epochs, 1, kMaxReplicationEpochs);
+  }
 };
 
 /// Durable cluster-engine state (serving checkpoint). The fingerprint

@@ -10,7 +10,6 @@
 
 #include "arch/pipeline.hpp"
 #include "arch/system.hpp"
-#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "core/checkpoint.hpp"
 #include "reram/fault_injection.hpp"
@@ -215,17 +214,6 @@ std::size_t pick_least_loaded_block(const std::vector<double>& demand,
     }
   }
   return best;
-}
-
-int FleetConfig::resolved_shards() const {
-  long long n = shards;
-  if (n <= 0) {
-    n = 1;
-    long long v = 0;
-    if (common::env_long("ODIN_SHARDS", v) && v >= 1) n = v;
-  }
-  const long long cap = pim.pes > 0 ? pim.pes : 1;
-  return static_cast<int>(std::clamp<long long>(n, 1, cap));
 }
 
 FleetPlacement place_fleet(

@@ -24,6 +24,7 @@
 // serve_with_odin does, and is bitwise identical to it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,9 +39,8 @@ struct FleetConfig {
   /// and segments are split across shards by tenant membership).
   ServingConfig serving{};
   arch::PimConfig pim{};
-  /// Shard count; <= 0 defers to ODIN_SHARDS (strict env_long parse,
-  /// default 1). Clamped to [1, pim.pes].
-  int shards = 0;
+  /// Shard count. Clamped to [1, pim.pes].
+  int shards = 1;
   /// NoC-aware greedy-then-refine placement; false = placement-oblivious
   /// round-robin (tenant t -> shard t % shards), the comparison baseline.
   bool noc_aware = true;
@@ -52,7 +52,9 @@ struct FleetConfig {
   /// Inter-layer activation precision on the NoC.
   int activation_bits = 8;
 
-  int resolved_shards() const;
+  int resolved_shards() const {
+    return std::clamp(shards, 1, std::max(1, pim.pes));
+  }
 };
 
 /// One tenant's placement outcome.

@@ -5,19 +5,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/env.hpp"
-
 namespace odin::core {
-
-int BatchingConfig::resolved_max_batch() const {
-  long long cap = max_batch;
-  if (cap <= 0) {
-    cap = 8;  // default when neither the config nor the env pins it
-    long long v = 0;
-    if (common::env_long("ODIN_BATCH_MAX", v) && v >= 1) cap = v;
-  }
-  return static_cast<int>(std::clamp<long long>(cap, 1, 1024));
-}
 
 namespace {
 

@@ -20,6 +20,7 @@
 // mutable state snapshots into the serving checkpoint.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -66,12 +67,11 @@ struct BreakerConfig {
 /// for throughput.
 struct BatchingConfig {
   bool enabled = false;
-  /// Upper bound on batch size; 0 defers to ODIN_BATCH_MAX (strict parse,
-  /// default 8). Clamped to [1, 1024].
-  int max_batch = 0;
+  /// Upper bound on batch size. Clamped to [1, 1024].
+  int max_batch = 8;
 
-  /// The effective cap after the env fallback and clamping.
-  int resolved_max_batch() const;
+  /// The effective cap after clamping.
+  int resolved_max_batch() const { return std::clamp(max_batch, 1, 1024); }
 };
 
 /// Per-tenant serving SLOs plus the admission/breaker/watchdog knobs.

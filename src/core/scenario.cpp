@@ -11,14 +11,11 @@
 #include <sstream>
 #include <utility>
 
-#include "common/env.hpp"
 #include "core/fleet.hpp"
 
 namespace odin::core {
 
 namespace {
-
-constexpr std::uint64_t kDefaultScenarioSeed = 1;
 
 /// Inter-layer pipeline speedup per extra PE of a shard block (the
 /// campaign-scale stand-in for arch::interlayer_pipeline).
@@ -64,28 +61,6 @@ const char* tier_name(PriorityTier tier) {
     case PriorityTier::kSilver: return "silver";
     default: return "bronze";
   }
-}
-
-std::uint64_t ScenarioConfig::resolved_seed() const {
-  if (seed != 0) return seed;
-  long long v = 0;
-  if (common::env_long("ODIN_SCENARIO_SEED", v) && v >= 1)
-    return static_cast<std::uint64_t>(v);
-  return kDefaultScenarioSeed;
-}
-
-bool AutoscaleConfig::resolved_enabled() const {
-  if (enabled >= 0) return enabled > 0;
-  const char* v = common::env_string("ODIN_AUTOSCALE");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  if (s == "on" || s == "1") return true;
-  if (s == "off" || s == "0") return false;
-  std::fprintf(stderr,
-               "odin: ignoring ODIN_AUTOSCALE='%s' (not on|off|1|0); "
-               "using default (on)\n",
-               v);
-  return true;
 }
 
 double ScenarioTrace::diurnal(double t_s) const {
@@ -574,7 +549,7 @@ std::optional<CampaignConfig> parse_scenario(std::istream& in) {
       if (args.size() != 1 || (args[0] != "on" && args[0] != "off" &&
                                args[0] != "1" && args[0] != "0"))
         return fail("want on|off|1|0");
-      cfg.autoscale.enabled = (args[0] == "on" || args[0] == "1") ? 1 : 0;
+      cfg.autoscale.enabled = args[0] == "on" || args[0] == "1";
     } else if (key == "sojourn-cap") {
       if (!integer(0, iv) || iv < 0) return fail("want integer >= 0");
       cfg.sojourn_cap = static_cast<std::size_t>(iv);

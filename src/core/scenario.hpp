@@ -84,9 +84,7 @@ struct FaultStorm {
 
 /// Reactive autoscaling policy over the campaign fleet.
 struct AutoscaleConfig {
-  /// Tri-state: < 0 defers to ODIN_AUTOSCALE ("on"/"off"/"1"/"0", strict
-  /// parse, garbage warns and keeps the default on), 0 = off, > 0 = on.
-  int enabled = -1;
+  bool enabled = true;
   /// Re-cut PE blocks only when max/mean per-PE shard demand over the last
   /// epoch exceeds this factor (hysteresis against thrashing).
   double imbalance_threshold = 1.25;
@@ -94,14 +92,11 @@ struct AutoscaleConfig {
   /// ledger — off the critical path, never the serving FIFO.
   double migration_cost_s = 2e-3;
   double migration_energy_j = 5e-4;
-
-  bool resolved_enabled() const;
 };
 
 struct ScenarioConfig {
-  /// 0 defers to ODIN_SCENARIO_SEED (strict env_long parse, values >= 1;
-  /// default 1).
-  std::uint64_t seed = 0;
+  /// Master seed; 0 reads as 1 (resolved_seed).
+  std::uint64_t seed = 1;
   int tenants = 64;
   long long requests = 100'000;
   /// Wall-clock span the arrival process is calibrated to cover.
@@ -140,7 +135,7 @@ struct ScenarioConfig {
   /// crowds create real transient overload instead of idling.
   double target_utilization = 0.45;
 
-  std::uint64_t resolved_seed() const;
+  std::uint64_t resolved_seed() const { return seed != 0 ? seed : 1; }
 };
 
 /// One tenant of the expanded trace.
@@ -398,9 +393,7 @@ struct CampaignResult {
 
 /// Run the campaign from the start: run_cluster (core/cluster.hpp) on one
 /// mesh with no outages, replication or failover, returning the campaign
-/// block of its result. Every cluster knob is pinned in code, so no
-/// ODIN_MESHES / ODIN_FAILOVER / ODIN_REPLICATION_EPOCHS value reaches a
-/// campaign. Deterministic and single-threaded.
+/// block of its result. Deterministic and single-threaded.
 CampaignResult run_campaign(const CampaignConfig& config);
 
 /// Resume an interrupted campaign from its checkpoint pair: resume_cluster

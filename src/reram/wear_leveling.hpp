@@ -19,6 +19,7 @@
 // accrual and the wear-fault projection consult the physical map.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -35,22 +36,23 @@ struct WearLevelingParams {
   /// Rotate the logical→physical row map every campaign (the cheap layer of
   /// the ladder; remap-on-wear still applies when this is off).
   bool rotate = true;
-  /// Spare-row pool size per crossbar; 0 defers to ODIN_SPARE_ROWS (strict
-  /// parse, default 16). Clamped to [1, 512].
-  int spare_rows = 0;
+  /// Spare-row pool size per crossbar. Clamped to [1, 512].
+  int spare_rows = 16;
   /// Fraction of a row's projected wear-out lifetime that may be consumed
-  /// before the row is proactively retired, as an integer percent; 0 defers
-  /// to ODIN_WEAR_BUDGET (strict parse, default 80). Clamped to [1, 100].
-  int wear_budget_percent = 0;
+  /// before the row is proactively retired, as an integer percent. Clamped
+  /// to [1, 100].
+  int wear_budget_percent = 80;
   /// Explicit per-row write-campaign cap overriding the projected lifetime
   /// (test hook: forces retirement without an endurance model). 0 = derive
   /// from the attached EnduranceModel.
   double row_cycle_budget = 0.0;
 
-  /// Effective spare-pool size after the env fallback and clamping.
-  int resolved_spare_rows() const;
+  /// Effective spare-pool size after clamping.
+  int resolved_spare_rows() const { return std::clamp(spare_rows, 1, 512); }
   /// Effective wear budget as a fraction in (0, 1].
-  double resolved_wear_budget() const;
+  double resolved_wear_budget() const {
+    return std::clamp(wear_budget_percent, 1, 100) / 100.0;
+  }
 };
 
 /// Durable per-crossbar wear/remap state (serving checkpoint). Vectors

@@ -31,19 +31,19 @@ void remove_slots(const std::string& base) {
   std::remove((base + ".b").c_str());
 }
 
-/// A small cluster campaign with every knob pinned so tests never depend on
-/// ODIN_MESHES / ODIN_REPLICATION_EPOCHS / ODIN_FAILOVER / ODIN_AUTOSCALE.
+/// A small three-mesh cluster campaign with one pinned outage on mesh 0.
+/// The knobs the tests below vary are spelled out, defaults included.
 ClusterConfig small_cluster() {
   ClusterConfig cfg;
   cfg.campaign.scenario.seed = 11;
   cfg.campaign.scenario.tenants = 48;
   cfg.campaign.scenario.requests = 20'000;
   cfg.campaign.shards = 4;
-  cfg.campaign.autoscale.enabled = 1;
+  cfg.campaign.autoscale.enabled = true;
   cfg.campaign.epochs = 12;
   cfg.meshes = 3;
   cfg.replication_epochs = 4;
-  cfg.failover.enabled = 1;
+  cfg.failover.enabled = true;
   MeshOutage outage;
   outage.start_frac = 0.55;
   outage.duration_frac = 0.25;
@@ -78,7 +78,7 @@ TEST(Cluster, MeshOutageWithFailoverEvacuatesWithinRto) {
   const ClusterConfig cfg = small_cluster();
   const ClusterResult on = run_cluster(cfg);
   ClusterConfig off_cfg = cfg;
-  off_cfg.failover.enabled = 0;
+  off_cfg.failover.enabled = false;
   const ClusterResult off = run_cluster(off_cfg);
 
   // The outage fired and failover actually evacuated tenants.
@@ -211,7 +211,7 @@ TEST(Cluster, ResumeRefusesWrongClusterGeometry) {
   }
   {
     ClusterConfig wrong = cfg;
-    wrong.failover.enabled = 0;
+    wrong.failover.enabled = false;
     EXPECT_FALSE(resume_cluster(wrong).has_value());
   }
   {
@@ -346,10 +346,10 @@ TEST(Cluster, ParserAcceptsTheDocumentedFormat) {
   EXPECT_EQ(cfg->campaign.scenario.tenants, 96);
   EXPECT_EQ(cfg->campaign.shards, 4);
   EXPECT_EQ(cfg->campaign.epochs, 24);
-  EXPECT_EQ(cfg->campaign.autoscale.enabled, 1);
+  EXPECT_TRUE(cfg->campaign.autoscale.enabled);
   EXPECT_EQ(cfg->meshes, 3);
   EXPECT_EQ(cfg->replication_epochs, 6);
-  EXPECT_EQ(cfg->failover.enabled, 1);
+  EXPECT_TRUE(cfg->failover.enabled);
   ASSERT_EQ(cfg->outages.size(), 2u);
   EXPECT_EQ(cfg->outages[0].start_frac, 0.5);
   EXPECT_EQ(cfg->outages[0].duration_frac, 0.2);

@@ -58,7 +58,7 @@ CampaignConfig small_campaign() {
   storm.campaigns = 4;
   cfg.scenario.storms = {storm};
   cfg.shards = 4;
-  cfg.autoscale.enabled = 1;  // pin: tests must not depend on ODIN_AUTOSCALE
+  cfg.autoscale.enabled = true;  // the default; the resume refusals flip it
   cfg.epochs = 12;
   return cfg;
 }
@@ -345,7 +345,7 @@ TEST(Scenario, ResumeRefusesWrongGeometry) {
   }
   {
     CampaignConfig wrong = cfg;
-    wrong.autoscale.enabled = 0;
+    wrong.autoscale.enabled = false;
     EXPECT_FALSE(resume_campaign(wrong).has_value());
   }
   {
@@ -380,9 +380,9 @@ TEST(Scenario, AutoscaledBeatsStaticOnFlashPhaseSlack) {
   cfg.epochs = 96;
   cfg.queue_shed_slo_mult = 400.0;  // keep flash backlogs visible
 
-  cfg.autoscale.enabled = 1;
+  cfg.autoscale.enabled = true;
   const CampaignResult autoscaled = run_campaign(cfg);
-  cfg.autoscale.enabled = 0;
+  cfg.autoscale.enabled = false;
   const CampaignResult fixed = run_campaign(cfg);
 
   EXPECT_GT(autoscaled.state.rescales, 0);
@@ -531,7 +531,7 @@ TEST(Scenario, ParserAcceptsTheDocumentedFormat) {
   EXPECT_EQ(cfg->scenario.storms[0].center_pe, 14);
   EXPECT_EQ(cfg->shards, 5);
   EXPECT_EQ(cfg->epochs, 24);
-  EXPECT_EQ(cfg->autoscale.enabled, 0);
+  EXPECT_FALSE(cfg->autoscale.enabled);
   EXPECT_EQ(cfg->sojourn_cap, 128u);
   EXPECT_EQ(cfg->checkpoint.base_path, "/tmp/campaign_ckpt");
   EXPECT_EQ(cfg->checkpoint.every_runs, 1000);

@@ -27,24 +27,22 @@
 //       latency SLOs, bounded admission queue with load shedding,
 //       circuit breakers and the hung-work watchdog. Reports deadline
 //       slack percentiles, shed/miss counts and breaker transitions.
-//       --batch-max enables deadline-aware batch formation over the
-//       admission queue with the given cap (0 = the ODIN_BATCH_MAX
-//       environment default); the summary then also reports batches
-//       formed, mean occupancy and SLO-capped growth.
-//       --wear SEED serves against a wear-leveled fault injector (spare
-//       pool sized by ODIN_SPARE_ROWS, retirement threshold by
-//       ODIN_WEAR_BUDGET) and reports per-tenant wear counters: rows
-//       remapped onto spares, crossbars retired (tenant migrated),
-//       leveled row writes, wear-deferred reprograms and the spare rows
-//       still unused.
-//       --shards N partitions the 36-PE mesh into N shards and serves
-//       them concurrently: tenants are placed NoC-/wear-aware
-//       (core/fleet.hpp), each shard runs its own serving loop, and the
-//       report adds a per-shard table plus fleet aggregates (makespan,
-//       images/s, per-request EDP, pooled p99 slack). 0 defers to the
-//       ODIN_SHARDS environment default (1). With --wear, each shard
-//       gets its own injector seeded SEED+k so placement can steer
-//       tenants off worn shards.
+//       --batch-max N enables deadline-aware batch formation over the
+//       admission queue with a cap of N (clamped to 1024); the summary
+//       then also reports batches formed, mean occupancy and SLO-capped
+//       growth.
+//       --wear SEED serves against a wear-leveled fault injector (16
+//       spare rows per crossbar, 80% wear budget) and reports per-tenant
+//       wear counters: rows remapped onto spares, crossbars retired
+//       (tenant migrated), leveled row writes, wear-deferred reprograms
+//       and the spare rows still unused.
+//       --shards N partitions the 36-PE mesh into N shards (default 1,
+//       clamped to the PE count) and serves them concurrently: tenants
+//       are placed NoC-/wear-aware (core/fleet.hpp), each shard runs its
+//       own serving loop, and the report adds a per-shard table plus
+//       fleet aggregates (makespan, images/s, per-request EDP, pooled
+//       p99 slack). With --wear, each shard gets its own injector seeded
+//       SEED+k so placement can steer tenants off worn shards.
 //   odin_cli campaign [--file SCENARIO] [--seed N] [--tenants N]
 //                     [--requests N] [--shards N] [--epochs N]
 //                     [--autoscale on|off] [--checkpoint BASE] [--every N]
@@ -56,19 +54,32 @@
 //       it. --max-requests simulates a crash mid-campaign; --resume
 //       reinstates the newest checkpoint of the pair and finishes the
 //       campaign bitwise-identical to an uninterrupted run.
+//   odin_cli cluster [campaign flags] [--meshes N] [--replication-epochs N]
+//                    [--failover on|off] [--mesh-outages N]
+//       The campaign across N independent meshes (core/cluster.hpp):
+//       seeded whole-mesh outages, checkpoint replication to a peer mesh
+//       and failover evacuation, with per-tenant RTO/RPO. --file also
+//       reads the cluster keys of a scenario file.
 //
-// All randomness is seeded; outputs are reproducible.
+// Numeric flags parse strictly: a malformed token or a value outside the
+// flag's range (for campaign and cluster flags, the range of the matching
+// scenario-file key) is a usage error with exit status 1. All randomness
+// is seeded; outputs are reproducible.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/math.hpp"
 #include "common/table.hpp"
 #include "core/checkpoint.hpp"
 #include "core/cluster.hpp"
@@ -102,6 +113,74 @@ std::optional<std::string> flag_value(int argc, char** argv,
   return std::nullopt;
 }
 
+bool has_flag(int argc, char** argv, const char* name) {
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], name) == 0) return true;
+  return false;
+}
+
+/// A flag value the command cannot accept: a usage error, exit status 1.
+[[noreturn]] void bad_flag(const char* name, const std::string& token,
+                           const char* want) {
+  std::fprintf(stderr, "odin_cli: bad %s '%s' (want %s)\n", name,
+               token.c_str(), want);
+  std::exit(1);
+}
+
+/// Reads numeric flag `name` into `out` and reports whether it was given;
+/// an absent flag leaves `out` as it is. The whole token must parse
+/// (core::parse_i64 for an integer field, core::parse_f64 for a real one)
+/// and lie in [lo, hi]; anything else is a usage error.
+template <typename T>
+bool read_flag(int argc, char** argv, const char* name, T& out,
+               std::type_identity_t<T> lo,
+               std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  const auto token = flag_value(argc, argv, name);
+  if (!token) return false;
+  constexpr bool real = std::is_floating_point_v<T>;
+  if constexpr (real) {
+    double v = 0.0;
+    if (core::parse_f64(*token, v) && v >= lo && v <= hi) {
+      out = v;
+      return true;
+    }
+  } else {
+    long long v = 0;
+    if (core::parse_i64(*token, v) && std::cmp_greater_equal(v, lo) &&
+        std::cmp_less_equal(v, hi)) {
+      out = static_cast<T>(v);
+      return true;
+    }
+  }
+  char want[96];
+  const char* kind = real ? "number" : "integer";
+  if (hi == std::numeric_limits<T>::max())
+    std::snprintf(want, sizeof(want), "%s >= %g", kind,
+                  static_cast<double>(lo));
+  else
+    std::snprintf(want, sizeof(want), "%s in [%g, %g]", kind,
+                  static_cast<double>(lo), static_cast<double>(hi));
+  bad_flag(name, *token, want);
+}
+
+/// Reads an on|off|1|0 flag into `out`; an absent flag leaves it as is.
+void read_switch(int argc, char** argv, const char* name, bool& out) {
+  const auto token = flag_value(argc, argv, name);
+  if (!token) return;
+  if (*token != "on" && *token != "off" && *token != "1" && *token != "0")
+    bad_flag(name, *token, "on|off|1|0");
+  out = *token == "on" || *token == "1";
+}
+
+/// --crossbar: a power of two >= 4 (the OU grid's contract), default 128.
+int crossbar_flag(int argc, char** argv) {
+  int n = 128;
+  read_flag(argc, argv, "--crossbar", n, 4);
+  if (!common::is_pow2(n))
+    bad_flag("--crossbar", std::to_string(n), "a power of two >= 4");
+  return n;
+}
+
 std::optional<dnn::DnnModel> build_workload(const std::string& name) {
   const auto reg = builders();
   const auto it = reg.find(name);
@@ -113,10 +192,13 @@ std::optional<dnn::DnnModel> build_workload(const std::string& name) {
 std::optional<ou::OuConfig> parse_ou(const std::string& text) {
   const auto x = text.find('x');
   if (x == std::string::npos) return std::nullopt;
-  const int r = std::atoi(text.substr(0, x).c_str());
-  const int c = std::atoi(text.substr(x + 1).c_str());
-  if (r < 1 || c < 1) return std::nullopt;
-  return ou::OuConfig{r, c};
+  long long r = 0, c = 0;
+  if (!core::parse_i64(text.substr(0, x), r) ||
+      !core::parse_i64(text.substr(x + 1), c) || r < 1 || c < 1 ||
+      r > std::numeric_limits<int>::max() ||
+      c > std::numeric_limits<int>::max())
+    return std::nullopt;
+  return ou::OuConfig{static_cast<int>(r), static_cast<int>(c)};
 }
 
 int cmd_workloads() {
@@ -150,17 +232,13 @@ int cmd_simulate(const std::string& workload, int argc, char** argv) {
                  workload.c_str());
     return 1;
   }
-  const int crossbar =
-      std::atoi(flag_value(argc, argv, "--crossbar").value_or("128").c_str());
+  const int crossbar = crossbar_flag(argc, argv);
   core::HorizonConfig horizon;
-  horizon.runs =
-      std::atoi(flag_value(argc, argv, "--runs").value_or("400").c_str());
-  const auto baseline =
-      parse_ou(flag_value(argc, argv, "--ou").value_or("16x16"));
-  if (!baseline) {
-    std::fprintf(stderr, "bad --ou (expected RxC)\n");
-    return 1;
-  }
+  horizon.runs = 400;
+  read_flag(argc, argv, "--runs", horizon.runs, 2);
+  const std::string ou = flag_value(argc, argv, "--ou").value_or("16x16");
+  const auto baseline = parse_ou(ou);
+  if (!baseline) bad_flag("--ou", ou, "RxC, integers >= 1");
 
   const core::Setup setup;
   const ou::NonIdealityModel nonideal = setup.make_nonideality(crossbar);
@@ -194,8 +272,7 @@ int cmd_simulate(const std::string& workload, int argc, char** argv) {
 int cmd_train_policy(const std::string& path, int argc, char** argv) {
   const std::string family =
       flag_value(argc, argv, "--exclude").value_or("VGG");
-  const int crossbar =
-      std::atoi(flag_value(argc, argv, "--crossbar").value_or("128").c_str());
+  const int crossbar = crossbar_flag(argc, argv);
   const std::map<std::string, dnn::Family> families{
       {"ResNet", dnn::Family::kResNet},   {"VGG", dnn::Family::kVgg},
       {"GoogLeNet", dnn::Family::kGoogLeNet},
@@ -227,10 +304,10 @@ int cmd_best_ou(const std::string& workload, int argc, char** argv) {
     std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
     return 1;
   }
-  const double t =
-      std::atof(flag_value(argc, argv, "--time").value_or("1").c_str());
-  const int only_layer =
-      std::atoi(flag_value(argc, argv, "--layer").value_or("-1").c_str());
+  double t = 1.0;
+  read_flag(argc, argv, "--time", t, 0.0);
+  int only_layer = -1;  // every layer
+  read_flag(argc, argv, "--layer", only_layer, 0);
 
   const core::Setup setup;
   const ou::NonIdealityModel nonideal = setup.make_nonideality();
@@ -269,14 +346,12 @@ int cmd_best_ou(const std::string& workload, int argc, char** argv) {
 /// fingerprint validation will (correctly) refuse to resume.
 core::ServingConfig serving_config_from_flags(int argc, char** argv) {
   core::ServingConfig config;
-  config.horizon.runs =
-      std::atoi(flag_value(argc, argv, "--runs").value_or("120").c_str());
-  config.segments =
-      std::atoi(flag_value(argc, argv, "--segments").value_or("4").c_str());
-  config.checkpoint.every_runs =
-      std::atoi(flag_value(argc, argv, "--every").value_or("25").c_str());
-  config.max_runs =
-      std::atoi(flag_value(argc, argv, "--max-runs").value_or("0").c_str());
+  config.horizon.runs = 120;
+  config.segments = 4;
+  read_flag(argc, argv, "--runs", config.horizon.runs, 2);
+  read_flag(argc, argv, "--segments", config.segments, 1);
+  read_flag(argc, argv, "--every", config.checkpoint.every_runs, 1);
+  read_flag(argc, argv, "--max-runs", config.max_runs, 0);
   return config;
 }
 
@@ -343,8 +418,7 @@ void print_wear_summary(const core::ServingResult& result,
   for (const core::TenantStats& t : result.tenants)
     table.add_row({t.name, common::Table::integer(t.rows_remapped),
                    common::Table::integer(t.crossbars_retired),
-                   common::Table::integer(
-                       static_cast<int>(t.writes_leveled)),
+                   common::Table::integer(t.writes_leveled),
                    common::Table::integer(t.wear_deferred_reprograms)});
   common::print_table("wear leveling (rotate / remap / retire / migrate)",
                       table);
@@ -407,8 +481,7 @@ int cmd_serve(int argc, char** argv) {
     std::fprintf(stderr, "--workloads needs at least one name\n");
     return 1;
   }
-  const int crossbar =
-      std::atoi(flag_value(argc, argv, "--crossbar").value_or("128").c_str());
+  const int crossbar = crossbar_flag(argc, argv);
   core::ServingConfig config = serving_config_from_flags(argc, argv);
   // Default to at least one segment per tenant so every workload serves.
   if (!flag_value(argc, argv, "--segments"))
@@ -416,10 +489,9 @@ int cmd_serve(int argc, char** argv) {
         names.size(), static_cast<std::size_t>(config.segments)));
   core::ResilienceConfig& res = config.resilience;
   res.enabled = true;
-  res.default_slo_s =
-      std::atof(flag_value(argc, argv, "--slo").value_or("0").c_str());
-  res.queue_capacity = static_cast<std::size_t>(std::atoi(
-      flag_value(argc, argv, "--queue").value_or("8").c_str()));
+  res.default_slo_s = 0.0;  // no SLO
+  read_flag(argc, argv, "--slo", res.default_slo_s, 0.0);
+  read_flag(argc, argv, "--queue", res.queue_capacity, 0);
   const std::string shed =
       flag_value(argc, argv, "--shed").value_or("oldest");
   if (shed == "block")
@@ -428,24 +500,22 @@ int cmd_serve(int argc, char** argv) {
     res.shed = core::ShedPolicy::kShedOldest;
   else if (shed == "newest")
     res.shed = core::ShedPolicy::kShedNewest;
-  else {
-    std::fprintf(stderr, "bad --shed (block|oldest|newest)\n");
-    return 1;
-  }
-  res.search_eval_cost_s =
-      std::atof(flag_value(argc, argv, "--eval-cost").value_or("0").c_str());
-  res.breaker.window = std::atoi(
-      flag_value(argc, argv, "--breaker-window").value_or("8").c_str());
-  res.breaker.failure_threshold = std::atoi(
-      flag_value(argc, argv, "--breaker-threshold").value_or("4").c_str());
-  res.watchdog_bound_s =
-      std::atof(
-          flag_value(argc, argv, "--watchdog-ms").value_or("0").c_str()) *
-      1e-3;
-  if (const auto batch_max = flag_value(argc, argv, "--batch-max")) {
-    res.batching.enabled = true;
-    res.batching.max_batch = std::atoi(batch_max->c_str());
-  }
+  else
+    bad_flag("--shed", shed, "block|oldest|newest");
+  read_flag(argc, argv, "--eval-cost", res.search_eval_cost_s, 0.0);
+  read_flag(argc, argv, "--breaker-window", res.breaker.window, 1, 64);
+  read_flag(argc, argv, "--breaker-threshold",
+            res.breaker.failure_threshold, 1);
+  double watchdog_ms = 0.0;
+  read_flag(argc, argv, "--watchdog-ms", watchdog_ms, 0.0);
+  res.watchdog_bound_s = watchdog_ms * 1e-3;
+  res.batching.enabled =
+      read_flag(argc, argv, "--batch-max", res.batching.max_batch, 1);
+  core::FleetConfig fleet;
+  read_flag(argc, argv, "--shards", fleet.shards, 1);
+  std::optional<std::uint64_t> wear_seed;
+  if (std::uint64_t seed = 0; read_flag(argc, argv, "--wear", seed, 0))
+    wear_seed = seed;
 
   const core::Setup setup;
   const ou::NonIdealityModel nonideal = setup.make_nonideality(crossbar);
@@ -466,22 +536,18 @@ int cmd_serve(int argc, char** argv) {
   // --shards N: partition the mesh and serve shards concurrently. With
   // --wear each shard owns a private injector seeded SEED+k so the
   // placement's wear term has distinct device histories to steer by.
-  core::FleetConfig fleet;
   fleet.serving = config;
-  fleet.shards = std::atoi(
-      flag_value(argc, argv, "--shards").value_or("0").c_str());
   const int shards = fleet.resolved_shards();
   if (shards > 1) {
     std::vector<reram::FaultInjector> owned_faults;
     std::vector<reram::FaultInjector*> shard_faults;
-    if (const auto wear_seed = flag_value(argc, argv, "--wear")) {
+    if (wear_seed) {
       reram::FaultScheduleParams wear;
       wear.leveling.enabled = true;
-      const auto seed = static_cast<std::uint64_t>(
-          std::strtoull(wear_seed->c_str(), nullptr, 10));
       owned_faults.reserve(static_cast<std::size_t>(shards));
       for (int k = 0; k < shards; ++k)
-        owned_faults.emplace_back(wear, seed + static_cast<std::uint64_t>(k));
+        owned_faults.emplace_back(wear,
+                                  *wear_seed + static_cast<std::uint64_t>(k));
       for (reram::FaultInjector& f : owned_faults)
         shard_faults.push_back(&f);
     }
@@ -495,11 +561,10 @@ int cmd_serve(int argc, char** argv) {
   // --wear SEED: share a wear-leveled injector across the tenants so the
   // serve report shows the rotate/remap/retire/migrate ladder in action.
   std::optional<reram::FaultInjector> faults;
-  if (const auto wear_seed = flag_value(argc, argv, "--wear")) {
+  if (wear_seed) {
     reram::FaultScheduleParams wear;
     wear.leveling.enabled = true;
-    faults.emplace(wear, static_cast<std::uint64_t>(
-                             std::strtoull(wear_seed->c_str(), nullptr, 10)));
+    faults.emplace(wear, *wear_seed);
   }
 
   const auto result = core::serve_with_odin(
@@ -519,8 +584,7 @@ int cmd_checkpoint(const std::string& base, int argc, char** argv) {
     std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
     return 1;
   }
-  const int crossbar =
-      std::atoi(flag_value(argc, argv, "--crossbar").value_or("128").c_str());
+  const int crossbar = crossbar_flag(argc, argv);
   core::ServingConfig config = serving_config_from_flags(argc, argv);
   config.checkpoint.base_path = base;
 
@@ -555,8 +619,7 @@ int cmd_resume(const std::string& base, int argc, char** argv) {
     std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
     return 1;
   }
-  const int crossbar =
-      std::atoi(flag_value(argc, argv, "--crossbar").value_or("128").c_str());
+  const int crossbar = crossbar_flag(argc, argv);
   core::ServingConfig config = serving_config_from_flags(argc, argv);
   config.checkpoint.base_path = base;  // keep checkpointing while resuming
   config.max_runs = 0;                 // finish the horizon
@@ -582,6 +645,23 @@ int cmd_resume(const std::string& base, int argc, char** argv) {
   return 0;
 }
 
+/// The nine flags `campaign` and `cluster` share. Each overrides its
+/// scenario-file key and accepts what that key accepts
+/// (docs/scenario_format.md); --max-requests has no key and takes any
+/// count >= 0 (0 = run to completion).
+void read_campaign_flags(int argc, char** argv, core::CampaignConfig& cfg) {
+  read_flag(argc, argv, "--seed", cfg.scenario.seed, 1);
+  read_flag(argc, argv, "--tenants", cfg.scenario.tenants, 1);
+  read_flag(argc, argv, "--requests", cfg.scenario.requests, 1);
+  read_flag(argc, argv, "--shards", cfg.shards, 1);
+  read_flag(argc, argv, "--epochs", cfg.epochs, 1);
+  read_switch(argc, argv, "--autoscale", cfg.autoscale.enabled);
+  if (const auto v = flag_value(argc, argv, "--checkpoint"))
+    cfg.checkpoint.base_path = *v;
+  read_flag(argc, argv, "--every", cfg.checkpoint.every_runs, 1);
+  read_flag(argc, argv, "--max-requests", cfg.max_requests, 0);
+}
+
 int cmd_campaign(int argc, char** argv) {
   core::CampaignConfig cfg;
   // A scenario file seeds the configuration; flags override it.
@@ -590,36 +670,10 @@ int cmd_campaign(int argc, char** argv) {
     if (!parsed) return 1;
     cfg = std::move(*parsed);
   }
-  if (const auto v = flag_value(argc, argv, "--seed"))
-    cfg.scenario.seed = std::strtoull(v->c_str(), nullptr, 10);
-  if (const auto v = flag_value(argc, argv, "--tenants"))
-    cfg.scenario.tenants = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--requests"))
-    cfg.scenario.requests = std::atoll(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--shards"))
-    cfg.shards = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--epochs"))
-    cfg.epochs = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--autoscale")) {
-    if (*v != "on" && *v != "off" && *v != "1" && *v != "0") {
-      std::fprintf(stderr, "bad --autoscale (on|off|1|0)\n");
-      return 1;
-    }
-    cfg.autoscale.enabled = (*v == "on" || *v == "1") ? 1 : 0;
-  }
-  if (const auto v = flag_value(argc, argv, "--checkpoint"))
-    cfg.checkpoint.base_path = *v;
-  if (const auto v = flag_value(argc, argv, "--every"))
-    cfg.checkpoint.every_runs = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--max-requests"))
-    cfg.max_requests = std::atoll(v->c_str());
-
-  bool resume = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--resume") == 0) resume = true;
+  read_campaign_flags(argc, argv, cfg);
 
   std::optional<core::CampaignResult> result;
-  if (resume) {
+  if (has_flag(argc, argv, "--resume")) {
     if (cfg.checkpoint.base_path.empty()) {
       std::fprintf(stderr, "--resume needs --checkpoint BASE\n");
       return 1;
@@ -656,49 +710,15 @@ int cmd_cluster(int argc, char** argv) {
     if (!parsed) return 1;
     cfg = std::move(*parsed);
   }
-  if (const auto v = flag_value(argc, argv, "--seed"))
-    cfg.campaign.scenario.seed = std::strtoull(v->c_str(), nullptr, 10);
-  if (const auto v = flag_value(argc, argv, "--tenants"))
-    cfg.campaign.scenario.tenants = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--requests"))
-    cfg.campaign.scenario.requests = std::atoll(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--shards"))
-    cfg.campaign.shards = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--epochs"))
-    cfg.campaign.epochs = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--meshes"))
-    cfg.meshes = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--replication-epochs"))
-    cfg.replication_epochs = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--failover")) {
-    if (*v != "on" && *v != "off" && *v != "1" && *v != "0") {
-      std::fprintf(stderr, "bad --failover (on|off|1|0)\n");
-      return 1;
-    }
-    cfg.failover.enabled = (*v == "on" || *v == "1") ? 1 : 0;
-  }
-  if (const auto v = flag_value(argc, argv, "--mesh-outages"))
-    cfg.mesh_outages = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--autoscale")) {
-    if (*v != "on" && *v != "off" && *v != "1" && *v != "0") {
-      std::fprintf(stderr, "bad --autoscale (on|off|1|0)\n");
-      return 1;
-    }
-    cfg.campaign.autoscale.enabled = (*v == "on" || *v == "1") ? 1 : 0;
-  }
-  if (const auto v = flag_value(argc, argv, "--checkpoint"))
-    cfg.campaign.checkpoint.base_path = *v;
-  if (const auto v = flag_value(argc, argv, "--every"))
-    cfg.campaign.checkpoint.every_runs = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--max-requests"))
-    cfg.campaign.max_requests = std::atoll(v->c_str());
-
-  bool resume = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--resume") == 0) resume = true;
+  read_campaign_flags(argc, argv, cfg.campaign);
+  read_flag(argc, argv, "--meshes", cfg.meshes, 1, core::kMaxMeshes);
+  read_flag(argc, argv, "--replication-epochs", cfg.replication_epochs, 1,
+            core::kMaxReplicationEpochs);
+  read_switch(argc, argv, "--failover", cfg.failover.enabled);
+  read_flag(argc, argv, "--mesh-outages", cfg.mesh_outages, 0);
 
   std::optional<core::ClusterResult> result;
-  if (resume) {
+  if (has_flag(argc, argv, "--resume")) {
     if (cfg.campaign.checkpoint.base_path.empty()) {
       std::fprintf(stderr, "--resume needs --checkpoint BASE\n");
       return 1;
@@ -768,10 +788,9 @@ int usage() {
                " tenant\n"
                "      evacuation onto surviving meshes under degraded"
                " admission;\n"
-               "      --meshes 0 = the ODIN_MESHES default, cluster keys in"
-               " the scenario\n"
-               "      file per docs/scenario_format.md; reports per-tenant"
-               " RTO/RPO)\n"
+               "      cluster keys in the scenario file per"
+               " docs/scenario_format.md;\n"
+               "      reports per-tenant RTO/RPO)\n"
                "  serve [--workloads A,B,C] [--runs N] [--segments K]"
                " [--crossbar N]\n"
                "        [--slo S] [--queue N] [--shed block|oldest|newest]"
@@ -785,17 +804,18 @@ int usage() {
                " watchdog stalls,\n"
                "      p50/p99 sojourn and deadline slack per tenant;"
                " --batch-max N\n"
-               "      enables deadline-aware batch formation, 0 = the"
-               " ODIN_BATCH_MAX default;\n"
+               "      enables deadline-aware batch formation with a cap of"
+               " N;\n"
                "      --wear SEED serves against a wear-leveled injector"
                " and reports rows\n"
                "      remapped, crossbars retired, leveled writes and spare"
                " rows left —\n"
-               "      pool size from ODIN_SPARE_ROWS, retirement threshold"
-               " from ODIN_WEAR_BUDGET;\n"
+               "      16 spare rows per crossbar, 80%% wear budget;\n"
                "      --shards N serves a sharded fleet with NoC-/wear-aware"
                " placement and\n"
-               "      per-shard loops, 0 = the ODIN_SHARDS default)\n");
+               "      per-shard loops)\n"
+               "  numeric flags parse strictly; a bad value exits with"
+               " status 1\n");
   return 2;
 }
 
