@@ -24,9 +24,11 @@ int main() {
       setup.make_mapped(dnn::make_vgg11(data::DatasetKind::kCifar10));
   std::printf("VGG11 on CIFAR-10: %zu layers, %lld weights, %.1f%% sparse, "
               "%lld crossbars occupied\n",
-              vgg11.layer_count(), vgg11.model().total_weights(),
+              vgg11.layer_count(),
+              static_cast<long long>(vgg11.model().total_weights()),
               100.0 * vgg11.model().overall_sparsity(),
-              setup.make_system().map(vgg11.model()).crossbars_used);
+              static_cast<long long>(
+                  setup.make_system().map(vgg11.model()).crossbars_used));
 
   // 3. Best OU for layer 0 at t0, straight from the analytical models.
   const ou::NonIdealityModel nonideal = setup.make_nonideality();

@@ -110,9 +110,11 @@ void ThreadPool::worker_loop() {
     wake_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
     if (stop_) return;
     seen = epoch_;
+    ++lanes_draining_;
     lock.unlock();
     drain_job();
     lock.lock();
+    if (--lanes_draining_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -176,6 +178,11 @@ void ThreadPool::run_chunks(std::size_t begin, std::size_t end,
       return job_pending_.load(std::memory_order_acquire) == 0;
     });
     job_next_.store(kJobClosed, std::memory_order_relaxed);
+    // Every chunk is done, but a worker may still hold a claim past the
+    // last one that it has not yet compared with job_chunks_. Workers
+    // enter drain_job only under this mutex, so once none is inside, any
+    // later claim lands past kJobClosed.
+    done_cv_.wait(lock, [&] { return lanes_draining_ == 0; });
   }
   if (job_failed_.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lock(error_mutex_);

@@ -124,9 +124,10 @@ class ThreadPool {
   std::size_t job_begin_ = 0;
   std::size_t job_end_ = 0;
   std::size_t job_grain_ = 1;
-  // Atomic: a straggler from the previous job re-checks the chunk count
-  // while the next descriptor is being written (its claimed index is past
-  // kJobClosed either way, but the load must still be race-free).
+  // Atomic: a lane that woke after the job closed compares its claim
+  // (past kJobClosed) with the chunk count while the next descriptor is
+  // being written. A claim taken before the close is compared before the
+  // caller returns (see lanes_draining_).
   std::atomic<std::size_t> job_chunks_{0};
   std::atomic<std::size_t> job_next_{0};
   std::atomic<std::size_t> job_pending_{0};
@@ -140,6 +141,11 @@ class ThreadPool {
   std::condition_variable done_cv_;
   std::uint64_t epoch_ = 0;
   bool stop_ = false;
+  // Workers inside drain_job. The caller returns only once this is 0: a
+  // worker whose claim lands past the last chunk must compare it with this
+  // job's chunk count, not the next job's, or it would run (and count as
+  // done) a chunk of the next job that another lane also claimed.
+  int lanes_draining_ = 0;
 };
 
 namespace detail {

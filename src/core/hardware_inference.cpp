@@ -43,7 +43,7 @@ HardwareMlpRunner::HardwareMlpRunner(nn::MultiHeadMlp& model,
   for (const MappedLayer& layer : layers_) {
     max_features_ = std::max({max_features_, layer.in_features,
                               layer.out_features});
-    max_grid_cols_ = std::max(max_grid_cols_, layer.grid_cols);
+    max_tiles_ = std::max(max_tiles_, layer.grid_rows * layer.grid_cols);
   }
   ensure_batch_scratch(1);
   program(device_.t0_s);
@@ -55,7 +55,7 @@ void HardwareMlpRunner::ensure_batch_scratch(int batch) {
   scaled_scratch_.resize(nb * max_features_);
   act_a_.resize(nb * max_features_);
   act_b_.resize(nb * max_features_);
-  partial_scratch_.resize(static_cast<std::size_t>(max_grid_cols_) * nb *
+  partial_scratch_.resize(static_cast<std::size_t>(max_tiles_) * nb *
                           crossbar_size_);
   in_scale_.resize(nb);
   batch_capacity_ = batch;
@@ -194,63 +194,72 @@ void HardwareMlpRunner::forward_layer(const MappedLayer& layer,
   const std::size_t nb = static_cast<std::size_t>(batch);
   // Per-query DAC scaling, identical to the single-query path; the scaled
   // panel is packed tight (stride = in_features) for the crossbar GEMM.
-  for (int b = 0; b < batch; ++b) {
-    const double* in = inputs + static_cast<std::size_t>(b) * in_stride;
-    double in_max = 1e-12;
-    for (std::size_t i = 0; i < layer.in_features; ++i)
-      in_max = std::max(in_max, std::abs(in[i]));
-    in_scale_[static_cast<std::size_t>(b)] = in_max;
-    double* scaled =
-        scaled_scratch_.data() + static_cast<std::size_t>(b) * layer.in_features;
-    for (std::size_t i = 0; i < layer.in_features; ++i)
-      scaled[i] = in[i] / in_max;
-  }
-  for (int b = 0; b < batch; ++b) {
-    double* ob = out + static_cast<std::size_t>(b) * out_stride;
-    std::fill(ob, ob + layer.out_features, 0.0);
-  }
-  // Same grid-column decomposition as the single-query path (disjoint
-  // crossbars, outputs and partial slabs; increasing-gr accumulation per
-  // column), with each crossbar evaluating the whole batch per visit.
-  const std::size_t strip_cost_ns = static_cast<std::size_t>(
-      static_cast<std::size_t>(layer.grid_rows) * crossbar_size_ *
-      crossbar_size_ * nb * 2);
-  const double* scaled_base = scaled_scratch_.data();
+  // Each query task writes only its own scale and panel row.
   common::parallel_for(
-      0, static_cast<std::size_t>(layer.grid_cols), 1,
-      [&](std::size_t gc) {
-        const std::size_t col0 = gc * crossbar_size_;
-        double* partial =
-            partial_scratch_.data() + gc * nb * crossbar_size_;
-        for (int gr = 0; gr < layer.grid_rows; ++gr) {
-          const std::size_t row0 =
-              static_cast<std::size_t>(gr) * crossbar_size_;
-          reram::Crossbar& xbar =
-              *layer.crossbars[static_cast<std::size_t>(gr) *
-                                   layer.grid_cols +
-                               gc];
-          const std::size_t cols =
-              static_cast<std::size_t>(xbar.programmed_cols());
-          // Query b's row slice starts at scaled[b * in_features + row0];
-          // the batched mvm reads it via in_stride = in_features.
-          xbar.mvm({scaled_base + row0,
-                    nb * layer.in_features - row0},
-                   batch, layer.in_features, ou.rows, ou.cols, t_s, adc_bits,
-                   std::span<double>(partial, nb * cols), cols);
-          for (int b = 0; b < batch; ++b) {
-            double* ob = out + static_cast<std::size_t>(b) * out_stride + col0;
-            const double* pb = partial + static_cast<std::size_t>(b) * cols;
-            for (std::size_t c = 0; c < cols; ++c) ob[c] += pb[c];
+      0, nb, 1,
+      [&](std::size_t b) {
+        const double* in = inputs + b * in_stride;
+        double in_max = 1e-12;
+        for (std::size_t i = 0; i < layer.in_features; ++i)
+          in_max = std::max(in_max, std::abs(in[i]));
+        in_scale_[b] = in_max;
+        double* scaled = scaled_scratch_.data() + b * layer.in_features;
+        for (std::size_t i = 0; i < layer.in_features; ++i)
+          scaled[i] = in[i] / in_max;
+      },
+      layer.in_features * 4);
+  // Every (gr, gc) crossbar tile is its own task: tasks touch disjoint
+  // crossbars and write disjoint partial slabs (tile k's at
+  // partial[k * batch * xbar_size], query-major with stride = its live
+  // columns), each crossbar evaluating the whole batch per visit.
+  const std::size_t tiles = static_cast<std::size_t>(layer.grid_rows) *
+                            static_cast<std::size_t>(layer.grid_cols);
+  const std::size_t slab = nb * static_cast<std::size_t>(crossbar_size_);
+  const std::size_t tile_cost_ns = static_cast<std::size_t>(crossbar_size_) *
+                                   crossbar_size_ * nb * 2;
+  const double* scaled_base = scaled_scratch_.data();
+  double* partial = partial_scratch_.data();
+  common::parallel_for(
+      0, tiles, 1,
+      [&](std::size_t k) {
+        const std::size_t row0 =
+            k / static_cast<std::size_t>(layer.grid_cols) * crossbar_size_;
+        reram::Crossbar& xbar = *layer.crossbars[k];
+        const std::size_t cols =
+            static_cast<std::size_t>(xbar.programmed_cols());
+        // Query b's row slice starts at scaled[b * in_features + row0];
+        // the batched mvm reads it via in_stride = in_features.
+        xbar.mvm({scaled_base + row0, nb * layer.in_features - row0}, batch,
+                 layer.in_features, ou.rows, ou.cols, t_s, adc_bits,
+                 std::span<double>(partial + k * slab, nb * cols), cols);
+      },
+      tile_cost_ns);
+  // Reduce per query, each task writing only its own output row: per
+  // output the tile partials add in increasing gr from +0.0, as in the
+  // single-query path; then undo the scalings and add the (digitally
+  // stored) bias.
+  common::parallel_for(
+      0, nb, 1,
+      [&](std::size_t b) {
+        const double in_max = in_scale_[b];
+        for (int gc = 0; gc < layer.grid_cols; ++gc) {
+          const std::size_t col0 =
+              static_cast<std::size_t>(gc) * crossbar_size_;
+          const std::size_t cols = std::min<std::size_t>(
+              crossbar_size_, layer.out_features - col0);
+          double* ob = out + b * out_stride + col0;
+          for (std::size_t c = 0; c < cols; ++c) {
+            double sum = 0.0;
+            for (int gr = 0; gr < layer.grid_rows; ++gr) {
+              const std::size_t k =
+                  static_cast<std::size_t>(gr) * layer.grid_cols + gc;
+              sum += partial[k * slab + b * cols + c];
+            }
+            ob[c] = sum * layer.weight_scale * in_max + layer.bias[col0 + c];
           }
         }
       },
-      strip_cost_ns);
-  for (int b = 0; b < batch; ++b) {
-    double* ob = out + static_cast<std::size_t>(b) * out_stride;
-    const double in_max = in_scale_[static_cast<std::size_t>(b)];
-    for (std::size_t c = 0; c < layer.out_features; ++c)
-      ob[c] = ob[c] * layer.weight_scale * in_max + layer.bias[c];
-  }
+      layer.out_features * static_cast<std::size_t>(layer.grid_rows) * 2);
 }
 
 std::span<const double> HardwareMlpRunner::forward_all(
@@ -307,8 +316,8 @@ std::span<const double> HardwareMlpRunner::forward_all(
     forward_layer(layers_[i], act_a_.data(), batch, width, ou, t_s,
                   act_b_.data(), layers_[i].out_features);
     width = layers_[i].out_features;
-    for (std::size_t j = 0; j < nb * width; ++j)
-      if (act_b_[j] < 0.0) act_b_[j] = 0.0;  // ReLU in the output register
+    for (std::size_t j = 0; j < nb * width; ++j)  // ReLU, branch-free
+      act_b_[j] = act_b_[j] < 0.0 ? 0.0 : act_b_[j];
     act_a_.swap(act_b_);
   }
   const MappedLayer& head = layers_.back();

@@ -121,16 +121,17 @@ class HardwareMlpRunner {
 
   // Reusable forward-pass scratch, sized to the widest layer times the
   // batch high-water mark (ensure_batch_scratch): the scaled input panel,
-  // the activation ping-pong pair, one partial-sum slab per grid column
-  // (each parallel grid-column task owns its own slab), and the per-query
-  // DAC scale factors. No per-call heap allocation in steady state.
+  // the activation ping-pong pair, one partial-sum slab per crossbar tile
+  // of the largest grid (each parallel tile task owns its own slab), and
+  // the per-query DAC scale factors. No per-call heap allocation in steady
+  // state.
   std::size_t max_features_ = 1;
-  int max_grid_cols_ = 1;
+  int max_tiles_ = 1;
   int batch_capacity_ = 0;
   std::vector<double> scaled_scratch_;
   std::vector<double> act_a_;
   std::vector<double> act_b_;
-  std::vector<double> partial_scratch_;  ///< grid_cols x batch x xbar_size
+  std::vector<double> partial_scratch_;  ///< tiles x batch x xbar_size
   std::vector<double> in_scale_;         ///< per-query input max magnitude
 };
 

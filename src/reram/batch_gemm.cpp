@@ -94,6 +94,27 @@ void ou_gemm_scalar(const double* in_t, int batch, int rows,
   }
 }
 
+void adc_epilogue_scalar(const double* acc, std::size_t n, double factor,
+                         double full_scale, int adc_bits, double* dst,
+                         bool accumulate) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double q = quantize_adc(acc[i] * factor, full_scale, adc_bits);
+    dst[i] = accumulate ? dst[i] + q : q;
+  }
+}
+
+void adc_epilogue(const double* acc, std::size_t n, double factor,
+                  double full_scale, int adc_bits, double* dst,
+                  bool accumulate) {
+#if defined(ODIN_HAVE_AVX2)
+  if (active_simd_mode() == SimdMode::kAvx2) {
+    adc_epilogue_avx2(acc, n, factor, full_scale, adc_bits, dst, accumulate);
+    return;
+  }
+#endif
+  adc_epilogue_scalar(acc, n, factor, full_scale, adc_bits, dst, accumulate);
+}
+
 void ou_gemm(const double* in_t, int batch, int rows, const double* colbase,
              std::size_t col_stride, int cols, const double* irt,
              double* acc) {

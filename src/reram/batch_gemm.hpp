@@ -1,6 +1,7 @@
 // Batched OU inner kernel: a register-blocked GEMM over the column-major
-// weight plane, plus the SIMD dispatch that selects between an explicit
-// AVX2 implementation and a portable scalar one.
+// weight plane and the ADC epilogue that quantizes its accumulators, plus
+// the SIMD dispatch that selects between an explicit AVX2 implementation
+// and a portable scalar one.
 //
 // Contract (DESIGN.md §14): for a batch of B queries packed transposed
 // (`in_t[r * batch + b]` = element r of query b), the kernel computes
@@ -19,8 +20,14 @@
 // result is bitwise identical to B sequential single-query dot products
 // regardless of batch size or instruction set — pinned by
 // tests/test_mvm_kernel.cpp.
+//
+// The epilogue applies quantize_adc to each accumulator; its AVX2 body
+// rounds every operation as the scalar formula does (DESIGN.md §14).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 
 namespace odin::reram::gemm {
@@ -56,6 +63,36 @@ SimdMode active_simd_mode() noexcept;
 /// Force the dispatch mode. kAvx2 silently degrades to kScalar when
 /// unavailable, so callers can request it unconditionally.
 void set_simd_mode(SimdMode mode) noexcept;
+
+/// The bipolar ADC of one OU column: the differential column current
+/// spans [-full_scale, +full_scale], and `value` is clamped to it, rounded
+/// to one of 2^adc_bits - 1 levels and returned as that level's value.
+inline double quantize_adc(double value, double full_scale, int adc_bits) {
+  assert(adc_bits >= 1 && full_scale > 0.0);
+  const double levels = static_cast<double>((1 << adc_bits) - 1);
+  const double clamped = std::clamp(value, -full_scale, full_scale);
+  const double code = std::round((clamped + full_scale) / (2 * full_scale) *
+                                 levels);
+  return code / levels * 2 * full_scale - full_scale;
+}
+
+/// ADC epilogue over n accumulators: q_i = quantize_adc(acc[i] * factor,
+/// full_scale, adc_bits). Writes dst[i] = q_i, or dst[i] += q_i when
+/// `accumulate`; dst may be acc itself.
+void adc_epilogue(const double* acc, std::size_t n, double factor,
+                  double full_scale, int adc_bits, double* dst,
+                  bool accumulate);
+
+/// Portable epilogue (always compiled).
+void adc_epilogue_scalar(const double* acc, std::size_t n, double factor,
+                         double full_scale, int adc_bits, double* dst,
+                         bool accumulate);
+
+/// AVX2 epilogue, 4 accumulators per ymm register; only defined when the
+/// toolchain supports -mavx2 (go through adc_epilogue).
+void adc_epilogue_avx2(const double* acc, std::size_t n, double factor,
+                       double full_scale, int adc_bits, double* dst,
+                       bool accumulate);
 
 /// Dispatching entry point (see the contract above).
 void ou_gemm(const double* in_t, int batch, int rows, const double* colbase,

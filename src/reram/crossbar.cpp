@@ -351,19 +351,8 @@ double Crossbar::effective_weight(int row, int col, double t_s, int ou_rows,
   return weight_plane_[cm] * drift * ir;
 }
 
-double Crossbar::quantize_adc(double value, double full_scale,
-                              int adc_bits) const {
-  assert(adc_bits >= 1 && full_scale > 0.0);
-  const double levels = static_cast<double>((1 << adc_bits) - 1);
-  // Bipolar ADC: the differential column current spans [-FS, +FS].
-  const double clamped = std::clamp(value, -full_scale, full_scale);
-  const double code = std::round((clamped + full_scale) / (2 * full_scale) *
-                                 levels);
-  return code / levels * 2 * full_scale - full_scale;
-}
-
 void Crossbar::ou_kernel(std::span<const double> input, int row0, int ou_rows,
-                         int col0, int ou_cols, double t_s, int adc_bits,
+                         int col0, int ou_cols, int adc_bits,
                          std::uint64_t epoch, std::span<double> out,
                          bool accumulate) {
   const bool spatial = ir_model_ == IrModel::kSpatial;
@@ -395,7 +384,7 @@ void Crossbar::ou_kernel(std::span<const double> input, int row0, int ou_rows,
           acc += input[static_cast<std::size_t>(r)] * col[r];
       }
       acc *= lumped_ir * nominal_drift;
-      const double q = quantize_adc(acc, full_scale, adc_bits);
+      const double q = gemm::quantize_adc(acc, full_scale, adc_bits);
       if (accumulate)
         out[static_cast<std::size_t>(c)] += q;
       else
@@ -429,7 +418,7 @@ void Crossbar::ou_kernel(std::span<const double> input, int row0, int ou_rows,
       acc += input[static_cast<std::size_t>(r)] * w;
     }
     acc *= lumped_ir * nominal_drift;
-    const double q = quantize_adc(acc, full_scale, adc_bits);
+    const double q = gemm::quantize_adc(acc, full_scale, adc_bits);
     if (accumulate)
       out[static_cast<std::size_t>(c)] += q;
     else
@@ -448,7 +437,7 @@ void Crossbar::mvm_ou(std::span<const double> input, int row0, int ou_rows,
   std::uint64_t epoch = 0;
   if (noise_ && read_stream_ == ReadNoiseStream::kCounterBased)
     epoch = mvm_epoch_++;
-  ou_kernel(input, row0, ou_rows, col0, ou_cols, t_s, adc_bits, epoch, out,
+  ou_kernel(input, row0, ou_rows, col0, ou_cols, adc_bits, epoch, out,
             /*accumulate=*/false);
 }
 
@@ -490,18 +479,19 @@ void Crossbar::mvm_ou(std::span<const double> inputs, int batch, int row0,
                 ou_cols, spatial ? ir_table_.data() : nullptr,
                 batch_acc_.data());
   // Same epilogue as the single-query kernel: acc * (lumped_ir *
-  // nominal_drift), then the bipolar ADC, per (query, column).
+  // nominal_drift), then the bipolar ADC, quantized in place and then
+  // transposed to query-major order.
   const double lumped_ir =
       spatial ? 1.0
               : lumped_ir_table_[static_cast<std::size_t>(ou_rows + ou_cols)];
   const double nominal_drift = uniform_drift ? uniform_drift_factor_ : 1.0;
-  const double factor = lumped_ir * nominal_drift;
-  const double full_scale = static_cast<double>(ou_rows);
+  gemm::adc_epilogue(batch_acc_.data(), batch_acc_.size(),
+                     lumped_ir * nominal_drift, static_cast<double>(ou_rows),
+                     adc_bits, batch_acc_.data(), /*accumulate=*/false);
   for (int c = 0; c < ou_cols; ++c) {
-    const double* accc = batch_acc_.data() + static_cast<std::size_t>(c) * nb;
+    const double* q = batch_acc_.data() + static_cast<std::size_t>(c) * nb;
     for (int b = 0; b < batch; ++b)
-      out[static_cast<std::size_t>(b) * ou_cols + c] =
-          quantize_adc(accc[b] * factor, full_scale, adc_bits);
+      out[static_cast<std::size_t>(b) * ou_cols + c] = q[b];
   }
 }
 
@@ -539,7 +529,7 @@ void Crossbar::mvm(std::span<const double> input, int ou_rows, int ou_cols,
       const int rows = std::min(ou_rows, live_rows_ - r0);
       const std::span<const double> slice{input.data() + r0,
                                           static_cast<std::size_t>(rows)};
-      ou_kernel(slice, r0, rows, c0, cols, t_s, adc_bits, epoch,
+      ou_kernel(slice, r0, rows, c0, cols, adc_bits, epoch,
                 out.subspan(static_cast<std::size_t>(c0),
                             static_cast<std::size_t>(cols)),
                 /*accumulate=*/true);
@@ -553,7 +543,7 @@ void Crossbar::mvm(std::span<const double> input, int ou_rows, int ou_cols,
                                           static_cast<std::size_t>(rows)};
       for (int c0 = 0; c0 < live_cols_; c0 += ou_cols) {
         const int cols = std::min(ou_cols, live_cols_ - c0);
-        ou_kernel(slice, r0, rows, c0, cols, t_s, adc_bits, epoch,
+        ou_kernel(slice, r0, rows, c0, cols, adc_bits, epoch,
                   out.subspan(static_cast<std::size_t>(c0),
                               static_cast<std::size_t>(cols)),
                   /*accumulate=*/true);
@@ -590,12 +580,7 @@ void Crossbar::mvm(std::span<const double> inputs, int batch,
                       static_cast<std::size_t>(live_cols_)));
     return;
   }
-  for (int b = 0; b < batch; ++b) {
-    double* ob = out.data() + static_cast<std::size_t>(b) * out_stride;
-    std::fill(ob, ob + live_cols_, 0.0);
-  }
   ensure_planes(t_s);
-  if (live_rows_ == 0 || live_cols_ == 0) return;
   const std::size_t nb = static_cast<std::size_t>(batch);
   // Transpose the query panel once: in_t[r * batch + b]. This is the whole
   // cache-tiling story — every OU tile of every column block then reads
@@ -613,16 +598,22 @@ void Crossbar::mvm(std::span<const double> inputs, int batch,
   const double nominal_drift = uniform_drift ? uniform_drift_factor_ : 1.0;
   const std::size_t col_blocks = static_cast<std::size_t>(
       (live_cols_ + ou_cols - 1) / std::max(ou_cols, 1));
-  // Each column block owns a disjoint accumulator slab and a disjoint
-  // output column range, so blocks parallelize exactly like the
-  // single-query path; per query the r0 tiles accumulate in increasing
-  // order, keeping results bitwise identical to sequential calls.
+  // Each column block owns a disjoint slab (GEMM accumulators, then the
+  // running sums) and a disjoint output column range, so blocks
+  // parallelize exactly like the single-query path. The running sum of
+  // column c for query b sits at sum[c * batch + b]; it starts at +0.0 and
+  // adds the quantized r0 tiles in increasing order, the single-query
+  // path's ((0 + q0) + q1) + ..., and each output is written once at the
+  // end.
   const std::size_t block_acc = static_cast<std::size_t>(ou_cols) * nb;
-  batch_acc_.resize(col_blocks * block_acc);
+  batch_acc_.resize(col_blocks * 2 * block_acc);
   auto column_block = [&](std::size_t i) {
     const int c0 = static_cast<int>(i) * ou_cols;
     const int cols = std::min(ou_cols, live_cols_ - c0);
-    double* acc = batch_acc_.data() + i * block_acc;
+    const std::size_t n = static_cast<std::size_t>(cols) * nb;
+    double* acc = batch_acc_.data() + i * 2 * block_acc;
+    double* sum = acc + block_acc;
+    std::fill(sum, sum + n, 0.0);
     for (int r0 = 0; r0 < live_rows_; r0 += ou_rows) {
       const int rows = std::min(ou_rows, live_rows_ - r0);
       gemm::ou_gemm(batch_in_t_.data() + static_cast<std::size_t>(r0) * nb,
@@ -633,14 +624,14 @@ void Crossbar::mvm(std::span<const double> inputs, int batch,
           spatial
               ? 1.0
               : lumped_ir_table_[static_cast<std::size_t>(rows + cols)];
-      const double factor = lumped_ir * nominal_drift;
-      const double full_scale = static_cast<double>(rows);
-      for (int c = 0; c < cols; ++c) {
-        const double* accc = acc + static_cast<std::size_t>(c) * nb;
-        for (int b = 0; b < batch; ++b)
-          out[static_cast<std::size_t>(b) * out_stride + c0 + c] +=
-              quantize_adc(accc[b] * factor, full_scale, adc_bits);
-      }
+      gemm::adc_epilogue(acc, n, lumped_ir * nominal_drift,
+                         static_cast<double>(rows), adc_bits, sum,
+                         /*accumulate=*/true);
+    }
+    for (int b = 0; b < batch; ++b) {
+      double* ob = out.data() + static_cast<std::size_t>(b) * out_stride + c0;
+      for (int c = 0; c < cols; ++c)
+        ob[c] = sum[static_cast<std::size_t>(c) * nb + b];
     }
   };
   const std::size_t block_cost_ns = static_cast<std::size_t>(live_rows_) *

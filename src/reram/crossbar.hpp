@@ -246,7 +246,6 @@ class Crossbar {
   double ir_factor_at(double t_s, int row_in_ou, int col_in_ou) const;
   /// Per-cell drift factor (t/t0)^(-v_i); uniform v without a NoiseModel.
   double cell_drift_factor(std::size_t idx, double elapsed_s) const;
-  double quantize_adc(double value, double full_scale, int adc_bits) const;
 
   /// Refresh the per-timestamp caches (drift plane, effective plane, IR
   /// tile, nominal drift factor) if `t_s` maps to a different elapsed time
@@ -255,13 +254,13 @@ class Crossbar {
   /// prepare()).
   double ensure_planes(double t_s) const;
 
-  /// The OU kernel proper. Caches must be valid for `t_s` (ensure_planes).
-  /// Writes (accumulate = false) or adds (accumulate = true) the quantized
-  /// column outputs into out[0, ou_cols). `epoch` feeds the counter-based
-  /// read-noise stream and is ignored otherwise.
+  /// The OU kernel proper. Caches must be valid for the read time
+  /// (ensure_planes). Writes (accumulate = false) or adds (accumulate =
+  /// true) the quantized column outputs into out[0, ou_cols). `epoch` feeds
+  /// the counter-based read-noise stream and is ignored otherwise.
   void ou_kernel(std::span<const double> input, int row0, int ou_rows,
-                 int col0, int ou_cols, double t_s, int adc_bits,
-                 std::uint64_t epoch, std::span<double> out, bool accumulate);
+                 int col0, int ou_cols, int adc_bits, std::uint64_t epoch,
+                 std::span<double> out, bool accumulate);
 
   int size_;
   DeviceParams device_;
@@ -308,7 +307,8 @@ class Crossbar {
 
   // Batched-path scratch (grown on first use, reused afterwards so the
   // steady state allocates nothing): the transposed input panel
-  // (in_t[r * batch + b]) and the pre-quantization GEMM accumulators.
+  // (in_t[r * batch + b]) and, per column block, the pre-quantization GEMM
+  // accumulators and the running sums of the quantized tiles.
   std::vector<double> batch_in_t_;
   std::vector<double> batch_acc_;
 

@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -126,6 +131,58 @@ TEST(ThreadPool, OrderedReductionMatchesSequentialBitwise) {
   const double seq = run(1);
   const double par = run(8);
   EXPECT_EQ(seq, par);  // bitwise, not approximate
+}
+
+// Back-to-back regions of 2-24 one-index chunks. A lane whose claim lands
+// just past the last chunk of one region must never run, or count as done,
+// a chunk of the next region. Each index counts its own visits, so a chunk
+// run twice reads 2; a completion counted twice or lost leaves the caller
+// waiting forever, which the monitor turns into a failed test (the stuck
+// join cannot be unwound, so it ends the process).
+TEST(ThreadPool, BackToBackRegionsRunEachChunkOnce) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kBudget = std::chrono::seconds(3);
+  constexpr auto kStallLimit = std::chrono::seconds(10);
+  constexpr std::size_t kMaxChunks = 24;
+  ThreadPool::instance().set_threads(4);
+  std::atomic<long long> regions{0};
+  std::atomic<bool> finished{false};
+  std::thread monitor([&] {
+    long long seen = -1;
+    Clock::time_point progress = Clock::now();
+    while (!finished.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const long long now = regions.load(std::memory_order_relaxed);
+      if (now != seen) {
+        seen = now;
+        progress = Clock::now();
+      } else if (Clock::now() - progress > kStallLimit) {
+        std::fprintf(stderr,
+                     "ThreadPool.BackToBackRegionsRunEachChunkOnce: region "
+                     "%lld never joined\n",
+                     now + 1);
+        std::fflush(stderr);
+        std::_Exit(EXIT_FAILURE);
+      }
+    }
+  });
+  std::array<std::atomic<int>, kMaxChunks> visits{};
+  long long miscounted = 0;
+  const Clock::time_point end = Clock::now() + kBudget;
+  for (std::size_t n = 2; Clock::now() < end;
+       n = n == kMaxChunks ? 2 : n + 1) {
+    for (std::atomic<int>& v : visits) v.store(0, std::memory_order_relaxed);
+    parallel_for(0, n, 1, [&](std::size_t i) {
+      visits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < n; ++i)
+      if (visits[i].load(std::memory_order_relaxed) != 1) ++miscounted;
+    regions.fetch_add(1, std::memory_order_relaxed);
+  }
+  finished.store(true, std::memory_order_release);
+  monitor.join();
+  EXPECT_EQ(miscounted, 0) << "over " << regions.load() << " regions";
+  EXPECT_GT(regions.load(), 1000);
 }
 
 TEST(ThreadPool, SetThreadsReconfigures) {

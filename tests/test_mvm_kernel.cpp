@@ -6,7 +6,11 @@
 // guarantees the restructuring introduced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -296,8 +300,9 @@ TEST(MvmKernel, CounterDrawsArePureFunctionsOfTheStream) {
 // of the 4-query SIMD lane width), panel strides, both IR models and both the
 // GEMM fast path (noiseless) and the per-query noisy fallback.
 
-/// Batch sizes straddling the 4-wide SIMD register block (tails of 1-3).
-constexpr int kBatchSizes[] = {1, 2, 4, 5, 8, 11};
+/// Batch sizes straddling the AVX2 register blocks: 8-query blocks, at
+/// most one 4-query block after them, and scalar tails of 1-3 queries.
+constexpr int kBatchSizes[] = {1, 2, 4, 5, 8, 11, 12, 13, 16, 64};
 
 void expect_batched_matches_reference(Crossbar& x, double t_s) {
   constexpr std::size_t kStride = kSize;  // panel row wider than live rows
@@ -394,18 +399,158 @@ TEST(MvmKernel, BatchedNoisyStreamMatchesSequential) {
 TEST(MvmKernel, SimdModesAgreeBitwise) {
   if (!gemm::avx2_available())
     GTEST_SKIP() << "AVX2 unavailable in this build/CPU";
-  Crossbar x = make_crossbar(IrModel::kSpatial, std::nullopt);
-  constexpr int kBatch = 7;  // two full 4-query lanes worth minus a tail
-  const auto panel = random_input(29, kBatch * kSize);
-  std::vector<double> scalar_out(static_cast<std::size_t>(kBatch) *
-                                 kLiveCols);
-  std::vector<double> avx2_out(scalar_out.size());
-  gemm::set_simd_mode(gemm::SimdMode::kScalar);
-  x.mvm(panel, kBatch, kSize, 16, 16, 2.0, kAdcBits, scalar_out, kLiveCols);
-  gemm::set_simd_mode(gemm::SimdMode::kAvx2);
-  x.mvm(panel, kBatch, kSize, 16, 16, 2.0, kAdcBits, avx2_out, kLiveCols);
+  for (IrModel ir : {IrModel::kLumped, IrModel::kSpatial}) {
+    Crossbar x = make_crossbar(ir, std::nullopt);
+    for (const OuShape& ou : kShapes) {
+      for (int batch : kBatchSizes) {
+        SCOPED_TRACE(::testing::Message()
+                     << (ir == IrModel::kLumped ? "lumped" : "spatial")
+                     << " OU " << ou.rows << "x" << ou.cols << " batch "
+                     << batch);
+        const auto panel = random_input(
+            29 + static_cast<std::uint64_t>(batch), batch * kSize);
+        std::vector<double> scalar_out(static_cast<std::size_t>(batch) *
+                                       kLiveCols);
+        std::vector<double> avx2_out(scalar_out.size());
+        gemm::set_simd_mode(gemm::SimdMode::kScalar);
+        x.mvm(panel, batch, kSize, ou.rows, ou.cols, 2.0, kAdcBits,
+              scalar_out, kLiveCols);
+        gemm::set_simd_mode(gemm::SimdMode::kAvx2);
+        x.mvm(panel, batch, kSize, ou.rows, ou.cols, 2.0, kAdcBits,
+              avx2_out, kLiveCols);
+        gemm::set_simd_mode(gemm::default_simd_mode());
+        expect_bitwise(avx2_out, scalar_out, "scalar vs avx2");
+      }
+    }
+  }
+}
+
+// --- ADC epilogue -------------------------------------------------------------
+
+/// Accumulators that probe every branch of the quantizer at (full_scale,
+/// adc_bits): exactly +-full scale and one ulp beyond it, far beyond it,
+/// +-inf, +-0, NaN, and values whose code argument lands on k + 0.5 or a
+/// few ulps either side of it.
+std::vector<double> epilogue_probes(double full_scale, int adc_bits) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> v = {full_scale,
+                           -full_scale,
+                           std::nextafter(full_scale, inf),
+                           std::nextafter(-full_scale, -inf),
+                           3 * full_scale,
+                           -3 * full_scale,
+                           inf,
+                           -inf,
+                           0.0,
+                           -0.0,
+                           std::numeric_limits<double>::quiet_NaN()};
+  const int levels = (1 << adc_bits) - 1;
+  const int step = std::max(1, levels / 64);
+  for (int k = 0; k < levels; k += step) {
+    double x = (k + 0.5) / levels * 2 * full_scale - full_scale;
+    for (int s = 0; s < 3; ++s) x = std::nextafter(x, -inf);
+    for (int s = 0; s < 7; ++s, x = std::nextafter(x, inf)) v.push_back(x);
+  }
+  return v;
+}
+
+/// The code argument quantize_adc rounds for `value`.
+double code_argument(double value, double full_scale, int adc_bits) {
+  const double levels = static_cast<double>((1 << adc_bits) - 1);
+  return (std::clamp(value, -full_scale, full_scale) + full_scale) /
+         (2 * full_scale) * levels;
+}
+
+/// adc_epilogue in the active SIMD mode against testref::quantize_adc,
+/// element by element, in write, in-place and accumulate form. `offset`
+/// drops leading probes so every probe meets every SIMD lane and the
+/// scalar tail.
+void expect_epilogue_matches_reference(const std::vector<double>& acc,
+                                       double factor, double full_scale,
+                                       int adc_bits) {
+  for (std::size_t offset = 0; offset < 4 && offset < acc.size();
+       ++offset) {
+    const std::span<const double> in =
+        std::span<const double>(acc).subspan(offset);
+    std::vector<double> want(in.size());
+    for (std::size_t i = 0; i < in.size(); ++i)
+      want[i] = testref::quantize_adc(in[i] * factor, full_scale, adc_bits);
+    auto check = [&](const std::vector<double>& got, const double* base,
+                     const char* what) {
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        const double expected = base != nullptr ? base[i] + want[i] : want[i];
+        if (std::isnan(expected)) {
+          EXPECT_TRUE(std::isnan(got[i])) << what << " probe " << in[i];
+          continue;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(expected))
+            << what << " probe " << in[i] << " at " << i << ": " << got[i]
+            << " vs " << expected;
+      }
+    };
+    std::vector<double> out(in.size(), -7.0);
+    gemm::adc_epilogue(in.data(), in.size(), factor, full_scale, adc_bits,
+                       out.data(), /*accumulate=*/false);
+    check(out, nullptr, "write");
+    std::vector<double> in_place(in.begin(), in.end());
+    gemm::adc_epilogue(in_place.data(), in_place.size(), factor, full_scale,
+                       adc_bits, in_place.data(), /*accumulate=*/false);
+    check(in_place, nullptr, "in place");
+    std::vector<double> base(in.size());
+    for (std::size_t i = 0; i < base.size(); ++i)
+      base[i] = 0.375 * static_cast<double>(i % 9) - 1.5;
+    std::vector<double> sum = base;
+    gemm::adc_epilogue(in.data(), in.size(), factor, full_scale, adc_bits,
+                       sum.data(), /*accumulate=*/true);
+    check(sum, base.data(), "accumulate");
+  }
+}
+
+// The batched epilogue is the single-query quantizer applied per element,
+// in every SIMD mode: clamping at and beyond full scale (+-inf too), round
+// half away from zero exactly at k + 0.5, no double rounding just below
+// it, -0.0 passed through and NaN kept NaN. Full scales 3 and 48 are the
+// non-power-of-two heights of partial OU tiles.
+TEST(MvmKernel, AdcEpilogueMatchesQuantizer) {
+  std::vector<gemm::SimdMode> modes = {gemm::SimdMode::kScalar};
+  if (gemm::avx2_available()) modes.push_back(gemm::SimdMode::kAvx2);
+  int exact_halves = 0;
+  for (gemm::SimdMode mode : modes) {
+    gemm::set_simd_mode(mode);
+    for (double full_scale : {1.0, 3.0, 48.0, 64.0}) {
+      for (int adc_bits = 1; adc_bits <= 12; ++adc_bits) {
+        SCOPED_TRACE(::testing::Message()
+                     << gemm::simd_mode_name(mode) << " full scale "
+                     << full_scale << " bits " << adc_bits);
+        const auto probes = epilogue_probes(full_scale, adc_bits);
+        for (double v : probes) {
+          const double x = code_argument(v, full_scale, adc_bits);
+          if (x - std::trunc(x) == 0.5) ++exact_halves;
+        }
+        expect_epilogue_matches_reference(probes, 1.0, full_scale, adc_bits);
+        expect_epilogue_matches_reference(probes, 0.8125, full_scale,
+                                          adc_bits);
+      }
+    }
+  }
   gemm::set_simd_mode(gemm::default_simd_mode());
-  expect_bitwise(avx2_out, scalar_out, "scalar vs avx2");
+  EXPECT_GT(exact_halves, 0) << "no probe's code argument lands on k + 0.5";
+  // One bit at full scale 1: -2^-53 puts the code argument at
+  // 0.49999999999999994, which rounds to 0 (floor(x + 0.5) would give 1).
+  const std::vector<double> below_half = {-0x1p-53, -0x1p-53, -0x1p-53,
+                                          -0x1p-53, -0x1p-53};
+  ASSERT_EQ(code_argument(below_half[0], 1.0, 1), 0.49999999999999994);
+  for (gemm::SimdMode mode : modes) {
+    gemm::set_simd_mode(mode);
+    SCOPED_TRACE(gemm::simd_mode_name(mode));
+    expect_epilogue_matches_reference(below_half, 1.0, 1.0, 1);
+    std::vector<double> out(below_half.size());
+    gemm::adc_epilogue(below_half.data(), out.size(), 1.0, 1.0, 1,
+                       out.data(), /*accumulate=*/false);
+    EXPECT_EQ(out[0], -1.0);  // code 0
+  }
+  gemm::set_simd_mode(gemm::default_simd_mode());
 }
 
 // --- Zero allocation in steady state ----------------------------------------
@@ -500,6 +645,49 @@ TEST(MvmKernel, BatchedForwardMatchesSingleQuery) {
                 std::bit_cast<std::uint64_t>(one[k]))
           << "query " << b << " logit " << k;
     EXPECT_EQ(preds[b], hw.predict(one_in, {16, 16}, 1.0)) << "query " << b;
+  }
+}
+
+// 192-200-10 on 64-cell crossbars: layer 0 is a 3x4 grid (a partial
+// 8-column tile in the last grid column), the head a 4x1 grid (a partial
+// 8-row tile in the last grid row), so the batched pass runs several tiles
+// per layer in parallel and reduces their partials across grid rows.
+HardwareMlpRunner make_multi_tile_runner() {
+  nn::MultiHeadMlp model(
+      nn::MlpConfig{.inputs = 192, .hidden = {200}, .heads = {10}}, 13);
+  return HardwareMlpRunner(model, reram::DeviceParams{}, 64);
+}
+
+TEST(MvmKernel, MultiTileBatchedForwardMatchesSingleQuery) {
+  HardwareMlpRunner hw = make_multi_tile_runner();
+  constexpr std::size_t kStride = 192;
+  const auto panel = random_panel(19, 64 * kStride);
+  for (ou::OuConfig ou : {ou::OuConfig{8, 8}, ou::OuConfig{16, 8},
+                          ou::OuConfig{32, 32}}) {
+    for (double t : {1.0, 2.5e6}) {
+      for (int batch : {1, 5, 16, 64}) {
+        SCOPED_TRACE(::testing::Message() << "OU " << ou.rows << "x"
+                                          << ou.cols << " t=" << t
+                                          << " batch " << batch);
+        std::vector<double> batched(static_cast<std::size_t>(batch) * 10);
+        hw.logits(std::span<const double>(panel).subspan(
+                      0, static_cast<std::size_t>(batch) * kStride),
+                  batch, kStride, ou, t, batched);
+        for (int b = 0; b < batch; ++b) {
+          const auto one = hw.logits(std::span<const double>(panel).subspan(
+                                         static_cast<std::size_t>(b) *
+                                             kStride,
+                                         kStride),
+                                     ou, t);
+          ASSERT_EQ(one.size(), 10u);
+          for (std::size_t k = 0; k < one.size(); ++k)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                          batched[static_cast<std::size_t>(b) * 10 + k]),
+                      std::bit_cast<std::uint64_t>(one[k]))
+                << "query " << b << " logit " << k;
+        }
+      }
+    }
   }
 }
 

@@ -6,7 +6,9 @@
 // based — that is the whole point.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -225,6 +227,38 @@ TEST(ParallelDeterminism, HardwareNoisyLogitsBitwiseIdentical) {
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t i = 0; i < seq.size(); ++i)
     EXPECT_EQ(seq[i], par[i]) << "logit " << i;
+}
+
+// Noiseless batched passes over multi-tile layers (192-200-10 on 64-cell
+// crossbars: 3x4 and 4x1 grids): the DAC scaling, the tile tasks and the
+// cross-tile reduction all run on the pool.
+std::vector<double> run_hardware_batched(int threads) {
+  common::ThreadPool::instance().set_threads(threads);
+  nn::MultiHeadMlp model(
+      nn::MlpConfig{.inputs = 192, .hidden = {200}, .heads = {10}}, 13);
+  HardwareMlpRunner runner(model, reram::DeviceParams{}, 64);
+  constexpr int kBatch = 64;
+  std::vector<double> panel(kBatch * 192);
+  common::Rng rng(21);
+  for (double& v : panel) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> out;
+  std::vector<double> logits(kBatch * 10);
+  for (ou::OuConfig ou : {ou::OuConfig{8, 8}, ou::OuConfig{32, 32}})
+    for (double t : {1.0, 2.5e6}) {
+      runner.logits(panel, kBatch, 192, ou, t, logits);
+      out.insert(out.end(), logits.begin(), logits.end());
+    }
+  return out;
+}
+
+TEST(ParallelDeterminism, HardwareBatchedMultiTileLogitsBitwiseIdentical) {
+  const auto seq = run_hardware_batched(1);
+  const auto par = run_hardware_batched(8);
+  ASSERT_EQ(seq.size(), par.size());
+  for (std::size_t i = 0; i < seq.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(seq[i]),
+              std::bit_cast<std::uint64_t>(par[i]))
+        << "logit " << i;
 }
 
 nn::Dataset run_offline(int threads) {
