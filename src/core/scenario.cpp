@@ -236,6 +236,20 @@ ScenarioTrace build_trace(const ScenarioConfig& config,
   return trace;
 }
 
+std::size_t cdf_upper_bound(const double* cdf, std::size_t n,
+                            double pick) noexcept {
+  if (n == 0) return 0;
+  // The answer lies in [base - cdf, base - cdf + n]; each step halves the
+  // range with a select instead of a branch.
+  const double* base = cdf;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base += pick < base[half - 1] ? 0 : half;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - cdf) + (pick < *base ? 0 : 1);
+}
+
 ArrivalGenerator::ArrivalGenerator(const ScenarioTrace& trace)
     : trace_(&trace), rng_(common::Rng(trace.config.seed).fork(7)) {
   // Weight-profile change points: churn edges and flash-crowd edges. The
@@ -290,9 +304,7 @@ ArrivalGenerator::Arrival ArrivalGenerator::next() {
     }
     t_ += dt;
     const double pick = rng_.uniform() * total;
-    const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), pick);
-    auto tenant = static_cast<std::size_t>(
-        std::distance(cdf_.begin(), it));
+    std::size_t tenant = cdf_upper_bound(cdf_.data(), cdf_.size(), pick);
     if (tenant >= cdf_.size()) tenant = cdf_.size() - 1;
     ++emitted_;
     return {t_, static_cast<int>(tenant)};

@@ -12,7 +12,7 @@
 //    therefore adjacent shard blocks of the boustrophedon fill — fail
 //    together.
 //  * ArrivalGenerator turns the trace into a deterministic event stream.
-//    Every event consumes a fixed number of RNG draws, so a resumed
+//    Every event is a pure function of the draws before it, so a resumed
 //    campaign replays the stream to its cursor instead of serializing
 //    generator state (the same replay idiom as FaultInjector).
 //  * run_campaign() drives an analytic fleet model at millions of
@@ -179,10 +179,20 @@ struct ScenarioTrace {
 ScenarioTrace build_trace(const ScenarioConfig& config,
                           const arch::PimConfig& pim = {});
 
-/// Deterministic arrival stream over a trace. Each next() consumes exactly
-/// two RNG draws (inter-arrival gap, tenant pick), so skip(n) replays a
-/// prefix cheaply and a resumed campaign reaches the identical stream
-/// state without serializing the generator.
+/// Index of the first entry of the nondecreasing `cdf[0, n)` that is
+/// greater than `pick` (n when none): std::upper_bound's answer, found by
+/// a branch-free halving search. `!(pick < cdf[i])` is monotone over a
+/// nondecreasing cdf, so its partition point is that upper bound for
+/// every pick, NaN included.
+std::size_t cdf_upper_bound(const double* cdf, std::size_t n,
+                            double pick) noexcept;
+
+/// Deterministic arrival stream over a trace. Each next() is a pure
+/// function of the trace and the RNG draws before it: an inter-arrival gap,
+/// redrawn from the boundary whenever it crosses a churn or flash-crowd
+/// edge, then a tenant pick. skip(n) calls next() n times, so it replays a
+/// prefix and a resumed campaign reaches the identical stream state
+/// without serializing the generator.
 class ArrivalGenerator {
  public:
   explicit ArrivalGenerator(const ScenarioTrace& trace);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "reram/batch_gemm.hpp"
+
 namespace odin::core {
 
 namespace {
@@ -89,13 +91,48 @@ double QuantileSketch::estimate() const noexcept {
   return q_[2];
 }
 
-SojournSketch::SojournSketch() noexcept {
-  for (std::size_t i = 0; i < kQuantiles; ++i)
-    q_[i] = QuantileSketch(kTracked[i]);
+// The lane layout must not move TenantStats' layout: the same size and
+// alignment as the four QuantileSketches it replaced plus the aggregates.
+static_assert(sizeof(SojournSketch) ==
+              SojournSketch::kQuantiles * sizeof(QuantileSketch) +
+                  4 * sizeof(double));
+static_assert(alignof(SojournSketch) == alignof(double));
+
+SojournSketch::SojournSketch() noexcept : p_(kTracked) {}
+
+QuantileSketch SojournSketch::lane(std::size_t l) const noexcept {
+  QuantileSketch sk(p_[l]);
+  sk.n_ = n_[l];
+  for (std::size_t m = 0; m < 5; ++m) {
+    sk.q_[m] = q_[m][l];
+    sk.pos_[m] = pos_[m][l];
+  }
+  return sk;
+}
+
+void SojournSketch::set_lane(std::size_t l, const QuantileSketch& sk) noexcept {
+  p_[l] = sk.p_;
+  n_[l] = sk.n_;
+  for (std::size_t m = 0; m < 5; ++m) {
+    q_[m][l] = sk.q_[m];
+    pos_[m][l] = sk.pos_[m];
+  }
 }
 
 void SojournSketch::add(double x) noexcept {
-  for (auto& sk : q_) sk.add(x);
+#if defined(ODIN_HAVE_AVX2)
+  const bool lockstep = reram::gemm::active_simd_mode() ==
+                            reram::gemm::SimdMode::kAvx2 &&
+                        add_lockstep_avx2(x);
+#else
+  constexpr bool lockstep = false;
+#endif
+  if (!lockstep)
+    for (std::size_t l = 0; l < kQuantiles; ++l) {
+      QuantileSketch sk = lane(l);
+      sk.add(x);
+      set_lane(l, sk);
+    }
   if (count_ == 0) {
     min_ = x;
     max_ = x;
@@ -116,7 +153,7 @@ double SojournSketch::percentile(double p) const noexcept {
   ys[0] = min_;
   for (std::size_t i = 0; i < kQuantiles; ++i) {
     xs[i + 1] = kTracked[i] * 100.0;
-    ys[i + 1] = q_[i].estimate();
+    ys[i + 1] = lane(i).estimate();
   }
   xs[kQuantiles + 1] = 100.0;
   ys[kQuantiles + 1] = max_;
@@ -133,8 +170,9 @@ double SojournSketch::percentile(double p) const noexcept {
 }
 
 bool operator==(const SojournSketch& a, const SojournSketch& b) noexcept {
-  return a.q_ == b.q_ && a.count_ == b.count_ && a.min_ == b.min_ &&
-         a.max_ == b.max_ && a.sum_ == b.sum_;
+  return a.p_ == b.p_ && a.n_ == b.n_ && a.q_ == b.q_ && a.pos_ == b.pos_ &&
+         a.count_ == b.count_ && a.min_ == b.min_ && a.max_ == b.max_ &&
+         a.sum_ == b.sum_;
 }
 
 }  // namespace odin::core

@@ -53,6 +53,8 @@ class QuantileSketch {
   }
 
  private:
+  friend class SojournSketch;  // gathers and scatters its lanes
+
   double p_ = 0.99;
   std::uint64_t n_ = 0;
   std::array<double, 5> q_{};           ///< marker heights
@@ -61,7 +63,18 @@ class QuantileSketch {
 
 /// The bounded-memory percentile surface a tenant keeps when raw sojourn
 /// retention is capped: four P² estimators at the report quantiles plus
-/// exact extremes and mean. ~200 bytes regardless of sample count.
+/// exact extremes and mean. 416 bytes (4 x 96 + 32) regardless of sample
+/// count.
+///
+/// The four estimators see the same samples, so they are stored
+/// marker-major, one lane per tracked quantile, and once past their
+/// five-sample warm-up one AVX2 step (core/sketch_avx2.cpp) updates all
+/// four in lockstep, each lane bit for bit as QuantileSketch::add would
+/// (DESIGN.md §17). QuantileSketch::add stays the reference and the
+/// fallback: a lane set that is not in lockstep (a count below 5, unequal
+/// counts, or a position outside [1, n]; only a decoded frame carries the
+/// last two), ODIN_SIMD=scalar and a build or CPU without AVX2 run each
+/// lane through it.
 class SojournSketch {
  public:
   SojournSketch() noexcept;
@@ -86,10 +99,16 @@ class SojournSketch {
   static constexpr std::array<double, kQuantiles> kTracked = {0.50, 0.90,
                                                               0.95, 0.99};
 
-  /// Wire layout (common/binary_io.hpp).
+  /// Wire layout (common/binary_io.hpp): each lane in QuantileSketch's
+  /// own order, then the exact aggregates.
   template <typename S, common::MaybeConst<SojournSketch> J>
   friend void fields(S& s, J& sk) {
-    for (auto& q : sk.q_) s.field(q);
+    for (std::size_t l = 0; l < kQuantiles; ++l) {
+      s.field(sk.p_[l]);
+      s.field(sk.n_[l]);
+      for (auto& marker : sk.q_) s.field(marker[l]);
+      for (auto& marker : sk.pos_) s.field(marker[l]);
+    }
     s.field(sk.count_);
     s.field(sk.min_);
     s.field(sk.max_);
@@ -97,7 +116,22 @@ class SojournSketch {
   }
 
  private:
-  std::array<QuantileSketch, kQuantiles> q_;
+  template <typename T>
+  using Lanes = std::array<T, kQuantiles>;
+
+  /// Lane l as a standalone estimator, and back.
+  QuantileSketch lane(std::size_t l) const noexcept;
+  void set_lane(std::size_t l, const QuantileSketch& sk) noexcept;
+
+  /// The lockstep AVX2 step over all four lanes. Returns false, leaving
+  /// the state untouched, when the lanes are not in lockstep. Defined only
+  /// in AVX2 builds; add() calls it only when the dispatch selects AVX2.
+  bool add_lockstep_avx2(double x) noexcept;
+
+  Lanes<double> p_;                     ///< per-lane quantile
+  Lanes<std::uint64_t> n_{};            ///< per-lane count
+  std::array<Lanes<double>, 5> q_{};    ///< heights [marker][lane]
+  std::array<Lanes<std::int64_t>, 5> pos_{};  ///< positions [marker][lane]
   std::uint64_t count_ = 0;
   double min_ = 0.0;
   double max_ = 0.0;

@@ -5,7 +5,9 @@
 // checkpoint payload v7, the wrong-cluster-geometry resume refusal (a
 // multi-mesh frame refuses resume_campaign), the refusal of CRC-valid
 // frames whose state does not fit the geometry, the ClusterState codec,
-// and the cluster scenario-file parser.
+// the cluster scenario-file parser, campaign and cluster output against
+// CRC-32s recorded before the lockstep sketches, and the per-tenant
+// ledger invariants over 20 seeds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,10 +16,12 @@
 #include <vector>
 
 #include "common/binary_io.hpp"
+#include "common/crc32.hpp"
 #include "core/checkpoint.hpp"
 #include "core/cluster.hpp"
 #include "core/scenario.hpp"
 #include "core/serving.hpp"
+#include "reram/batch_gemm.hpp"
 
 namespace odin::core {
 namespace {
@@ -52,6 +56,48 @@ ClusterConfig small_cluster() {
   return cfg;
 }
 
+std::uint32_t crc_of(const std::string& bytes) {
+  return common::crc32(bytes.data(), bytes.size());
+}
+
+/// CRC-32 of the fleet sojourn sketch and every tenant's, in wire order:
+/// all four P² lanes of each, bit for bit.
+std::uint32_t sketch_crc(const CampaignResult& r) {
+  common::ByteWriter out;
+  out.field(r.state.sojourn);
+  for (const TenantStats& t : r.tenants) out.field(t.sojourn_sketch);
+  return crc_of(out.bytes());
+}
+
+/// A 300-tenant campaign loaded enough to shed (flash crowds at 8x on a
+/// 0.75-utilized fleet).
+CampaignConfig shedding_campaign(std::uint64_t seed, long long requests) {
+  CampaignConfig c;
+  c.scenario.seed = seed;
+  c.scenario.tenants = 300;
+  c.scenario.requests = requests;
+  c.scenario.target_utilization = 0.75;
+  c.scenario.flash_multiplier = 8.0;
+  c.shards = 6;
+  c.epochs = 24;
+  return c;
+}
+
+using reram::gemm::SimdMode;
+
+/// Runs `body` under each SIMD dispatch mode, then restores the mode the
+/// test binary started with.
+template <typename F>
+void in_both_simd_modes(F&& body) {
+  const SimdMode initial = reram::gemm::active_simd_mode();
+  for (const SimdMode mode : {SimdMode::kAvx2, SimdMode::kScalar}) {
+    SCOPED_TRACE(reram::gemm::simd_mode_name(mode));
+    reram::gemm::set_simd_mode(mode);
+    body();
+  }
+  reram::gemm::set_simd_mode(initial);
+}
+
 TEST(Cluster, SingleMeshClusterNeverFailsOverOrReplicates) {
   ClusterConfig cfg = small_cluster();
   cfg.meshes = 1;
@@ -72,6 +118,82 @@ TEST(Cluster, SummaryIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.summary(), b.summary());
   EXPECT_EQ(a.cluster.outages_fired, 1);
   EXPECT_GT(a.cluster.replication_rounds, 0);
+}
+
+// The CRC-32s below were recorded from the engine before its sojourn
+// sketches ran in lockstep and its arrival pick went branch-free; both
+// SIMD dispatch modes must reproduce them, so campaign output is tied
+// across commits, not only across reruns.
+TEST(Cluster, CampaignMatchesItsRecordedCrcs) {
+  const CampaignConfig cfg = shedding_campaign(9, 30'000);
+  in_both_simd_modes([&] {
+    const CampaignResult r = run_campaign(cfg);
+    EXPECT_EQ(r.state.sheds, 992);
+    EXPECT_EQ(crc_of(r.summary()), 0xe791b953u);
+    EXPECT_EQ(sketch_crc(r), 0x524adbfau);
+  });
+}
+
+TEST(Cluster, ThreeMeshOutageMatchesItsRecordedCrcs) {
+  const ClusterConfig cfg = small_cluster();
+  in_both_simd_modes([&] {
+    const ClusterResult r = run_cluster(cfg);
+    EXPECT_EQ(r.cluster.failovers, 17);
+    EXPECT_EQ(crc_of(r.summary()), 0x759a8b2au);
+    EXPECT_EQ(sketch_crc(r.campaign), 0xf7bcf180u);
+  });
+}
+
+/// Totals of the paths the ledger check below saw, so a seed sweep can
+/// show it was not vacuous.
+struct LedgerPaths {
+  std::int64_t sheds = 0;
+  std::int64_t breaker_open = 0;
+  std::int64_t dropped = 0;
+};
+
+/// Per tenant, every arrival is served or dropped, shed and breaker-open
+/// serves are serves, and the tenant's sojourn sketch saw exactly its
+/// serves; fleet-wide, the tenants' sheds are the shed ledger and the
+/// fleet sketch saw every serve.
+void expect_ledgers_balance(const CampaignResult& r, long long requests,
+                            LedgerPaths& seen) {
+  EXPECT_EQ(r.requests(), requests);
+  std::int64_t handled = 0, runs = 0, sheds = 0;
+  for (std::size_t i = 0; i < r.tenants.size(); ++i) {
+    const TenantStats& t = r.tenants[i];
+    EXPECT_LE(t.shed_runs + t.breaker_open_runs, t.runs) << "tenant " << i;
+    EXPECT_EQ(t.sojourn_sketch.count(), static_cast<std::uint64_t>(t.runs))
+        << "tenant " << i;
+    handled += t.runs + t.outage_dropped;
+    runs += t.runs;
+    sheds += t.shed_runs;
+    seen.breaker_open += t.breaker_open_runs;
+    seen.dropped += t.outage_dropped;
+  }
+  EXPECT_EQ(handled, requests);
+  EXPECT_EQ(sheds, r.state.sheds);
+  EXPECT_EQ(r.state.sojourn.count(), static_cast<std::uint64_t>(runs));
+  seen.sheds += sheds;
+}
+
+TEST(Cluster, LedgersBalanceOverTwentySeeds) {
+  LedgerPaths campaigns, clusters;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const CampaignConfig camp = shedding_campaign(seed, 6'000);
+    expect_ledgers_balance(run_campaign(camp), camp.scenario.requests,
+                           campaigns);
+    ClusterConfig cfg = small_cluster();
+    cfg.campaign.scenario.seed = seed;
+    cfg.campaign.scenario.requests = 8'000;
+    expect_ledgers_balance(run_cluster(cfg).campaign,
+                           cfg.campaign.scenario.requests, clusters);
+  }
+  // The sweep reached the shed, breaker-open and outage-drop paths.
+  EXPECT_GT(campaigns.sheds, 0);
+  EXPECT_GT(clusters.breaker_open, 0);
+  EXPECT_GT(clusters.dropped, 0);
 }
 
 TEST(Cluster, MeshOutageWithFailoverEvacuatesWithinRto) {

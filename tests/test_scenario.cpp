@@ -1,11 +1,13 @@
 // Scenario-engine tests (DESIGN.md §17): trace expansion determinism and
 // shaping (tiers, churn, diurnal, flash, storm adjacency), the replayable
-// arrival stream, campaign-summary bitwise determinism, mid-storm
-// crash/resume through one-mesh cluster frames (payload v7) with the
-// wrong-geometry refusal, the autoscaled-vs-static flash-phase comparison,
-// the streaming percentile sketches against exact nearest-rank, the capped
-// TenantStats fallback, rescale_shard_blocks invariants, the scenario-file
-// parser, and the trace -> serving-schedule export.
+// arrival stream, the branch-free tenant pick against std::upper_bound,
+// the arrival stream against its recorded CRC-32, campaign-summary bitwise
+// determinism, mid-storm crash/resume through one-mesh cluster frames
+// (payload v7) with the wrong-geometry refusal, the autoscaled-vs-static
+// flash-phase comparison, the streaming percentile sketches against exact
+// nearest-rank, the capped TenantStats fallback, rescale_shard_blocks
+// invariants, the scenario-file parser, and the trace -> serving-schedule
+// export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "common/binary_io.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "core/fleet.hpp"
 #include "core/resilience.hpp"
@@ -232,6 +235,78 @@ TEST(Scenario, ArrivalStreamReplaysViaSkip) {
     EXPECT_EQ(e.t_s, events[i].t_s);
     EXPECT_EQ(e.tenant, events[i].tenant);
   }
+}
+
+TEST(Scenario, BranchFreePickIsStdUpperBound) {
+  // cdf_upper_bound against std::upper_bound over 10,000 random
+  // nondecreasing cdfs of 1-2,000 entries with zero-weight runs (repeated
+  // values, leading zeros, all-zero cdfs), picked at 0, exactly on cdf
+  // values and one ulp either side, between values, one ulp below the
+  // total and at it.
+  common::Rng rng(0xcdf);
+  std::vector<double> cdf;
+  long long picks = 0;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    const auto n = static_cast<std::size_t>(1 + rng.uniform_index(2'000));
+    cdf.resize(n);
+    double sum = 0.0;
+    std::uint64_t zero_run = 0;
+    for (double& c : cdf) {
+      if (zero_run == 0 && rng.uniform() < 0.1)
+        zero_run = 1 + rng.uniform_index(40);
+      if (zero_run > 0)
+        --zero_run;
+      else
+        sum += trial % 2 == 0 ? rng.uniform()
+                              : static_cast<double>(1 + rng.uniform_index(3));
+      c = sum;
+    }
+    const double total = cdf.back();
+    std::vector<double> probes = {0.0, total, std::nextafter(total, 0.0)};
+    for (int k = 0; k < 8; ++k) {
+      const double on = cdf[static_cast<std::size_t>(rng.uniform_index(n))];
+      probes.push_back(on);
+      probes.push_back(std::nextafter(on, -1.0));
+      probes.push_back(std::nextafter(on, total + 1.0));
+      probes.push_back(rng.uniform() * total);
+    }
+    for (const double pick : probes) {
+      const auto want = static_cast<std::size_t>(
+          std::upper_bound(cdf.begin(), cdf.end(), pick) - cdf.begin());
+      ASSERT_EQ(cdf_upper_bound(cdf.data(), n, pick), want)
+          << "n=" << n << " pick=" << pick;
+      ++picks;
+    }
+  }
+  EXPECT_GE(picks, 350'000);
+  // Outside the range, a NaN pick (upper_bound's end) and an empty cdf.
+  const std::vector<double> three = {1.0, 2.0, 2.0};
+  EXPECT_EQ(cdf_upper_bound(three.data(), 3, -1.0), 0u);
+  EXPECT_EQ(cdf_upper_bound(three.data(), 3, 5.0), 3u);
+  EXPECT_EQ(cdf_upper_bound(three.data(), 3,
+                            std::numeric_limits<double>::quiet_NaN()),
+            3u);
+  EXPECT_EQ(cdf_upper_bound(three.data(), 0, 1.0), 0u);
+}
+
+TEST(Scenario, ArrivalStreamMatchesItsRecordedCrc) {
+  // The first 200,000 arrivals (time bits and tenant) of a fixed
+  // 1,000-tenant trace, recorded while the pick was still std::upper_bound:
+  // every gap draw, boundary restart and pick reproduces them bit for bit.
+  ScenarioConfig sc;
+  sc.seed = 5;
+  sc.tenants = 1'000;
+  sc.requests = 200'000;
+  const ScenarioTrace trace = build_trace(sc);
+  ArrivalGenerator gen(trace);
+  common::ByteWriter stream;
+  for (int i = 0; i < 200'000; ++i) {
+    const ArrivalGenerator::Arrival a = gen.next();
+    stream.f64(a.t_s);
+    stream.i32(a.tenant);
+  }
+  EXPECT_EQ(common::crc32(stream.bytes().data(), stream.bytes().size()),
+            0x2f27938cu);
 }
 
 TEST(Scenario, CampaignSummaryIsByteIdenticalAcrossRuns) {
