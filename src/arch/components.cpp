@@ -1,7 +1,5 @@
 #include "arch/components.hpp"
 
-#include <algorithm>
-
 namespace odin::arch {
 
 const std::vector<ComponentSpec>& tile_components() {
@@ -28,18 +26,6 @@ double tile_area_mm2() {
 
 double PimConfig::system_area_mm2() const {
   return static_cast<double>(pes) * tiles_per_pe * tile_area_mm2();
-}
-
-int ReconfigurableAdc::clamp_bits(int requested) const noexcept {
-  return std::clamp(requested, min_bits_, max_bits_);
-}
-
-double ReconfigurableAdc::conversion_energy_j(int bits) const noexcept {
-  return energy_per_bit_j_ * static_cast<double>(clamp_bits(bits));
-}
-
-double ReconfigurableAdc::conversion_latency_s(int bits) const noexcept {
-  return latency_per_bit_s_ * static_cast<double>(clamp_bits(bits));
 }
 
 }  // namespace odin::arch

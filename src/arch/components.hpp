@@ -56,28 +56,4 @@ struct PimConfig {
   double system_area_mm2() const;
 };
 
-/// Reconfigurable successive-approximation ADC (Table I: 3-6 bits). The
-/// precision is lowered by disabling LSB stages, which shortens the
-/// conversion and saves capacitor-array energy.
-class ReconfigurableAdc {
- public:
-  ReconfigurableAdc(int min_bits = 3, int max_bits = 6,
-                    double energy_per_bit_j = 0.08 * units::pJ,
-                    double latency_per_bit_s = 0.83 * units::ns)
-      : min_bits_(min_bits), max_bits_(max_bits),
-        energy_per_bit_j_(energy_per_bit_j),
-        latency_per_bit_s_(latency_per_bit_s) {}
-
-  int clamp_bits(int requested) const noexcept;
-  double conversion_energy_j(int bits) const noexcept;
-  double conversion_latency_s(int bits) const noexcept;
-  int min_bits() const noexcept { return min_bits_; }
-  int max_bits() const noexcept { return max_bits_; }
-
- private:
-  int min_bits_, max_bits_;
-  double energy_per_bit_j_;
-  double latency_per_bit_s_;
-};
-
 }  // namespace odin::arch

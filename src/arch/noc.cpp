@@ -1,7 +1,6 @@
 #include "arch/noc.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/math.hpp"
@@ -48,12 +47,6 @@ common::EnergyLatency NocModel::transfer(std::int64_t bits,
       .latency_s = params_.hop_latency_s *
                    static_cast<double>(hops + flits - 1),
   };
-}
-
-common::EnergyLatency NocModel::transfer_average(
-    std::int64_t bits) const noexcept {
-  const int avg = static_cast<int>(std::lround(average_hops()));
-  return transfer(bits, std::max(avg, 1));
 }
 
 }  // namespace odin::arch

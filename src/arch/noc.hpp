@@ -52,9 +52,6 @@ class NocModel {
   /// through the network: latency = (hops + flits - 1) * hop_latency.
   common::EnergyLatency transfer(std::int64_t bits, int hops) const noexcept;
 
-  /// Transfer with the uniform-traffic average hop count.
-  common::EnergyLatency transfer_average(std::int64_t bits) const noexcept;
-
  private:
   int mesh_x_, mesh_y_;
   NocParams params_;

@@ -20,7 +20,7 @@ constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 4;
 /// Refuse absurd payloads before allocating (a corrupt size field must not
 /// drive a multi-gigabyte read).
 constexpr std::uint64_t kMaxPayload = 1ull << 30;
-/// Count bound for the tenant- and crossbar-indexed lists.
+/// Count bound for the tenant-indexed lists.
 constexpr std::uint64_t kMaxShortSeq = 1u << 16;
 
 /// Wire layout of the whole payload (common/binary_io.hpp). The
@@ -49,7 +49,6 @@ void fields(S& s, C& c) {
   s.field(c.wear.stuck_cells);
   s.field(c.wear.failed_wordlines);
   s.field(c.wear.failed_bitlines);
-  s.seq(c.health_maps, kMaxShortSeq);
   s.field(fp.has_resilience);
   s.field(fp.shed_policy);
   s.field(fp.queue_capacity);
@@ -75,7 +74,6 @@ void fields(S& s, C& c) {
   s.field(c.wear_seg_base_writes_leveled);
   s.field(c.controller.wear_deferred_reprograms);
   s.field(c.controller.retired_seen);
-  s.seq(c.wear_maps, kMaxShortSeq);
   s.field(fp.fleet_shards);
   s.field(fp.fleet_shard_index);
   s.field(fp.has_service_models);

@@ -36,14 +36,13 @@
 #include "core/scenario.hpp"
 #include "core/serving.hpp"
 #include "reram/fault_injection.hpp"
-#include "reram/wear_leveling.hpp"
 
 namespace odin::core {
 
 /// On-disk payload version. There is one layout, the ServingCheckpoint
 /// walk in core/checkpoint.cpp; a change to it bumps this number, and
 /// frames of any other version are refused.
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 /// The configuration a checkpointed walk ran under. The serving walk
 /// builds one from its arguments both when it writes a checkpoint and when
@@ -100,10 +99,6 @@ struct ServingCheckpoint {
   ControllerSnapshot controller;
   /// Device wear fingerprint (meaningful when fingerprint.has_faults).
   reram::FaultInjector::WearState wear;
-  /// Measured per-crossbar health maps from the last read-verify. No
-  /// serving path fills them and resume does not read them; they stay so
-  /// the payload keeps its bytes, until the next layout change drops them.
-  std::vector<reram::CrossbarHealth> health_maps;
   /// Resilience serving state (defaulted when the walk ran with
   /// resilience disabled).
   double busy_until_s = 0.0;         ///< when the FIFO device frees up
@@ -115,9 +110,6 @@ struct ServingCheckpoint {
   int wear_seg_base_rows_remapped = 0;
   int wear_seg_base_crossbars_retired = 0;
   long long wear_seg_base_writes_leveled = 0;
-  /// Measured per-crossbar wear maps (Crossbar::wear_map). Like
-  /// health_maps, never filled or read outside the codec.
-  std::vector<reram::WearMap> wear_maps;
   /// Scenario surface. The campaign state is only meaningful when
   /// has_scenario (the campaign engine's checkpoints); the plain serving
   /// loop writes it defaulted.

@@ -55,22 +55,6 @@ OdinController::OdinController(const ou::MappedModel& model,
   }
 }
 
-int OdinController::rows_remapped() const noexcept {
-  return faults_ != nullptr ? faults_->rows_remapped() : 0;
-}
-
-int OdinController::spares_remaining() const noexcept {
-  return faults_ != nullptr ? faults_->spares_remaining() : 0;
-}
-
-int OdinController::crossbars_retired() const noexcept {
-  return faults_ != nullptr ? faults_->crossbars_retired() : 0;
-}
-
-long long OdinController::writes_leveled() const noexcept {
-  return faults_ != nullptr ? faults_->writes_leveled() : 0;
-}
-
 common::EnergyLatency OdinController::full_reprogram_cost() const {
   common::EnergyLatency total;
   for (std::size_t j = 0; j < model_->layer_count(); ++j)
@@ -158,7 +142,7 @@ RunResult OdinController::run_inference(double t_s,
       retry_count_ += run.program_retries;
       programmed_at_s_ = t_s;
       elapsed = t0;
-      // Post-program read-verify: refresh the measured health map.
+      // Post-program read-verify: refresh the measured fault fraction.
       if (faults_ != nullptr) {
         health_fraction_ = faults_->fault_fraction();
         fault_nf = fp.fault_nf_weight * health_fraction_;

@@ -306,14 +306,11 @@ class OdinController {
   int degraded_run_count() const noexcept { return degraded_runs_; }
   double measured_fault_fraction() const noexcept { return health_fraction_; }
   double eta_scale() const noexcept { return eta_scale_; }
-  /// Wear-leveling surface (0 without a leveling-enabled injector).
+  /// Reprograms deferred on a wear-hot array (0 without a leveling-enabled
+  /// injector).
   int wear_deferred_reprograms() const noexcept {
     return wear_deferred_reprograms_;
   }
-  int rows_remapped() const noexcept;
-  int spares_remaining() const noexcept;
-  int crossbars_retired() const noexcept;
-  long long writes_leveled() const noexcept;
 
   /// Declare that the weights were (re)programmed at `t_s` by an external
   /// event (e.g. a tenant switch that remapped the arrays); the cost of

@@ -175,7 +175,7 @@ ScenarioTrace build_trace(const ScenarioConfig& config,
   std::vector<double> scale(T, 1.0);
   for (std::size_t i = 0; i < T; ++i) {
     ScenarioTenant& t = trace.tenants[i];
-    char name[16];
+    char name[22];  // "t" + up to 20 digits of a size_t + NUL
     std::snprintf(name, sizeof(name), "t%05zu", i);
     t.name = name;
     t.tier = i < gold_n ? PriorityTier::kGold
@@ -329,10 +329,6 @@ double CampaignResult::p99_slack_s() const noexcept {
 
 double CampaignResult::flash_p99_slack_s() const noexcept {
   return state.flash_slack_p1.estimate();
-}
-
-double CampaignResult::tier_p99_slack_s(PriorityTier tier) const noexcept {
-  return state.tier_slack_p1[static_cast<int>(tier)].estimate();
 }
 
 double CampaignResult::edp_per_request() const noexcept {

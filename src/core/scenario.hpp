@@ -393,7 +393,6 @@ struct CampaignResult {
   std::int64_t requests() const noexcept;
   double p99_slack_s() const noexcept;
   double flash_p99_slack_s() const noexcept;
-  double tier_p99_slack_s(PriorityTier tier) const noexcept;
   double edp_per_request() const noexcept;
 
   /// Deterministic plain-text summary: same seed => byte-identical output

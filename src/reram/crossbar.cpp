@@ -12,10 +12,8 @@ namespace odin::reram {
 namespace {
 
 /// Rough per-cell kernel cost in nanoseconds, used as the parallel_for
-/// work hint: the plane kernel is a couple of fused multiply-adds per cell,
-/// the counter-based noisy kernel pays an RNG construction + Box-Muller.
+/// work hint: the plane kernel is a couple of fused multiply-adds per cell.
 constexpr std::size_t kPlaneCellCostNs = 2;
-constexpr std::size_t kNoisyCellCostNs = 60;
 
 }  // namespace
 
@@ -31,188 +29,25 @@ Crossbar::Crossbar(int size, DeviceParams device,
   assert(size > 0);
 }
 
-void Crossbar::attach_endurance(const EnduranceModel& model,
-                                std::uint64_t seed) {
-  common::Rng rng(seed);
-  endurance_params_ = model.params();
-  wear_lifetime_.resize(conductance_s_.size());
-  wear_polarity_.resize(conductance_s_.size());
-  for (std::size_t i = 0; i < wear_lifetime_.size(); ++i) {
-    wear_lifetime_[i] = model.sample_lifetime(rng);
-    wear_polarity_[i] = static_cast<std::int8_t>(
-        rng.bernoulli(0.5) ? CellFault::kStuckOn : CellFault::kStuckOff);
-  }
-}
-
-void Crossbar::enable_wear_leveling(const WearLevelingParams& params) {
-  leveling_ = params;
-  leveling_.enabled = true;
-  spare_budget_ = params.resolved_spare_rows();
-}
-
-bool Crossbar::row_wear_exceeded(int p) const {
-  const std::int64_t writes = row_writes_[static_cast<std::size_t>(p)];
-  if (writes <= 0) return false;
-  // Projected trigger: the row consumed its share of the wear budget.
-  if (row_cycle_budget_ > 0.0 &&
-      static_cast<double>(writes) >= row_cycle_budget_)
-    return true;
-  // Measured trigger: a cell of the row already wore out.
-  if (!wear_lifetime_.empty()) {
-    const std::size_t base = static_cast<std::size_t>(p) * size_;
-    for (int c = 0; c < size_; ++c)
-      if (wear_lifetime_[base + c] <= static_cast<double>(writes)) return true;
-  }
-  return false;
-}
-
-void Crossbar::apply_wear_leveling(int rows) {
-  if (row_writes_.empty()) {
-    row_writes_.assign(static_cast<std::size_t>(size_), 0);
-    row_retired_.assign(static_cast<std::size_t>(size_), 0);
-  }
-  // Per-row retirement cap: explicit test hook, else the wear budget's
-  // share of the projected row wear-out lifetime (the cycle count at which
-  // a row is expected to contain its first worn cell).
-  row_cycle_budget_ = leveling_.row_cycle_budget;
-  if (row_cycle_budget_ <= 0.0 && endurance_params_)
-    row_cycle_budget_ =
-        leveling_.resolved_wear_budget() *
-        EnduranceModel(*endurance_params_)
-            .cycles_to_failure_budget(1.0 / static_cast<double>(size_));
-  // Retire-then-map: rows whose wear (through the previous campaign)
-  // crossed the budget leave the rotation set, as long as the spare budget
-  // holds and enough physical rows survive to carry the logical block.
-  int alive = 0;
-  for (std::uint8_t r : row_retired_) alive += r == 0 ? 1 : 0;
-  for (int p = 0; p < size_; ++p) {
-    if (spares_remaining() <= 0 || alive - 1 < rows) break;
-    if (row_retired_[static_cast<std::size_t>(p)] == 0 &&
-        row_wear_exceeded(p)) {
-      row_retired_[static_cast<std::size_t>(p)] = 1;
-      ++rows_remapped_;
-      --alive;
-    }
-  }
-  // Rotate and rebuild the logical→physical map over the survivors.
-  if (leveling_.rotate && program_campaigns_ > 1) ++rotation_;
-  std::vector<std::int32_t> avail;
-  avail.reserve(static_cast<std::size_t>(alive));
-  for (int p = 0; p < size_; ++p)
-    if (row_retired_[static_cast<std::size_t>(p)] == 0) avail.push_back(p);
-  row_map_.resize(static_cast<std::size_t>(rows));
-  for (int r = 0; r < rows; ++r)
-    row_map_[static_cast<std::size_t>(r)] = avail[static_cast<std::size_t>(
-        (static_cast<std::int64_t>(r) + rotation_) %
-        static_cast<std::int64_t>(avail.size()))];
-  // Charge this campaign's writes against the mapped physical rows.
-  for (int r = 0; r < rows; ++r) {
-    const int p = row_map_[static_cast<std::size_t>(r)];
-    ++row_writes_[static_cast<std::size_t>(p)];
-    if (p != r) ++writes_leveled_;
-  }
-  // Project physical faults (sampled stuck-at + wear-out, including this
-  // campaign's wear) into the logical fault map the write loop consumes.
-  const bool any_fault = !phys_fault_.empty() || !wear_lifetime_.empty();
-  if (!any_fault) return;
-  fault_.assign(conductance_s_.size(),
-                static_cast<std::int8_t>(CellFault::kNone));
-  faulty_cells_ = 0;
-  for (int r = 0; r < rows; ++r) {
-    const std::size_t pb =
-        static_cast<std::size_t>(row_map_[static_cast<std::size_t>(r)]) *
-        size_;
-    const std::size_t lb = static_cast<std::size_t>(r) * size_;
-    const double writes = static_cast<double>(
-        row_writes_[static_cast<std::size_t>(
-            row_map_[static_cast<std::size_t>(r)])]);
-    for (int c = 0; c < size_; ++c) {
-      std::int8_t f = phys_fault_.empty()
-                          ? static_cast<std::int8_t>(CellFault::kNone)
-                          : phys_fault_[pb + c];
-      if (static_cast<CellFault>(f) == CellFault::kNone &&
-          !wear_lifetime_.empty() && wear_lifetime_[pb + c] <= writes)
-        f = wear_polarity_[pb + c];
-      fault_[lb + c] = f;
-      if (static_cast<CellFault>(f) != CellFault::kNone) ++faulty_cells_;
-    }
-  }
-}
-
-WearMap Crossbar::wear_map() const {
-  WearMap map;
-  if (!leveling_.enabled || row_writes_.empty()) return map;
-  map.rows = size_;
-  map.spare_rows = spare_budget_;
-  map.rotation = rotation_;
-  map.row_writes = row_writes_;
-  map.retired = row_retired_;
-  map.remap = row_map_;
-  map.rows_remapped = rows_remapped_;
-  map.writes_leveled = writes_leveled_;
-  return map;
-}
-
-bool Crossbar::restore_wear_map(const WearMap& map) {
-  if (map.rows == 0) return true;  // empty map: nothing tracked yet
-  if (!leveling_.enabled || map.rows != size_ ||
-      map.spare_rows != spare_budget_ ||
-      map.row_writes.size() != static_cast<std::size_t>(size_) ||
-      map.retired.size() != static_cast<std::size_t>(size_))
-    return false;
-  rotation_ = map.rotation;
-  row_writes_ = map.row_writes;
-  row_retired_ = map.retired;
-  row_map_ = map.remap;
-  rows_remapped_ = map.rows_remapped;
-  writes_leveled_ = map.writes_leveled;
-  return true;
-}
-
 void Crossbar::program(std::span<const double> weights, int rows, int cols,
                        double at_time_s) {
   assert(rows >= 0 && rows <= size_ && cols >= 0 && cols <= size_);
   assert(weights.size() == static_cast<std::size_t>(rows) * cols);
   programmed_cells_ = 0;
-  ++program_campaigns_;
   if (noise_ && drift_coeff_.empty())
     drift_coeff_.assign(conductance_s_.size(), device_.drift_coefficient);
   // Stuck-at-faults are a property of the array, not of a write: sample
-  // them once, on the first programming pass. With wear leveling they are
-  // sampled onto *physical* cells (same draw order) and projected into the
-  // logical map by apply_wear_leveling below.
-  std::vector<std::int8_t>& fault_store =
-      leveling_.enabled ? phys_fault_ : fault_;
-  const bool sample_faults = noise_ && fault_store.empty() &&
+  // them once, on the first programming pass.
+  const bool sample_faults = noise_ && fault_.empty() &&
                              (noise_->params().stuck_on_rate > 0.0 ||
                               noise_->params().stuck_off_rate > 0.0);
   if (sample_faults) {
-    fault_store.assign(conductance_s_.size(),
-                       static_cast<std::int8_t>(CellFault::kNone));
-    for (std::int8_t& f : fault_store) {
+    fault_.assign(conductance_s_.size(),
+                  static_cast<std::int8_t>(CellFault::kNone));
+    for (std::int8_t& f : fault_) {
       const CellFault cell = noise_->cell_fault();
       f = static_cast<std::int8_t>(cell);
-      if (!leveling_.enabled && cell != CellFault::kNone) ++faulty_cells_;
-    }
-  }
-  if (leveling_.enabled) {
-    // Leveled wear path: rotate/remap the row map, charge per-physical-row
-    // writes, retire budget-crossing rows onto the spare pool, and rebuild
-    // the logical fault map from the physical one.
-    apply_wear_leveling(rows);
-  } else if (!wear_lifetime_.empty()) {
-    // Unleveled endurance wear: this campaign may push cells past their
-    // lifetime. Worn cells join the permanent fault map and, like the
-    // sampled stuck-at population, survive every later write.
-    if (fault_.empty())
-      fault_.assign(conductance_s_.size(),
-                    static_cast<std::int8_t>(CellFault::kNone));
-    for (std::size_t i = 0; i < wear_lifetime_.size(); ++i) {
-      if (wear_lifetime_[i] <= static_cast<double>(program_campaigns_) &&
-          static_cast<CellFault>(fault_[i]) == CellFault::kNone) {
-        fault_[i] = wear_polarity_[i];
-        ++faulty_cells_;
-      }
+      if (cell != CellFault::kNone) ++faulty_cells_;
     }
   }
   for (int r = 0; r < rows; ++r) {
@@ -258,25 +93,6 @@ double Crossbar::ideal_weight(int row, int col) const {
   return weight_plane_[static_cast<std::size_t>(col) * size_ + row];
 }
 
-double Crossbar::degradation_factor(double t_s, int ou_rows,
-                                    int ou_cols) const {
-  // Multiplicative degradation shared by all cells in the activated OU:
-  // the ratio of Eq. 4's effective conductance to the pristine G_ON.
-  const double elapsed = std::max(t_s - programmed_at_s_, device_.t0_s);
-  return effective_conductance(device_, elapsed, ou_rows, ou_cols) /
-         device_.g_on_s;
-}
-
-double Crossbar::ir_factor_at(double t_s, int row_in_ou,
-                              int col_in_ou) const {
-  // Cell-position path length: (r + 1) wordline + (c + 1) bitline segments.
-  const double elapsed = std::max(t_s - programmed_at_s_, device_.t0_s);
-  const double g_drift = drift_conductance(device_, elapsed);
-  const double series =
-      device_.r_wire_ohm * static_cast<double>(row_in_ou + col_in_ou + 2);
-  return (1.0 / (1.0 / g_drift + series)) / g_drift;
-}
-
 double Crossbar::cell_drift_factor(std::size_t idx, double elapsed_s) const {
   const double v = drift_coeff_.empty() ? device_.drift_coefficient
                                         : drift_coeff_[idx];
@@ -292,9 +108,10 @@ double Crossbar::ensure_planes(double t_s) const {
       std::pow(std::max(elapsed, device_.t0_s) / device_.t0_s,
                -device_.drift_coefficient);
   if (ir_model_ == IrModel::kSpatial) {
-    // ir_factor_at depends only on (r_in_ou + c_in_ou), so one diagonal
-    // table covers every OU shape; the kernel indexes it at c + r, which
-    // is unit-stride along the inner row loop.
+    // Cell (r, c) of the OU sees R_wire * (r + c + 2) wire segments, so the
+    // IR factor depends only on r + c: one diagonal table covers every OU
+    // shape, and the kernel indexes it at c + r, which is unit-stride along
+    // the inner row loop.
     const double g_drift = drift_conductance(device_, elapsed);
     ir_table_.resize(static_cast<std::size_t>(2 * size_ - 1));
     for (int s = 0; s < 2 * size_ - 1; ++s) {
@@ -353,8 +170,7 @@ double Crossbar::effective_weight(int row, int col, double t_s, int ou_rows,
 
 void Crossbar::ou_kernel(std::span<const double> input, int row0, int ou_rows,
                          int col0, int ou_cols, int adc_bits,
-                         std::uint64_t epoch, std::span<double> out,
-                         bool accumulate) {
+                         std::span<double> out, bool accumulate) {
   const bool spatial = ir_model_ == IrModel::kSpatial;
   const double lumped_ir =
       spatial ? 1.0
@@ -395,9 +211,6 @@ void Crossbar::ou_kernel(std::span<const double> input, int row0, int ou_rows,
   // Noisy path: conductances are perturbed per access, so the weight
   // conversion cannot be precomputed — but the drift plane and IR table
   // still replace the per-cell pow / divisions.
-  const bool counter = read_stream_ == ReadNoiseStream::kCounterBased;
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(size_) * static_cast<std::uint64_t>(size_);
   for (int c = 0; c < ou_cols; ++c) {
     const std::size_t col_base =
         static_cast<std::size_t>(col0 + c) * size_ + row0;
@@ -409,9 +222,7 @@ void Crossbar::ou_kernel(std::span<const double> input, int row0, int ou_rows,
       const std::size_t idx =
           static_cast<std::size_t>(row0 + r) * size_ + (col0 + c);
       if (sign_[idx] == 0) continue;
-      double g = conductance_s_[idx];
-      g = counter ? noise_->read_at(g, epoch * cells + idx)
-                  : noise_->read(g);
+      const double g = noise_->read(conductance_s_[idx]);
       double w = sign_[idx] * conductance_to_weight(device_, g);
       if (!uniform_drift) w *= drift_col[r];
       if (spatial) w *= irt[r];
@@ -434,10 +245,7 @@ void Crossbar::mvm_ou(std::span<const double> input, int row0, int ou_rows,
   assert(row0 >= 0 && row0 + ou_rows <= size_);
   assert(col0 >= 0 && col0 + ou_cols <= size_);
   ensure_planes(t_s);
-  std::uint64_t epoch = 0;
-  if (noise_ && read_stream_ == ReadNoiseStream::kCounterBased)
-    epoch = mvm_epoch_++;
-  ou_kernel(input, row0, ou_rows, col0, ou_cols, adc_bits, epoch, out,
+  ou_kernel(input, row0, ou_rows, col0, ou_cols, adc_bits, out,
             /*accumulate=*/false);
 }
 
@@ -451,8 +259,8 @@ void Crossbar::mvm_ou(std::span<const double> inputs, int batch, int row0,
          static_cast<std::size_t>(batch) * static_cast<std::size_t>(ou_cols));
   if (noise_) {
     // Perturbed conductances force a per-query walk; going through the
-    // public single-query entry keeps each query's epoch / RNG draw order
-    // exactly what a standalone call would have used.
+    // public single-query entry keeps each query's RNG draw order exactly
+    // what a standalone call would have used.
     for (int b = 0; b < batch; ++b)
       mvm_ou(inputs.subspan(static_cast<std::size_t>(b) * ou_rows,
                             static_cast<std::size_t>(ou_rows)),
@@ -510,16 +318,11 @@ void Crossbar::mvm(std::span<const double> input, int ou_rows, int ou_cols,
   assert(static_cast<int>(out.size()) >= live_cols_);
   std::fill(out.begin(), out.begin() + live_cols_, 0.0);
   ensure_planes(t_s);
-  const bool counter =
-      noise_ && read_stream_ == ReadNoiseStream::kCounterBased;
-  std::uint64_t epoch = 0;
-  if (counter) epoch = mvm_epoch_++;
   // Column blocks write disjoint output ranges, and each column's partial
   // sums accumulate in increasing-r0 order regardless of scheduling, so
-  // results are bitwise identical to the sequential pass. With the legacy
-  // sequential noise stream the draw order pins the OU visit order, so
-  // that path stays sequential; the counter-based stream is
-  // schedule-independent and rides the parallel path.
+  // results are bitwise identical to the sequential pass. With read noise
+  // the shared RNG's draw order pins the OU visit order, so that path
+  // stays sequential.
   const std::size_t col_blocks = static_cast<std::size_t>(
       (live_cols_ + ou_cols - 1) / std::max(ou_cols, 1));
   auto column_block = [&](std::size_t i) {
@@ -529,13 +332,13 @@ void Crossbar::mvm(std::span<const double> input, int ou_rows, int ou_cols,
       const int rows = std::min(ou_rows, live_rows_ - r0);
       const std::span<const double> slice{input.data() + r0,
                                           static_cast<std::size_t>(rows)};
-      ou_kernel(slice, r0, rows, c0, cols, adc_bits, epoch,
+      ou_kernel(slice, r0, rows, c0, cols, adc_bits,
                 out.subspan(static_cast<std::size_t>(c0),
                             static_cast<std::size_t>(cols)),
                 /*accumulate=*/true);
     }
   };
-  if (noise_ && !counter) {
+  if (noise_) {
     // Original OU visit order (r0 outer), which fixes the RNG draw order.
     for (int r0 = 0; r0 < live_rows_; r0 += ou_rows) {
       const int rows = std::min(ou_rows, live_rows_ - r0);
@@ -543,7 +346,7 @@ void Crossbar::mvm(std::span<const double> input, int ou_rows, int ou_cols,
                                           static_cast<std::size_t>(rows)};
       for (int c0 = 0; c0 < live_cols_; c0 += ou_cols) {
         const int cols = std::min(ou_cols, live_cols_ - c0);
-        ou_kernel(slice, r0, rows, c0, cols, adc_bits, epoch,
+        ou_kernel(slice, r0, rows, c0, cols, adc_bits,
                   out.subspan(static_cast<std::size_t>(c0),
                               static_cast<std::size_t>(cols)),
                   /*accumulate=*/true);
@@ -552,8 +355,7 @@ void Crossbar::mvm(std::span<const double> input, int ou_rows, int ou_cols,
   } else {
     const std::size_t block_cost_ns =
         static_cast<std::size_t>(live_rows_) *
-        static_cast<std::size_t>(std::max(ou_cols, 1)) *
-        (counter ? kNoisyCellCostNs : kPlaneCellCostNs);
+        static_cast<std::size_t>(std::max(ou_cols, 1)) * kPlaneCellCostNs;
     common::parallel_for(0, col_blocks, 1, column_block, block_cost_ns);
   }
 }
@@ -571,7 +373,7 @@ void Crossbar::mvm(std::span<const double> inputs, int batch,
                            static_cast<std::size_t>(live_cols_));
   if (noise_) {
     // Per-query path (see the batched mvm_ou): preserves each query's
-    // epoch and RNG draw order exactly.
+    // RNG draw order exactly.
     for (int b = 0; b < batch; ++b)
       mvm(inputs.subspan(static_cast<std::size_t>(b) * in_stride,
                          static_cast<std::size_t>(live_rows_)),

@@ -159,38 +159,4 @@ double FaultInjector::drift_time_multiplier(double t_s) const noexcept {
   return m;
 }
 
-CrossbarHealth read_verify(const Crossbar& xbar, int ou_rows, int ou_cols,
-                           double stuck_budget) {
-  assert(ou_rows > 0 && ou_cols > 0);
-  CrossbarHealth health;
-  health.ou_rows = ou_rows;
-  health.ou_cols = ou_cols;
-  const int rows = xbar.programmed_rows();
-  const int cols = xbar.programmed_cols();
-  for (int r0 = 0; r0 < rows; r0 += ou_rows) {
-    const int wr = std::min(ou_rows, rows - r0);
-    for (int c0 = 0; c0 < cols; c0 += ou_cols) {
-      const int wc = std::min(ou_cols, cols - c0);
-      OuWindowHealth window{r0, c0, 0};
-      for (int r = r0; r < r0 + wr; ++r)
-        for (int c = c0; c < c0 + wc; ++c)
-          if (xbar.cell_fault(r, c) != CellFault::kNone) ++window.stuck;
-      health.stuck_cells += window.stuck;
-      health.scanned_cells += static_cast<std::int64_t>(wr) * wc;
-      health.worst_window_stuck =
-          std::max(health.worst_window_stuck, window.stuck);
-      health.worst_window_fraction =
-          std::max(health.worst_window_fraction,
-                   static_cast<double>(window.stuck) /
-                       static_cast<double>(wr * wc));
-      health.windows.push_back(window);
-    }
-  }
-  if (health.scanned_cells > 0)
-    health.fault_fraction = static_cast<double>(health.stuck_cells) /
-                            static_cast<double>(health.scanned_cells);
-  health.degraded = health.fault_fraction > stuck_budget;
-  return health;
-}
-
 }  // namespace odin::reram

@@ -1,4 +1,4 @@
-// Fault-injection campaigns and post-programming read-verify.
+// Fault-injection campaigns.
 //
 // The controller-visible fault surface of a ReRAM deployment has four
 // ingredients the drift model alone cannot produce:
@@ -15,9 +15,9 @@
 //
 // FaultInjector schedules all four deterministically from one seed, at the
 // analytic granularity OdinController works at (device-global fractions).
-// read_verify() is the behavioural counterpart: it scans an actual Crossbar
-// after programming and produces a per-OU-window health map, the measured
-// signal the recovery policy consumes.
+// Its fault_fraction() is the measured health signal the recovery policy
+// consumes, and it is the only wear model: with leveling on it also runs
+// the rotate → remap → retire ladder (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 
 #include "common/binary_io.hpp"
 #include "common/rng.hpp"
-#include "reram/crossbar.hpp"
 #include "reram/endurance.hpp"
 #include "reram/wear_leveling.hpp"
 
@@ -206,52 +205,5 @@ void fields(S& s, W& w) {
   s.field(w.failed_bitlines);
   s.field(w.crossbars_retired);
 }
-
-/// Stuck-cell count of one OU window of the programmed region.
-struct OuWindowHealth {
-  int row0 = 0;
-  int col0 = 0;
-  int stuck = 0;
-};
-
-/// Post-programming read-verify result for one crossbar: the per-OU-window
-/// stuck-cell map plus the aggregates the recovery policy gates on.
-struct CrossbarHealth {
-  int ou_rows = 0;
-  int ou_cols = 0;
-  std::int64_t stuck_cells = 0;
-  std::int64_t scanned_cells = 0;
-  int worst_window_stuck = 0;
-  double fault_fraction = 0.0;        ///< stuck / scanned
-  double worst_window_fraction = 0.0; ///< worst window's stuck / window size
-  bool degraded = false;              ///< fault_fraction > stuck_budget
-  std::vector<OuWindowHealth> windows;
-};
-
-/// Wire layout (common/binary_io.hpp), windows included.
-template <typename S, common::MaybeConst<CrossbarHealth> H>
-void fields(S& s, H& h) {
-  s.field(h.ou_rows);
-  s.field(h.ou_cols);
-  s.field(h.stuck_cells);
-  s.field(h.scanned_cells);
-  s.field(h.worst_window_stuck);
-  s.field(h.fault_fraction);
-  s.field(h.worst_window_fraction);
-  s.field(h.degraded);
-  s.seq(h.windows, common::kMaxSeq, [](auto& st, auto& w) {
-    st.field(w.row0);
-    st.field(w.col0);
-    st.field(w.stuck);
-  });
-}
-
-/// Read back the programmed region of `xbar` window by window (the same
-/// (ou_rows x ou_cols) tiling the MVM path uses) and count cells whose
-/// stored state cannot track their target — the permanent stuck-at
-/// population. Marks the result degraded when the overall stuck fraction
-/// exceeds `stuck_budget`.
-CrossbarHealth read_verify(const Crossbar& xbar, int ou_rows, int ou_cols,
-                           double stuck_budget);
 
 }  // namespace odin::reram

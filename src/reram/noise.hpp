@@ -30,7 +30,7 @@ enum class CellFault { kNone, kStuckOn, kStuckOff };
 class NoiseModel {
  public:
   NoiseModel(NoiseParams params, std::uint64_t seed)
-      : params_(params), seed_(seed), rng_(seed) {}
+      : params_(params), rng_(seed) {}
 
   /// Conductance actually stored after a write targeting `target_s`.
   double programmed(double target_s) noexcept {
@@ -42,19 +42,6 @@ class NoiseModel {
   double read(double stored_s) noexcept {
     return clamp_positive(stored_s *
                           (1.0 + params_.read_sigma * rng_.normal()));
-  }
-
-  /// Counter-based read: the draw comes from a private stream derived from
-  /// (seed, stream) instead of the shared sequential RNG, so the value
-  /// depends only on the cell/epoch identity encoded in `stream` — never on
-  /// how many draws other cells made first. This is what lets the noisy MVM
-  /// path use the same parallel column-block schedule as the noiseless one
-  /// while staying seed-deterministic (Crossbar::ReadNoiseStream).
-  double read_at(double stored_s, std::uint64_t stream) const noexcept {
-    std::uint64_t sm = seed_ ^ (stream * 0x9e3779b97f4a7c15ULL);
-    common::Rng rng(common::splitmix64(sm));
-    return clamp_positive(stored_s *
-                          (1.0 + params_.read_sigma * rng.normal()));
   }
 
   /// Per-cell drift coefficient, jittered around the device nominal.
@@ -80,7 +67,6 @@ class NoiseModel {
   static double clamp_positive(double g) noexcept { return g > 0.0 ? g : 0.0; }
 
   NoiseParams params_;
-  std::uint64_t seed_;
   common::Rng rng_;
 };
 

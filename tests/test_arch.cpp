@@ -36,16 +36,6 @@ TEST(Components, SystemTotals) {
   EXPECT_NEAR(pim.system_area_mm2(), 36 * 4 * 0.2822, 1e-6);
 }
 
-TEST(Adc, ReconfigurableRangeClampsAndScales) {
-  const ReconfigurableAdc adc;
-  EXPECT_EQ(adc.clamp_bits(2), 3);
-  EXPECT_EQ(adc.clamp_bits(5), 5);
-  EXPECT_EQ(adc.clamp_bits(9), 6);
-  EXPECT_GT(adc.conversion_energy_j(6), adc.conversion_energy_j(3));
-  EXPECT_NEAR(adc.conversion_latency_s(6) / adc.conversion_latency_s(3),
-              2.0, 1e-12);
-}
-
 TEST(Noc, XyHopsAreManhattan) {
   const NocModel noc(6, 6);
   EXPECT_EQ(noc.hops(0, 0), 0);

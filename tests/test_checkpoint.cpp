@@ -104,17 +104,6 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   ckpt.wear_seg_base_rows_remapped = 4;
   ckpt.wear_seg_base_crossbars_retired = 1;
   ckpt.wear_seg_base_writes_leveled = 256;
-  {  // a real leveled crossbar's wear map, not a hand-rolled one
-    reram::WearLevelingParams leveling;
-    leveling.enabled = true;
-    leveling.spare_rows = 4;
-    leveling.row_cycle_budget = 2.0;
-    reram::Crossbar xbar(16, reram::DeviceParams{});
-    xbar.enable_wear_leveling(leveling);
-    const std::vector<double> w(64, 0.5);
-    for (int k = 0; k < 7; ++k) xbar.program(w, 8, 8, 1.0 + k);
-    ckpt.wear_maps.push_back(xbar.wear_map());
-  }
   ckpt.fingerprint.has_resilience = true;
   ckpt.fingerprint.shed_policy = 1;  // kShedOldest
   ckpt.fingerprint.queue_capacity = 8;
@@ -132,14 +121,6 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   breaker.closes = 1;
   ckpt.breakers = {breaker, CircuitBreaker::Snapshot{}};
   ckpt.fallback_ous = {{4, 4}, {8, 16}};
-  reram::CrossbarHealth health;
-  health.ou_rows = 8;
-  health.ou_cols = 16;
-  health.stuck_cells = 9;
-  health.scanned_cells = 4096;
-  health.fault_fraction = 9.0 / 4096.0;
-  health.windows = {{0, 0, 3}, {8, 16, 6}};
-  ckpt.health_maps.push_back(std::move(health));
   // Fleet surface: this frame claims to be shard 1 of a 2-shard fleet
   // with a placement-derived service model per tenant.
   ckpt.fingerprint.fleet_shards = 2;
@@ -359,17 +340,6 @@ ServingCheckpoint pinned_checkpoint() {
 
   c.fingerprint.has_faults = true;
   c.wear = {n(), n(), n(), n(), n()};
-  reram::CrossbarHealth health;
-  health.ou_rows = n();
-  health.ou_cols = n();
-  health.stuck_cells = n();
-  health.scanned_cells = n();
-  health.worst_window_stuck = n();
-  health.fault_fraction = x();
-  health.worst_window_fraction = x();
-  health.degraded = true;
-  health.windows = {{n(), n(), n()}, {n(), n(), n()}};
-  c.health_maps = {health};
   c.fingerprint.has_resilience = true;
   c.fingerprint.shed_policy = n();
   c.fingerprint.queue_capacity = n();
@@ -386,16 +356,6 @@ ServingCheckpoint pinned_checkpoint() {
   c.wear_seg_base_rows_remapped = n();
   c.wear_seg_base_crossbars_retired = n();
   c.wear_seg_base_writes_leveled = n();
-  reram::WearMap map;
-  map.rows = n();
-  map.spare_rows = n();
-  map.rotation = n();
-  map.row_writes = {n(), n()};
-  map.retired = {1, 0};
-  map.remap = {n(), n()};
-  map.rows_remapped = n();
-  map.writes_leveled = n();
-  c.wear_maps = {map};
   c.fingerprint.fleet_shards = n();
   c.fingerprint.fleet_shard_index = n();
   c.fingerprint.has_service_models = true;
@@ -496,8 +456,6 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   EXPECT_TRUE(decoded->result.resumed);
   EXPECT_EQ(decoded->result.tenants[0].mismatches, 77);
   EXPECT_EQ(decoded->wear.campaigns, 7);
-  ASSERT_EQ(decoded->health_maps.size(), 1u);
-  EXPECT_EQ(decoded->health_maps[0].windows.size(), 2u);
   EXPECT_EQ(decoded->controller.buffer_entries, ckpt.controller.buffer_entries);
   EXPECT_EQ(decoded->controller.policy_blob, ckpt.controller.policy_blob);
   EXPECT_TRUE(decoded->fingerprint.has_resilience);
@@ -521,10 +479,6 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   EXPECT_EQ(decoded->controller.retired_seen, 1);
   EXPECT_EQ(decoded->result.tenants[0].rows_remapped, 6);
   EXPECT_EQ(decoded->result.tenants[0].spares_remaining, 10);
-  ASSERT_EQ(decoded->wear_maps.size(), 1u);
-  EXPECT_EQ(decoded->wear_maps[0].rows, ckpt.wear_maps[0].rows);
-  EXPECT_EQ(decoded->wear_maps[0].row_writes, ckpt.wear_maps[0].row_writes);
-  EXPECT_EQ(decoded->wear_maps[0].remap, ckpt.wear_maps[0].remap);
   // Fleet surface.
   EXPECT_EQ(decoded->fingerprint.fleet_shards, 2);
   EXPECT_EQ(decoded->fingerprint.fleet_shard_index, 1);
@@ -766,7 +720,7 @@ TEST(Checkpoint, OnlyTheCurrentVersionFrameLoads) {
   common::ByteWriter payload;
   encode_checkpoint(sample_checkpoint(tenant), payload);
   const std::string path = temp_base("versions") + ".a";
-  for (std::uint32_t version : {0u, 1u, 6u, 8u}) {
+  for (std::uint32_t version : {0u, 1u, 7u, 9u}) {
     write_file(path, frame_with_version(version, 9, payload.bytes()));
     EXPECT_FALSE(load_checkpoint_file(path).has_value())
         << "version=" << version;
@@ -786,9 +740,9 @@ TEST(Checkpoint, PayloadLayoutIsPinned) {
   // re-pins both values.
   common::ByteWriter out;
   encode_checkpoint(pinned_checkpoint(), out);
-  EXPECT_EQ(out.bytes().size(), 4212u);
+  EXPECT_EQ(out.bytes().size(), 4037u);
   EXPECT_EQ(common::crc32(out.bytes().data(), out.bytes().size()),
-            0x72c797d9u);
+            0x02944936u);
 }
 
 TEST(Checkpoint, ForgedCountsAndTrailingBytesAreRefused) {

@@ -32,7 +32,9 @@ TEST(Schedules, PoissonIsMonotoneAndDeterministic) {
   ASSERT_EQ(a.size(), 100u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i], b[i]);
-    if (i > 0) EXPECT_GE(a[i], a[i - 1]);
+    if (i > 0) {
+      EXPECT_GE(a[i], a[i - 1]);
+    }
     EXPECT_GE(a[i], kHorizon.t_start_s);
     EXPECT_LE(a[i], kHorizon.t_end_s);
   }

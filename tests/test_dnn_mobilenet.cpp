@@ -50,7 +50,9 @@ TEST(MobileNet, DepthwisePruningIsBlockDiagonal) {
   // Bits only inside the diagonal blocks: column c uses rows [9c, 9c+9).
   for (int c = 0; c < dw->outputs; c += 7) {
     EXPECT_TRUE(p.block_live(c * 9, c, 9, 1)) << c;
-    if (c > 0) EXPECT_FALSE(p.block_live(0, c, 9, 1)) << c;
+    if (c > 0) {
+      EXPECT_FALSE(p.block_live(0, c, 9, 1)) << c;
+    }
   }
   // Structural sparsity ~ 1 - 0.9/C.
   EXPECT_GT(p.sparsity(), 1.0 - 2.0 / dw->outputs);
@@ -79,8 +81,9 @@ TEST(MobileNet, PrunedModelSparsityIsDominatedByStructure) {
       prune_model(make_mobilenetv1(data::DatasetKind::kCifar10), 11);
   for (std::size_t j = 0; j < pm.model.layers.size(); ++j) {
     const auto& l = pm.model.layers[j];
-    if (l.type == LayerType::kDepthwise)
+    if (l.type == LayerType::kDepthwise) {
       EXPECT_GT(l.weight_sparsity, 0.95) << l.name;
+    }
   }
 }
 

@@ -118,9 +118,10 @@ TEST(Zoo, AllLayersHaveConsistentLoweredShapes) {
       EXPECT_GT(l.fan_in, 0) << model.name << "/" << l.name;
       EXPECT_GT(l.outputs, 0) << model.name << "/" << l.name;
       EXPECT_GT(l.spatial_positions, 0) << model.name << "/" << l.name;
-      if (l.type == LayerType::kConv)
+      if (l.type == LayerType::kConv) {
         EXPECT_EQ(l.fan_in, l.in_channels * l.kernel * l.kernel)
             << model.name << "/" << l.name;
+      }
       EXPECT_EQ(l.macs(), l.weight_count() * l.spatial_positions);
     }
   }

@@ -1,5 +1,6 @@
 // Tests for the fault-injection layer: FaultInjector campaign scheduling,
-// Crossbar endurance wear, and the post-programming read-verify health map.
+// peripheral failures, write-verify convergence, drift bursts and power-down
+// windows.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,10 +10,6 @@
 
 namespace odin::reram {
 namespace {
-
-std::vector<double> ones(int n) {
-  return std::vector<double>(static_cast<std::size_t>(n), 1.0);
-}
 
 FaultScheduleParams worn_schedule() {
   FaultScheduleParams p;
@@ -127,88 +124,6 @@ TEST(FaultInjector, PowerDownWindowsZeroTheDriftClock) {
   inj.add_power_down(300.0, 10.0);
   EXPECT_TRUE(inj.powered_down(305.0));
   EXPECT_DOUBLE_EQ(inj.drift_time_multiplier(305.0), 0.0);
-}
-
-TEST(CrossbarEndurance, WearAccumulatesAcrossCampaigns) {
-  Crossbar xbar(32, DeviceParams{});
-  xbar.attach_endurance(EnduranceModel({.characteristic_cycles = 5.0,
-                                        .shape = 1.8}),
-                        99);
-  EXPECT_EQ(xbar.program_campaigns(), 0);
-  std::int64_t prev = 0;
-  for (int k = 1; k <= 10; ++k) {
-    xbar.program(ones(1024), 32, 32, static_cast<double>(k));
-    EXPECT_EQ(xbar.program_campaigns(), k);
-    EXPECT_GE(xbar.faulty_cells(), prev);  // monotone: writes cannot heal
-    prev = xbar.faulty_cells();
-  }
-  // After 2x the characteristic lifetime most cells are gone:
-  // F(10) = 1 - exp(-2^1.8) ~ 0.97.
-  EXPECT_GT(static_cast<double>(prev), 0.8 * 1024);
-}
-
-TEST(CrossbarEndurance, NoWearWithoutAttachedModel) {
-  Crossbar xbar(16, DeviceParams{});
-  for (int k = 1; k <= 50; ++k)
-    xbar.program(ones(256), 16, 16, static_cast<double>(k));
-  EXPECT_EQ(xbar.faulty_cells(), 0);
-  EXPECT_EQ(xbar.program_campaigns(), 50);
-}
-
-TEST(ReadVerify, CleanArrayReportsHealthy) {
-  Crossbar xbar(32, DeviceParams{});
-  xbar.program(ones(1024), 32, 32, 0.0);
-  const CrossbarHealth health = read_verify(xbar, 8, 8, 0.01);
-  EXPECT_EQ(health.stuck_cells, 0);
-  EXPECT_EQ(health.scanned_cells, 1024);
-  EXPECT_EQ(health.windows.size(), 16u);  // (32/8)^2
-  EXPECT_DOUBLE_EQ(health.fault_fraction, 0.0);
-  EXPECT_FALSE(health.degraded);
-}
-
-TEST(ReadVerify, CountsMatchTheCrossbarFaultMap) {
-  NoiseParams np;
-  np.stuck_on_rate = 0.03;
-  np.stuck_off_rate = 0.03;
-  Crossbar xbar(64, DeviceParams{}, NoiseModel(np, 21));
-  xbar.program(ones(64 * 64), 64, 64, 0.0);
-  const CrossbarHealth health = read_verify(xbar, 16, 16, 0.01);
-  EXPECT_EQ(health.stuck_cells, xbar.faulty_cells());
-  EXPECT_EQ(health.scanned_cells, 64 * 64);
-  // The per-window counts decompose the total.
-  std::int64_t sum = 0;
-  int worst = 0;
-  for (const OuWindowHealth& w : health.windows) {
-    sum += w.stuck;
-    worst = std::max(worst, w.stuck);
-  }
-  EXPECT_EQ(sum, health.stuck_cells);
-  EXPECT_EQ(worst, health.worst_window_stuck);
-  // ~6% stuck against a 1% budget: degraded.
-  EXPECT_TRUE(health.degraded);
-  EXPECT_GT(health.worst_window_fraction, 0.0);
-}
-
-TEST(ReadVerify, BudgetGatesTheDegradedFlag) {
-  NoiseParams np;
-  np.stuck_off_rate = 0.02;
-  Crossbar xbar(64, DeviceParams{}, NoiseModel(np, 5));
-  xbar.program(ones(64 * 64), 64, 64, 0.0);
-  const CrossbarHealth tight = read_verify(xbar, 8, 8, 1e-4);
-  const CrossbarHealth loose = read_verify(xbar, 8, 8, 0.5);
-  EXPECT_TRUE(tight.degraded);
-  EXPECT_FALSE(loose.degraded);
-  EXPECT_DOUBLE_EQ(tight.fault_fraction, loose.fault_fraction);
-}
-
-TEST(ReadVerify, WindowsTileThePartiallyProgrammedRegion) {
-  // A 20x12 block on a 32-array with 8x8 windows: ragged edges must still
-  // be scanned exactly once.
-  Crossbar xbar(32, DeviceParams{});
-  xbar.program(ones(20 * 12), 20, 12, 0.0);
-  const CrossbarHealth health = read_verify(xbar, 8, 8, 0.01);
-  EXPECT_EQ(health.scanned_cells, 20 * 12);
-  EXPECT_EQ(health.windows.size(), 3u * 2u);  // ceil(20/8) x ceil(12/8)
 }
 
 }  // namespace

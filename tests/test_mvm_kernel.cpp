@@ -2,8 +2,8 @@
 // (DESIGN.md §11): the restructured hot path must reproduce the original
 // per-cell kernel (tests/reference_kernel.hpp) bit for bit across OU
 // shapes, IR models, heterogeneous drift and fault-injected arrays — plus
-// the cache-invalidation, counter-based-noise and zero-allocation
-// guarantees the restructuring introduced.
+// the cache-invalidation and zero-allocation guarantees the restructuring
+// introduced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "allocation_counter.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/hardware_inference.hpp"
 #include "nn/train.hpp"
@@ -203,95 +202,14 @@ TEST(MvmKernel, ReprogramInvalidatesPlanes) {
   EXPECT_TRUE(moved);
 }
 
-// --- Wear-leveling transparency ---------------------------------------------
-
-// The acceptance pin for wear leveling (DESIGN.md §15): the logical→physical
-// row map is tracking-only, so a heavily remapped/rotated crossbar must
-// produce MVM outputs bitwise identical to an unworn, unleveled crossbar
-// holding the same weights — across campaigns that rotate the map and force
-// spare-row retirements.
-TEST(MvmKernel, WearLevelingIsBitwiseTransparent) {
-  WearLevelingParams leveling;
-  leveling.enabled = true;
-  leveling.rotate = true;
-  leveling.spare_rows = 8;
-  leveling.row_cycle_budget = 2.0;  // force retirements within a few campaigns
-  for (IrModel ir : {IrModel::kLumped, IrModel::kSpatial}) {
-    SCOPED_TRACE(ir == IrModel::kLumped ? "lumped" : "spatial");
-    Crossbar leveled(kSize, DeviceParams{}, std::nullopt, ir);
-    leveled.enable_wear_leveling(leveling);
-    Crossbar plain(kSize, DeviceParams{}, std::nullopt, ir);
-    for (int campaign = 0; campaign < 6; ++campaign) {
-      const auto w = random_block(40 + static_cast<std::uint64_t>(campaign),
-                                  kLiveRows, kLiveCols);
-      const double t = 1.0 + 1e4 * campaign;
-      leveled.program(w, kLiveRows, kLiveCols, t);
-      plain.program(w, kLiveRows, kLiveCols, t);
-      const auto in = random_input(11, kSize);
-      for (const OuShape& ou : kShapes) {
-        const auto got = leveled.mvm(in, ou.rows, ou.cols, t + 50.0,
-                                     kAdcBits);
-        const auto want = plain.mvm(in, ou.rows, ou.cols, t + 50.0,
-                                    kAdcBits);
-        expect_bitwise(got, want, "leveled vs plain mvm");
-      }
-      expect_matches_reference(leveled, t + 50.0);
-    }
-    // The pin is only meaningful if leveling actually moved the map: the
-    // tight cycle budget must have consumed spares and the rotation must
-    // have displaced writes off the identity mapping.
-    EXPECT_GT(leveled.rows_remapped(), 0);
-    EXPECT_LT(leveled.spares_remaining(), leveling.spare_rows);
-    EXPECT_GT(leveled.writes_leveled(), 0);
-    EXPECT_EQ(plain.rows_remapped(), 0);
-  }
-}
-
-// --- Counter-based read-noise stream ----------------------------------------
-
+// Read noise alone: every analog read draws from the NoiseModel's one
+// sequential stream.
 NoiseParams read_noise_only() {
   NoiseParams p;
   p.program_sigma = 0.0;
   p.read_sigma = 0.05;  // large enough to survive ADC quantization
   p.drift_coeff_sigma = 0.0;
   return p;
-}
-
-TEST(MvmKernel, DefaultStreamIsSequential) {
-  Crossbar x(kSize, DeviceParams{}, NoiseModel(read_noise_only(), 5));
-  EXPECT_EQ(x.read_noise_stream(), Crossbar::ReadNoiseStream::kSequential);
-}
-
-TEST(MvmKernel, CounterStreamIsScheduleIndependent) {
-  const auto in = random_input(11, kSize);
-  auto run = [&](int threads) {
-    common::ThreadPool::instance().set_threads(threads);
-    Crossbar x = make_crossbar(IrModel::kSpatial,
-                               NoiseModel(read_noise_only(), 5));
-    x.set_read_noise_stream(Crossbar::ReadNoiseStream::kCounterBased);
-    // Two epochs: outputs must be reproducible per epoch regardless of
-    // schedule, and distinct across epochs (fresh draws).
-    auto first = x.mvm(in, 16, 16, 1.0, 12);
-    auto second = x.mvm(in, 16, 16, 1.0, 12);
-    return std::pair(first, second);
-  };
-  const int hw = common::ThreadPool::instance().threads();
-  const auto parallel = run(4);
-  const auto sequential = run(1);
-  common::ThreadPool::instance().set_threads(hw);
-  expect_bitwise(parallel.first, sequential.first, "epoch 0");
-  expect_bitwise(parallel.second, sequential.second, "epoch 1");
-  bool epoch_moves = false;
-  for (std::size_t i = 0; i < parallel.first.size(); ++i)
-    if (parallel.first[i] != parallel.second[i]) epoch_moves = true;
-  EXPECT_TRUE(epoch_moves) << "successive epochs reuse identical draws";
-}
-
-TEST(MvmKernel, CounterDrawsArePureFunctionsOfTheStream) {
-  NoiseModel noise(read_noise_only(), 5);
-  const double g = 200e-6;
-  EXPECT_EQ(noise.read_at(g, 42), noise.read_at(g, 42));
-  EXPECT_NE(noise.read_at(g, 42), noise.read_at(g, 43));
 }
 
 // --- Batched kernel ----------------------------------------------------------
@@ -368,30 +286,24 @@ TEST(MvmKernel, BatchedFaultInjectedMatchesSequential) {
 
 // With live read noise the reference kernel no longer applies, so the pin
 // is directly against N sequential single-query calls on an identically
-// constructed crossbar (same seed -> same draw/epoch sequence).
+// constructed crossbar (same seed -> same draw sequence).
 TEST(MvmKernel, BatchedNoisyStreamMatchesSequential) {
-  for (auto stream : {Crossbar::ReadNoiseStream::kSequential,
-                      Crossbar::ReadNoiseStream::kCounterBased}) {
-    SCOPED_TRACE(static_cast<int>(stream));
-    Crossbar batched = make_crossbar(IrModel::kSpatial,
-                                     NoiseModel(read_noise_only(), 5));
-    Crossbar seq = make_crossbar(IrModel::kSpatial,
-                                 NoiseModel(read_noise_only(), 5));
-    batched.set_read_noise_stream(stream);
-    seq.set_read_noise_stream(stream);
-    constexpr int kBatch = 5;
-    const auto panel = random_input(23, kBatch * kSize);
-    std::vector<double> got(static_cast<std::size_t>(kBatch) * kLiveCols);
-    batched.mvm(panel, kBatch, kSize, 16, 16, 1.0, 12, got, kLiveCols);
-    std::vector<double> want(got.size());
-    for (int b = 0; b < kBatch; ++b)
-      seq.mvm(std::span<const double>(panel).subspan(
-                  static_cast<std::size_t>(b) * kSize, kLiveRows),
-              16, 16, 1.0, 12,
-              std::span<double>(want).subspan(
-                  static_cast<std::size_t>(b) * kLiveCols, kLiveCols));
-    expect_bitwise(got, want, "noisy batched mvm");
-  }
+  Crossbar batched = make_crossbar(IrModel::kSpatial,
+                                   NoiseModel(read_noise_only(), 5));
+  Crossbar seq = make_crossbar(IrModel::kSpatial,
+                               NoiseModel(read_noise_only(), 5));
+  constexpr int kBatch = 5;
+  const auto panel = random_input(23, kBatch * kSize);
+  std::vector<double> got(static_cast<std::size_t>(kBatch) * kLiveCols);
+  batched.mvm(panel, kBatch, kSize, 16, 16, 1.0, 12, got, kLiveCols);
+  std::vector<double> want(got.size());
+  for (int b = 0; b < kBatch; ++b)
+    seq.mvm(std::span<const double>(panel).subspan(
+                static_cast<std::size_t>(b) * kSize, kLiveRows),
+            16, 16, 1.0, 12,
+            std::span<double>(want).subspan(
+                static_cast<std::size_t>(b) * kLiveCols, kLiveCols));
+  expect_bitwise(got, want, "noisy batched mvm");
 }
 
 // The explicit-SIMD path vectorizes across queries with per-lane operation

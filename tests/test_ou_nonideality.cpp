@@ -98,9 +98,10 @@ TEST_P(FeasibilityMonotone, SmallerSumStaysFeasible) {
   for (const OuConfig& a : grid.all_configs()) {
     if (!m.feasible(t, a, sensitivity)) continue;
     for (const OuConfig& b : grid.all_configs()) {
-      if (b.sum() <= a.sum())
+      if (b.sum() <= a.sum()) {
         EXPECT_TRUE(m.feasible(t, b, sensitivity))
             << a.to_string() << " feasible but " << b.to_string() << " not";
+      }
     }
   }
 }

@@ -53,8 +53,9 @@ TEST(ExhaustiveSearch, FindsGlobalFeasibleMinimum) {
   EXPECT_EQ(result.evaluations, 36);
   // Brute-force verification.
   for (const OuConfig& cfg : fx.grid.all_configs()) {
-    if (ctx.feasible(cfg))
+    if (ctx.feasible(cfg)) {
       EXPECT_LE(result.edp, ctx.edp(cfg) * (1.0 + 1e-12)) << cfg.to_string();
+    }
   }
   EXPECT_TRUE(ctx.feasible(result.best));
   EXPECT_DOUBLE_EQ(result.edp, ctx.edp(result.best));

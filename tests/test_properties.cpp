@@ -117,9 +117,11 @@ TEST_P(SearchConsistency, ExhaustiveIsOptimalAndRbAgrees) {
       continue;
     }
     EXPECT_TRUE(ctx.feasible(ex.best));
-    for (const OuConfig& cfg : grid.all_configs())
-      if (ctx.feasible(cfg))
+    for (const OuConfig& cfg : grid.all_configs()) {
+      if (ctx.feasible(cfg)) {
         EXPECT_LE(ex.edp, ctx.edp(cfg) * (1 + 1e-12)) << cfg.to_string();
+      }
+    }
 
     const SearchResult rb_seeded = resource_bounded_search(ctx, ex.best, 3);
     ASSERT_TRUE(rb_seeded.found);

@@ -3,7 +3,7 @@
 // arrival stream, the branch-free tenant pick against std::upper_bound,
 // the arrival stream against its recorded CRC-32, campaign-summary bitwise
 // determinism, mid-storm crash/resume through one-mesh cluster frames
-// (payload v7) with the wrong-geometry refusal, the autoscaled-vs-static
+// (payload v8) with the wrong-geometry refusal, the autoscaled-vs-static
 // flash-phase comparison, the streaming percentile sketches against exact
 // nearest-rank, the capped TenantStats fallback, rescale_shard_blocks
 // invariants, the scenario-file parser, and the trace -> serving-schedule
@@ -166,8 +166,9 @@ TEST(Scenario, DiurnalAndFlashShapeTheWeights) {
   // Outside its active window a tenant's weight is exactly zero.
   for (std::size_t i = 0; i < trace.tenants.size(); ++i) {
     const ScenarioTenant& t = trace.tenants[i];
-    if (t.arrive_s > 0.0)
+    if (t.arrive_s > 0.0) {
       EXPECT_EQ(trace.tenant_weight(i, 0.5 * t.arrive_s), 0.0);
+    }
   }
 }
 

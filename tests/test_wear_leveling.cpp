@@ -1,17 +1,13 @@
-// Wear-leveling lifecycle tests (DESIGN.md §15): row rotation and spare-row
-// remapping on the behavioural Crossbar, the analytic FaultInjector's
+// Wear-leveling lifecycle tests (DESIGN.md §15): the FaultInjector's
 // leveled campaign walk (spare pool absorption, proactive crossbar
-// retirement, deterministic fast-forward replay), the WearMap codec, and
-// the serving-level retirement/migration campaign — the graceful-
+// retirement, deterministic fast-forward replay, wear-hot rise and clear)
+// and the serving-level retirement/migration campaign — the graceful-
 // degradation ladder rotate → remap → retire → migrate end to end.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
-#include "common/binary_io.hpp"
 #include "core/serving.hpp"
-#include "reram/crossbar.hpp"
 #include "reram/endurance.hpp"
 #include "reram/fault_injection.hpp"
 #include "reram/wear_leveling.hpp"
@@ -19,133 +15,6 @@
 
 namespace odin::reram {
 namespace {
-
-std::vector<double> block(int rows, int cols, double v = 0.5) {
-  return std::vector<double>(static_cast<std::size_t>(rows) * cols, v);
-}
-
-WearLevelingParams tight_leveling() {
-  WearLevelingParams p;
-  p.enabled = true;
-  p.rotate = true;
-  p.spare_rows = 4;
-  p.row_cycle_budget = 2.0;  // retire any row after two campaigns
-  return p;
-}
-
-TEST(WearLeveling, RotationSpreadsWritesAcrossPhysicalRows) {
-  constexpr int kSize = 16;
-  constexpr int kRows = 12;
-  WearLevelingParams p;
-  p.enabled = true;
-  p.rotate = true;
-  p.spare_rows = 4;
-  p.row_cycle_budget = 1e9;  // no retirement: isolate rotation
-  Crossbar x(kSize, DeviceParams{});
-  x.enable_wear_leveling(p);
-  const int campaigns = kSize;  // one full rotation of the 16-row array
-  for (int k = 0; k < campaigns; ++k)
-    x.program(block(kRows, kRows), kRows, kRows, 1.0 + k);
-
-  const WearMap map = x.wear_map();
-  ASSERT_EQ(map.rows, kSize);
-  // Every campaign charged exactly kRows physical rows.
-  const std::int64_t total = std::accumulate(map.row_writes.begin(),
-                                             map.row_writes.end(),
-                                             std::int64_t{0});
-  EXPECT_EQ(total, static_cast<std::int64_t>(campaigns) * kRows);
-  // Rotation advanced once per campaign after the first (identity) map...
-  EXPECT_EQ(map.rotation, campaigns - 1);
-  // ...so no physical row absorbed the whole write stream: an unleveled
-  // array would have kRows rows at `campaigns` writes each.
-  for (std::int64_t w : map.row_writes) EXPECT_LT(w, campaigns);
-  // A full rotation also touched the rows above the logical block.
-  EXPECT_GT(map.row_writes[static_cast<std::size_t>(kSize - 1)], 0);
-  EXPECT_GT(x.writes_leveled(), 0);
-  EXPECT_EQ(x.rows_remapped(), 0);
-  EXPECT_EQ(x.spares_remaining(), p.spare_rows);
-}
-
-TEST(WearLeveling, WornRowsRetireOntoSparePoolUntilExhausted) {
-  constexpr int kSize = 16;
-  constexpr int kRows = 8;
-  Crossbar x(kSize, DeviceParams{});
-  x.enable_wear_leveling(tight_leveling());
-  for (int k = 0; k < 20; ++k)
-    x.program(block(kRows, kRows), kRows, kRows, 1.0 + k);
-  // The 2-cycle budget retires rows as fast as the pool allows; the pool
-  // is finite, so it pins at empty rather than going negative.
-  EXPECT_EQ(x.rows_remapped(), 4);
-  EXPECT_EQ(x.spares_remaining(), 0);
-  const WearMap map = x.wear_map();
-  int retired = 0;
-  for (std::uint8_t r : map.retired) retired += r != 0 ? 1 : 0;
-  EXPECT_EQ(retired, 4);
-  // The logical block still maps onto live physical rows only.
-  for (std::int32_t phys : map.remap)
-    EXPECT_EQ(map.retired[static_cast<std::size_t>(phys)], 0);
-}
-
-TEST(WearLeveling, WearMapCodecRoundTripsExactly) {
-  constexpr int kSize = 16;
-  Crossbar x(kSize, DeviceParams{});
-  x.enable_wear_leveling(tight_leveling());
-  for (int k = 0; k < 9; ++k) x.program(block(8, 8), 8, 8, 1.0 + k);
-  const WearMap map = x.wear_map();
-  ASSERT_GT(map.rows, 0);
-
-  common::ByteWriter out;
-  encode_wear_map(map, out);
-  common::ByteReader in(out.bytes());
-  const auto decoded = decode_wear_map(in);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->rows, map.rows);
-  EXPECT_EQ(decoded->spare_rows, map.spare_rows);
-  EXPECT_EQ(decoded->rotation, map.rotation);
-  EXPECT_EQ(decoded->row_writes, map.row_writes);
-  EXPECT_EQ(decoded->retired, map.retired);
-  EXPECT_EQ(decoded->remap, map.remap);
-  EXPECT_EQ(decoded->rows_remapped, map.rows_remapped);
-  EXPECT_EQ(decoded->writes_leveled, map.writes_leveled);
-
-  // Truncated input fails soft, never half-decodes.
-  for (std::size_t cut : {std::size_t{0}, out.bytes().size() / 2,
-                          out.bytes().size() - 1}) {
-    common::ByteReader torn(std::string_view(out.bytes()).substr(0, cut));
-    EXPECT_FALSE(decode_wear_map(torn).has_value()) << "cut=" << cut;
-  }
-}
-
-TEST(WearLeveling, RestoreWearMapValidatesGeometry) {
-  Crossbar a(16, DeviceParams{});
-  a.enable_wear_leveling(tight_leveling());
-  for (int k = 0; k < 5; ++k) a.program(block(8, 8), 8, 8, 1.0 + k);
-  const WearMap map = a.wear_map();
-
-  // Same geometry: the restored crossbar reports the same map.
-  Crossbar b(16, DeviceParams{});
-  b.enable_wear_leveling(tight_leveling());
-  ASSERT_TRUE(b.restore_wear_map(map));
-  const WearMap restored = b.wear_map();
-  EXPECT_EQ(restored.rotation, map.rotation);
-  EXPECT_EQ(restored.row_writes, map.row_writes);
-  EXPECT_EQ(restored.remap, map.remap);
-  EXPECT_EQ(b.rows_remapped(), a.rows_remapped());
-
-  // Wrong array size or spare pool: refused, state untouched.
-  Crossbar wrong_size(32, DeviceParams{});
-  wrong_size.enable_wear_leveling(tight_leveling());
-  EXPECT_FALSE(wrong_size.restore_wear_map(map));
-  WearLevelingParams other_pool = tight_leveling();
-  other_pool.spare_rows = 8;
-  Crossbar wrong_pool(16, DeviceParams{});
-  wrong_pool.enable_wear_leveling(other_pool);
-  EXPECT_FALSE(wrong_pool.restore_wear_map(map));
-  // An empty map (nothing tracked yet) is a no-op, not an error.
-  EXPECT_TRUE(b.restore_wear_map(WearMap{}));
-}
-
-// --- Analytic injector ------------------------------------------------------
 
 /// Endurance so poor that a handful of campaigns wears out a visible cell
 /// fraction (eta = 10 campaigns) — wear events arrive fast enough to
