@@ -58,7 +58,13 @@ int main() {
   // Per-workload arms are independent; clone each arm's policy up front
   // (clone() is not const-safe on a shared policy), then fan out. Within an
   // arm the baseline sweep fans out again when lanes are idle; nested
-  // regions degrade to inline execution, never deadlock.
+  // regions degrade to inline execution, never deadlock. Each arm records
+  // when it finished, and the lines print in workload order after the
+  // sweep, so scheduling moves only the wall-clock text.
+  struct Arm {
+    std::vector<core::AggregateResult> results;
+    double done_s = 0.0;
+  };
   std::vector<policy::OuPolicy> arm_policies;
   arm_policies.reserve(mapped.size());
   for (const auto& mm : mapped)
@@ -67,21 +73,23 @@ int main() {
       mapped.size(), 1, [&](std::size_t i) {
         const auto& mm = mapped[i];
         const auto noc = system.map(mm->model()).noc_per_inference;
-        std::vector<core::AggregateResult> results =
-            core::simulate_homogeneous_sweep(*mm, nonideal, cost, baselines,
-                                             horizon, noc);
+        Arm arm;
+        arm.results = core::simulate_homogeneous_sweep(
+            *mm, nonideal, cost, baselines, horizon, noc);
         core::OdinController controller(*mm, nonideal, cost,
                                         std::move(arm_policies[i]));
-        results.push_back(
+        arm.results.push_back(
             core::simulate_odin(controller, horizon, noc, &overhead));
-        std::printf("[run] %-12s done (%.1fs)\n", mm->model().name.c_str(),
-                    clock.seconds());
-        return results;
+        arm.done_s = clock.seconds();
+        return arm;
       });
+  for (std::size_t w = 0; w < mapped.size(); ++w)
+    std::printf("[run] %-12s done (%.1fs)\n",
+                mapped[w]->model().name.c_str(), arms[w].done_s);
 
   for (std::size_t w = 0; w < mapped.size(); ++w) {
     const auto& mm = mapped[w];
-    const std::vector<core::AggregateResult>& results = arms[w];
+    const std::vector<core::AggregateResult>& results = arms[w].results;
 
     const double norm = results[0].inference_edp();  // 16x16 inferencing EDP
     const double odin_edp = results.back().total_edp();

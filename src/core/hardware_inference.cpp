@@ -9,6 +9,16 @@
 
 namespace odin::core {
 
+namespace {
+
+/// Cost in nanoseconds of one tile-partial element of the batched
+/// reduction (its add plus a share of the rescale), the parallel_for work
+/// hint: one lane read 1.5-1.8 ns on hw-crossbar's sweep right after the
+/// tile tasks (4-vCPU Xeon, Sapphire Rapids, Release build).
+constexpr std::size_t kElementCostNs = 2;
+
+}  // namespace
+
 HardwareMlpRunner::HardwareMlpRunner(nn::MultiHeadMlp& model,
                                      reram::DeviceParams device,
                                      int crossbar_size,
@@ -183,41 +193,36 @@ void HardwareMlpRunner::forward_layer(const MappedLayer& layer,
 }
 
 void HardwareMlpRunner::forward_layer(const MappedLayer& layer,
-                                      const double* inputs, int batch,
-                                      std::size_t in_stride, ou::OuConfig ou,
-                                      double t_s, double* out,
-                                      std::size_t out_stride) {
+                                      const double* in, int batch,
+                                      ou::OuConfig ou, double t_s, bool relu,
+                                      double* out) {
   assert(batch >= 1 && batch <= batch_capacity_);
-  assert(in_stride >= layer.in_features);
-  assert(out_stride >= layer.out_features);
   const int adc_bits = adc_policy_.adc_bits(ou.rows);
   const std::size_t nb = static_cast<std::size_t>(batch);
-  // Per-query DAC scaling, identical to the single-query path; the scaled
-  // panel is packed tight (stride = in_features) for the crossbar GEMM.
-  // Each query task writes only its own scale and panel row.
-  common::parallel_for(
-      0, nb, 1,
-      [&](std::size_t b) {
-        const double* in = inputs + b * in_stride;
-        double in_max = 1e-12;
-        for (std::size_t i = 0; i < layer.in_features; ++i)
-          in_max = std::max(in_max, std::abs(in[i]));
-        in_scale_[b] = in_max;
-        double* scaled = scaled_scratch_.data() + b * layer.in_features;
-        for (std::size_t i = 0; i < layer.in_features; ++i)
-          scaled[i] = in[i] / in_max;
-      },
-      layer.in_features * 4);
+  // DAC scaling, unit-stride across the batch: query b's scale is the
+  // single-query path's std::max(m, |x|) chain over increasing features;
+  // then every feature divides by it.
+  double* scale = in_scale_.data();
+  std::fill(scale, scale + nb, 1e-12);
+  for (std::size_t f = 0; f < layer.in_features; ++f) {
+    const double* x = in + f * nb;
+    for (std::size_t b = 0; b < nb; ++b)
+      scale[b] = std::max(scale[b], std::abs(x[b]));
+  }
+  double* scaled = scaled_scratch_.data();
+  for (std::size_t i = 0; i < layer.in_features * nb; i += nb)
+    for (std::size_t b = 0; b < nb; ++b)
+      scaled[i + b] = in[i + b] / scale[b];
   // Every (gr, gc) crossbar tile is its own task: tasks touch disjoint
-  // crossbars and write disjoint partial slabs (tile k's at
-  // partial[k * batch * xbar_size], query-major with stride = its live
-  // columns), each crossbar evaluating the whole batch per visit.
+  // crossbars and write disjoint feature-major partial slabs (tile k's at
+  // partial[k * batch * xbar_size], column c of query b at
+  // [c * batch + b]); each crossbar reads its rows of the scaled panel in
+  // place and evaluates the whole batch per visit.
   const std::size_t tiles = static_cast<std::size_t>(layer.grid_rows) *
                             static_cast<std::size_t>(layer.grid_cols);
   const std::size_t slab = nb * static_cast<std::size_t>(crossbar_size_);
   const std::size_t tile_cost_ns = static_cast<std::size_t>(crossbar_size_) *
                                    crossbar_size_ * nb * 2;
-  const double* scaled_base = scaled_scratch_.data();
   double* partial = partial_scratch_.data();
   common::parallel_for(
       0, tiles, 1,
@@ -225,41 +230,45 @@ void HardwareMlpRunner::forward_layer(const MappedLayer& layer,
         const std::size_t row0 =
             k / static_cast<std::size_t>(layer.grid_cols) * crossbar_size_;
         reram::Crossbar& xbar = *layer.crossbars[k];
+        const std::size_t rows =
+            static_cast<std::size_t>(xbar.programmed_rows());
         const std::size_t cols =
             static_cast<std::size_t>(xbar.programmed_cols());
-        // Query b's row slice starts at scaled[b * in_features + row0];
-        // the batched mvm reads it via in_stride = in_features.
-        xbar.mvm({scaled_base + row0, nb * layer.in_features - row0}, batch,
-                 layer.in_features, ou.rows, ou.cols, t_s, adc_bits,
-                 std::span<double>(partial + k * slab, nb * cols), cols);
+        xbar.mvm({scaled + row0 * nb, rows * nb}, batch, ou.rows, ou.cols,
+                 t_s, adc_bits, {partial + k * slab, cols * nb});
       },
       tile_cost_ns);
-  // Reduce per query, each task writing only its own output row: per
-  // output the tile partials add in increasing gr from +0.0, as in the
-  // single-query path; then undo the scalings and add the (digitally
-  // stored) bias.
+  // Reduce one grid column per task; out's rows of grid column gc are one
+  // contiguous run, as is each tile's partial slab. Per output the tile
+  // partials add in increasing gr from +0.0, as in the single-query path;
+  // then the scalings are undone, the (digitally stored) bias added and,
+  // between layers, ReLU applied in the output register.
   common::parallel_for(
-      0, nb, 1,
-      [&](std::size_t b) {
-        const double in_max = in_scale_[b];
-        for (int gc = 0; gc < layer.grid_cols; ++gc) {
-          const std::size_t col0 =
-              static_cast<std::size_t>(gc) * crossbar_size_;
-          const std::size_t cols = std::min<std::size_t>(
-              crossbar_size_, layer.out_features - col0);
-          double* ob = out + b * out_stride + col0;
-          for (std::size_t c = 0; c < cols; ++c) {
-            double sum = 0.0;
-            for (int gr = 0; gr < layer.grid_rows; ++gr) {
-              const std::size_t k =
-                  static_cast<std::size_t>(gr) * layer.grid_cols + gc;
-              sum += partial[k * slab + b * cols + c];
-            }
-            ob[c] = sum * layer.weight_scale * in_max + layer.bias[col0 + c];
+      0, static_cast<std::size_t>(layer.grid_cols), 1,
+      [&](std::size_t gc) {
+        const std::size_t col0 = gc * crossbar_size_;
+        const std::size_t cols =
+            std::min<std::size_t>(crossbar_size_, layer.out_features - col0);
+        const std::size_t n = cols * nb;
+        double* o = out + col0 * nb;
+        std::fill(o, o + n, 0.0);
+        for (int gr = 0; gr < layer.grid_rows; ++gr) {
+          const double* p =
+              partial + (static_cast<std::size_t>(gr) * layer.grid_cols +
+                         gc) * slab;
+          for (std::size_t i = 0; i < n; ++i) o[i] += p[i];
+        }
+        for (std::size_t c = 0; c < cols; ++c) {
+          const double bias = layer.bias[col0 + c];
+          double* oc = o + c * nb;
+          for (std::size_t b = 0; b < nb; ++b) {
+            const double v = oc[b] * layer.weight_scale * scale[b] + bias;
+            oc[b] = relu && v < 0.0 ? 0.0 : v;
           }
         }
       },
-      layer.out_features * static_cast<std::size_t>(layer.grid_rows) * 2);
+      static_cast<std::size_t>(crossbar_size_) * nb *
+          static_cast<std::size_t>(layer.grid_rows) * kElementCostNs);
 }
 
 std::span<const double> HardwareMlpRunner::forward_all(
@@ -306,24 +315,28 @@ std::span<const double> HardwareMlpRunner::forward_all(
   assert(batch >= 1);
   ensure_batch_scratch(batch);
   const std::size_t nb = static_cast<std::size_t>(batch);
-  std::size_t width = layers_.front().in_features;
+  const std::size_t width = layers_.front().in_features;
   assert(in_stride >= width);
   assert(inputs.size() >= (nb - 1) * in_stride + width);
+  // One transpose in: every layer reads and writes feature-major panels
+  // (feature f of query b at act[f * batch + b]).
   for (std::size_t b = 0; b < nb; ++b)
-    std::copy_n(inputs.data() + b * in_stride, width,
-                act_a_.data() + b * width);
+    for (std::size_t f = 0; f < width; ++f)
+      act_a_[f * nb + b] = inputs[b * in_stride + f];
   for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    forward_layer(layers_[i], act_a_.data(), batch, width, ou, t_s,
-                  act_b_.data(), layers_[i].out_features);
-    width = layers_[i].out_features;
-    for (std::size_t j = 0; j < nb * width; ++j)  // ReLU, branch-free
-      act_b_[j] = act_b_[j] < 0.0 ? 0.0 : act_b_[j];
+    forward_layer(layers_[i], act_a_.data(), batch, ou, t_s,
+                  /*relu=*/true, act_b_.data());
     act_a_.swap(act_b_);
   }
   const MappedLayer& head = layers_.back();
-  forward_layer(head, act_a_.data(), batch, width, ou, t_s, act_b_.data(),
-                head.out_features);
-  return {act_b_.data(), nb * head.out_features};
+  forward_layer(head, act_a_.data(), batch, ou, t_s, /*relu=*/false,
+                act_b_.data());
+  // One transpose out: the logits panel, query-major.
+  const std::size_t k = head.out_features;
+  for (std::size_t b = 0; b < nb; ++b)
+    for (std::size_t c = 0; c < k; ++c)
+      act_a_[b * k + c] = act_b_[c * nb + b];
+  return {act_a_.data(), nb * k};
 }
 
 void HardwareMlpRunner::logits(std::span<const double> inputs, int batch,

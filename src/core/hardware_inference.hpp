@@ -92,19 +92,21 @@ class HardwareMlpRunner {
   void forward_layer(const MappedLayer& layer, std::span<const double> input,
                      ou::OuConfig ou, double t_s, std::span<double> out);
 
-  /// Batched layer evaluation: query b reads inputs[b * in_stride,
-  /// + in_features) and writes out[b * out_stride, + out_features).
-  void forward_layer(const MappedLayer& layer, const double* inputs,
-                     int batch, std::size_t in_stride, ou::OuConfig ou,
-                     double t_s, double* out, std::size_t out_stride);
+  /// Batched layer evaluation over feature-major panels: feature f of
+  /// query b is in[f * batch + b] and output c lands in out[c * batch + b],
+  /// with ReLU applied when `relu` (every layer but the head).
+  void forward_layer(const MappedLayer& layer, const double* in, int batch,
+                     ou::OuConfig ou, double t_s, bool relu, double* out);
 
   /// Full forward pass; returns a span over the internal activation buffer
   /// holding the head-0 logits (valid until the next forward call).
   std::span<const double> forward_all(std::span<const double> input,
                                       ou::OuConfig ou, double t_s);
 
-  /// Batched full forward pass; returns the batch x head-out_features
-  /// logits panel (tight stride) in the internal activation buffer.
+  /// Batched full forward pass: transposes the inputs once into a
+  /// feature-major panel, runs every layer on it and transposes the logits
+  /// back; returns the batch x head-out_features logits panel (query-major,
+  /// tight stride) in the internal activation buffer.
   std::span<const double> forward_all(std::span<const double> inputs,
                                       int batch, std::size_t in_stride,
                                       ou::OuConfig ou, double t_s);
@@ -123,8 +125,8 @@ class HardwareMlpRunner {
   // batch high-water mark (ensure_batch_scratch): the scaled input panel,
   // the activation ping-pong pair, one partial-sum slab per crossbar tile
   // of the largest grid (each parallel tile task owns its own slab), and
-  // the per-query DAC scale factors. No per-call heap allocation in steady
-  // state.
+  // the per-query DAC scale factors. The batched pass keeps its panels and
+  // slabs feature-major. No per-call heap allocation in steady state.
   std::size_t max_features_ = 1;
   int max_tiles_ = 1;
   int batch_capacity_ = 0;

@@ -273,19 +273,20 @@ void Crossbar::mvm_ou(std::span<const double> inputs, int batch, int row0,
   assert(col0 >= 0 && col0 + ou_cols <= size_);
   ensure_planes(t_s);
   const std::size_t nb = static_cast<std::size_t>(batch);
-  batch_in_t_.resize(static_cast<std::size_t>(ou_rows) * nb);
-  batch_acc_.resize(static_cast<std::size_t>(ou_cols) * nb);
+  const std::size_t n = static_cast<std::size_t>(ou_cols) * nb;
+  batch_scratch_.resize(static_cast<std::size_t>(ou_rows) * nb + n);
+  double* in_t = batch_scratch_.data();
+  double* acc = in_t + static_cast<std::size_t>(ou_rows) * nb;
   for (int b = 0; b < batch; ++b)
     for (int r = 0; r < ou_rows; ++r)
-      batch_in_t_[static_cast<std::size_t>(r) * nb + b] =
+      in_t[static_cast<std::size_t>(r) * nb + b] =
           inputs[static_cast<std::size_t>(b) * ou_rows + r];
   const bool spatial = ir_model_ == IrModel::kSpatial;
   const bool uniform_drift = drift_coeff_.empty();
   const double* plane = (uniform_drift ? weight_plane_ : eff_plane_).data();
-  gemm::ou_gemm(batch_in_t_.data(), batch, ou_rows,
+  gemm::ou_gemm(in_t, batch, ou_rows,
                 plane + static_cast<std::size_t>(col0) * size_ + row0, size_,
-                ou_cols, spatial ? ir_table_.data() : nullptr,
-                batch_acc_.data());
+                ou_cols, spatial ? ir_table_.data() : nullptr, acc);
   // Same epilogue as the single-query kernel: acc * (lumped_ir *
   // nominal_drift), then the bipolar ADC, quantized in place and then
   // transposed to query-major order.
@@ -293,11 +294,11 @@ void Crossbar::mvm_ou(std::span<const double> inputs, int batch, int row0,
       spatial ? 1.0
               : lumped_ir_table_[static_cast<std::size_t>(ou_rows + ou_cols)];
   const double nominal_drift = uniform_drift ? uniform_drift_factor_ : 1.0;
-  gemm::adc_epilogue(batch_acc_.data(), batch_acc_.size(),
-                     lumped_ir * nominal_drift, static_cast<double>(ou_rows),
-                     adc_bits, batch_acc_.data(), /*accumulate=*/false);
+  gemm::adc_epilogue(acc, n, lumped_ir * nominal_drift,
+                     static_cast<double>(ou_rows), adc_bits, acc,
+                     /*accumulate=*/false);
   for (int c = 0; c < ou_cols; ++c) {
-    const double* q = batch_acc_.data() + static_cast<std::size_t>(c) * nb;
+    const double* q = acc + static_cast<std::size_t>(c) * nb;
     for (int b = 0; b < batch; ++b)
       out[static_cast<std::size_t>(b) * ou_cols + c] = q[b];
   }
@@ -360,39 +361,30 @@ void Crossbar::mvm(std::span<const double> input, int ou_rows, int ou_cols,
   }
 }
 
-void Crossbar::mvm(std::span<const double> inputs, int batch,
-                   std::size_t in_stride, int ou_rows, int ou_cols, double t_s,
-                   int adc_bits, std::span<double> out,
-                   std::size_t out_stride) {
+void Crossbar::mvm(std::span<const double> in_t, int batch, int ou_rows,
+                   int ou_cols, double t_s, int adc_bits,
+                   std::span<double> out_t) {
   assert(batch >= 1);
-  assert(in_stride >= static_cast<std::size_t>(live_rows_));
-  assert(out_stride >= static_cast<std::size_t>(live_cols_));
-  assert(inputs.size() >= static_cast<std::size_t>(batch - 1) * in_stride +
-                              static_cast<std::size_t>(live_rows_));
-  assert(out.size() >= static_cast<std::size_t>(batch - 1) * out_stride +
-                           static_cast<std::size_t>(live_cols_));
+  const std::size_t nb = static_cast<std::size_t>(batch);
+  assert(in_t.size() >= static_cast<std::size_t>(live_rows_) * nb);
+  assert(out_t.size() >= static_cast<std::size_t>(live_cols_) * nb);
   if (noise_) {
-    // Per-query path (see the batched mvm_ou): preserves each query's
-    // RNG draw order exactly.
-    for (int b = 0; b < batch; ++b)
-      mvm(inputs.subspan(static_cast<std::size_t>(b) * in_stride,
-                         static_cast<std::size_t>(live_rows_)),
-          ou_rows, ou_cols, t_s, adc_bits,
-          out.subspan(static_cast<std::size_t>(b) * out_stride,
-                      static_cast<std::size_t>(live_cols_)));
+    // Per-query path (see the batched mvm_ou): query b's row is gathered
+    // into scratch and run through the single-query mvm, in query order,
+    // which preserves each query's RNG draw order exactly.
+    const std::size_t rows = static_cast<std::size_t>(live_rows_);
+    const std::size_t cols = static_cast<std::size_t>(live_cols_);
+    batch_scratch_.resize(rows + cols);
+    double* in = batch_scratch_.data();
+    double* out = in + rows;
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (std::size_t r = 0; r < rows; ++r) in[r] = in_t[r * nb + b];
+      mvm({in, rows}, ou_rows, ou_cols, t_s, adc_bits, {out, cols});
+      for (std::size_t c = 0; c < cols; ++c) out_t[c * nb + b] = out[c];
+    }
     return;
   }
   ensure_planes(t_s);
-  const std::size_t nb = static_cast<std::size_t>(batch);
-  // Transpose the query panel once: in_t[r * batch + b]. This is the whole
-  // cache-tiling story — every OU tile of every column block then reads
-  // contiguous batch-rows, and each plane column is walked once per batch
-  // instead of once per query.
-  batch_in_t_.resize(static_cast<std::size_t>(live_rows_) * nb);
-  for (int b = 0; b < batch; ++b)
-    for (int r = 0; r < live_rows_; ++r)
-      batch_in_t_[static_cast<std::size_t>(r) * nb + b] =
-          inputs[static_cast<std::size_t>(b) * in_stride + r];
   const bool spatial = ir_model_ == IrModel::kSpatial;
   const bool uniform_drift = drift_coeff_.empty();
   const double* plane = (uniform_drift ? weight_plane_ : eff_plane_).data();
@@ -400,28 +392,26 @@ void Crossbar::mvm(std::span<const double> inputs, int batch,
   const double nominal_drift = uniform_drift ? uniform_drift_factor_ : 1.0;
   const std::size_t col_blocks = static_cast<std::size_t>(
       (live_cols_ + ou_cols - 1) / std::max(ou_cols, 1));
-  // Each column block owns a disjoint slab (GEMM accumulators, then the
-  // running sums) and a disjoint output column range, so blocks
-  // parallelize exactly like the single-query path. The running sum of
-  // column c for query b sits at sum[c * batch + b]; it starts at +0.0 and
-  // adds the quantized r0 tiles in increasing order, the single-query
-  // path's ((0 + q0) + q1) + ..., and each output is written once at the
-  // end.
+  // Each column block owns a disjoint block of GEMM accumulators and a
+  // disjoint slab of out_t, so blocks parallelize exactly like the
+  // single-query path. The GEMM reads OU tile r0 of the panel in place at
+  // in_t + r0 * batch. The running sum of column c for query b sits at
+  // out_t[c * batch + b]; it starts at +0.0 and adds the quantized r0 tiles
+  // in increasing order, the single-query path's ((0 + q0) + q1) + ...
   const std::size_t block_acc = static_cast<std::size_t>(ou_cols) * nb;
-  batch_acc_.resize(col_blocks * 2 * block_acc);
+  batch_scratch_.resize(col_blocks * block_acc);
   auto column_block = [&](std::size_t i) {
     const int c0 = static_cast<int>(i) * ou_cols;
     const int cols = std::min(ou_cols, live_cols_ - c0);
     const std::size_t n = static_cast<std::size_t>(cols) * nb;
-    double* acc = batch_acc_.data() + i * 2 * block_acc;
-    double* sum = acc + block_acc;
+    double* acc = batch_scratch_.data() + i * block_acc;
+    double* sum = out_t.data() + static_cast<std::size_t>(c0) * nb;
     std::fill(sum, sum + n, 0.0);
     for (int r0 = 0; r0 < live_rows_; r0 += ou_rows) {
       const int rows = std::min(ou_rows, live_rows_ - r0);
-      gemm::ou_gemm(batch_in_t_.data() + static_cast<std::size_t>(r0) * nb,
-                    batch, rows,
-                    plane + static_cast<std::size_t>(c0) * size_ + r0, size_,
-                    cols, irt, acc);
+      gemm::ou_gemm(in_t.data() + static_cast<std::size_t>(r0) * nb, batch,
+                    rows, plane + static_cast<std::size_t>(c0) * size_ + r0,
+                    size_, cols, irt, acc);
       const double lumped_ir =
           spatial
               ? 1.0
@@ -429,11 +419,6 @@ void Crossbar::mvm(std::span<const double> inputs, int batch,
       gemm::adc_epilogue(acc, n, lumped_ir * nominal_drift,
                          static_cast<double>(rows), adc_bits, sum,
                          /*accumulate=*/true);
-    }
-    for (int b = 0; b < batch; ++b) {
-      double* ob = out.data() + static_cast<std::size_t>(b) * out_stride + c0;
-      for (int c = 0; c < cols; ++c)
-        ob[c] = sum[static_cast<std::size_t>(c) * nb + b];
     }
   };
   const std::size_t block_cost_ns = static_cast<std::size_t>(live_rows_) *

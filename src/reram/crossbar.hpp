@@ -124,16 +124,18 @@ class Crossbar {
   void mvm(std::span<const double> input, int ou_rows, int ou_cols,
            double t_s, int adc_bits, std::span<double> out);
 
-  /// Batched full-region MVM: query b reads inputs[b * in_stride,
-  /// + programmed_rows) and its outputs land in out[b * out_stride,
-  /// + programmed_cols) (zero-filled first). The strides let callers hand
-  /// in 2-D activation panels directly. Same per-query OU composition and
-  /// accumulation order as the single-query path, so results are bitwise
-  /// identical to `batch` sequential mvm calls; the batch amortizes the
-  /// plane/IR-table walk and vectorizes across queries.
-  void mvm(std::span<const double> inputs, int batch, std::size_t in_stride,
-           int ou_rows, int ou_cols, double t_s, int adc_bits,
-           std::span<double> out, std::size_t out_stride);
+  /// Batched full-region MVM over feature-major panels: row r of query b
+  /// is in_t[r * batch + b] (r < programmed_rows), and column c of query b
+  /// lands in out_t[c * batch + b] (c < programmed_cols). The GEMM reads
+  /// the panel in place and each column block writes its running sums
+  /// straight into out_t. Same per-query OU composition and accumulation
+  /// order as the single-query path, so results are bitwise identical to
+  /// `batch` sequential mvm calls; the batch amortizes the plane/IR-table
+  /// walk and vectorizes across queries. With a NoiseModel attached, each
+  /// query's row is gathered into scratch and run through the
+  /// single-query mvm, in query order.
+  void mvm(std::span<const double> in_t, int batch, int ou_rows, int ou_cols,
+           double t_s, int adc_bits, std::span<double> out_t);
 
   /// Ideal (float) MVM over the programmed region, for error measurement.
   std::vector<double> ideal_mvm(std::span<const double> input) const;
@@ -196,11 +198,11 @@ class Crossbar {
   mutable double plane_elapsed_ = -1.0;  ///< cache key; < 0 = invalid
 
   // Batched-path scratch (grown on first use, reused afterwards so the
-  // steady state allocates nothing): the transposed input panel
-  // (in_t[r * batch + b]) and, per column block, the pre-quantization GEMM
-  // accumulators and the running sums of the quantized tiles.
-  std::vector<double> batch_in_t_;
-  std::vector<double> batch_acc_;
+  // steady state allocates nothing): the full-array pass keeps one block of
+  // pre-quantization GEMM accumulators per column block there, its noisy
+  // fallback one query's gathered input and outputs, and the batched
+  // mvm_ou its transposed input panel followed by its accumulators.
+  std::vector<double> batch_scratch_;
 
   double programmed_at_s_ = 0.0;
   std::int64_t programmed_cells_ = 0;

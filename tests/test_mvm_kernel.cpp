@@ -222,8 +222,31 @@ NoiseParams read_noise_only() {
 /// most one 4-query block after them, and scalar tails of 1-3 queries.
 constexpr int kBatchSizes[] = {1, 2, 4, 5, 8, 11, 12, 13, 16, 64};
 
+/// The first `rows` entries of each query's panel row (query b's row at
+/// panel[b * stride]), packed feature-major: in_t[r * batch + b].
+std::vector<double> feature_major(std::span<const double> panel, int batch,
+                                  std::size_t stride, int rows) {
+  const std::size_t nb = static_cast<std::size_t>(batch);
+  std::vector<double> in_t(static_cast<std::size_t>(rows) * nb);
+  for (std::size_t b = 0; b < nb; ++b)
+    for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r)
+      in_t[r * nb + b] = panel[b * stride + r];
+  return in_t;
+}
+
+/// Feature-major outputs (out_t[c * batch + b]) as tight query-major rows.
+std::vector<double> query_major(std::span<const double> out_t, int batch,
+                                int cols) {
+  const std::size_t nb = static_cast<std::size_t>(batch);
+  std::vector<double> out(out_t.size());
+  for (std::size_t b = 0; b < nb; ++b)
+    for (std::size_t c = 0; c < static_cast<std::size_t>(cols); ++c)
+      out[b * static_cast<std::size_t>(cols) + c] = out_t[c * nb + b];
+  return out;
+}
+
 void expect_batched_matches_reference(Crossbar& x, double t_s) {
-  constexpr std::size_t kStride = kSize;  // panel row wider than live rows
+  constexpr std::size_t kStride = kSize;
   for (const OuShape& ou : kShapes) {
     for (int batch : kBatchSizes) {
       SCOPED_TRACE(::testing::Message()
@@ -232,12 +255,15 @@ void expect_batched_matches_reference(Crossbar& x, double t_s) {
       const auto panel =
           random_input(17 + static_cast<std::uint64_t>(batch),
                        batch * static_cast<int>(kStride));
-      std::vector<double> got(static_cast<std::size_t>(batch) * kLiveCols);
-      x.mvm(panel, batch, kStride, ou.rows, ou.cols, t_s, kAdcBits, got,
-            kLiveCols);
+      // The panel has more rows than the crossbar has live rows.
+      const auto in_t = feature_major(panel, batch, kStride, kSize);
+      std::vector<double> got_t(static_cast<std::size_t>(batch) *
+                                kLiveCols);
+      x.mvm(in_t, batch, ou.rows, ou.cols, t_s, kAdcBits, got_t);
       const auto want = testref::mvm_batch(x, panel, batch, kStride,
                                            ou.rows, ou.cols, t_s, kAdcBits);
-      expect_bitwise(got, want, "batched mvm");
+      expect_bitwise(query_major(got_t, batch, kLiveCols), want,
+                     "batched mvm");
     }
   }
   // One OU window away from the origin, tight input packing.
@@ -294,8 +320,10 @@ TEST(MvmKernel, BatchedNoisyStreamMatchesSequential) {
                                NoiseModel(read_noise_only(), 5));
   constexpr int kBatch = 5;
   const auto panel = random_input(23, kBatch * kSize);
-  std::vector<double> got(static_cast<std::size_t>(kBatch) * kLiveCols);
-  batched.mvm(panel, kBatch, kSize, 16, 16, 1.0, 12, got, kLiveCols);
+  std::vector<double> got_t(static_cast<std::size_t>(kBatch) * kLiveCols);
+  batched.mvm(feature_major(panel, kBatch, kSize, kLiveRows), kBatch, 16,
+              16, 1.0, 12, got_t);
+  const auto got = query_major(got_t, kBatch, kLiveCols);
   std::vector<double> want(got.size());
   for (int b = 0; b < kBatch; ++b)
     seq.mvm(std::span<const double>(panel).subspan(
@@ -319,17 +347,17 @@ TEST(MvmKernel, SimdModesAgreeBitwise) {
                      << (ir == IrModel::kLumped ? "lumped" : "spatial")
                      << " OU " << ou.rows << "x" << ou.cols << " batch "
                      << batch);
-        const auto panel = random_input(
-            29 + static_cast<std::uint64_t>(batch), batch * kSize);
+        const auto in_t = feature_major(
+            random_input(29 + static_cast<std::uint64_t>(batch),
+                         batch * kSize),
+            batch, kSize, kLiveRows);
         std::vector<double> scalar_out(static_cast<std::size_t>(batch) *
                                        kLiveCols);
         std::vector<double> avx2_out(scalar_out.size());
         gemm::set_simd_mode(gemm::SimdMode::kScalar);
-        x.mvm(panel, batch, kSize, ou.rows, ou.cols, 2.0, kAdcBits,
-              scalar_out, kLiveCols);
+        x.mvm(in_t, batch, ou.rows, ou.cols, 2.0, kAdcBits, scalar_out);
         gemm::set_simd_mode(gemm::SimdMode::kAvx2);
-        x.mvm(panel, batch, kSize, ou.rows, ou.cols, 2.0, kAdcBits,
-              avx2_out, kLiveCols);
+        x.mvm(in_t, batch, ou.rows, ou.cols, 2.0, kAdcBits, avx2_out);
         gemm::set_simd_mode(gemm::default_simd_mode());
         expect_bitwise(avx2_out, scalar_out, "scalar vs avx2");
       }
@@ -482,17 +510,22 @@ TEST(MvmKernel, SpanMvmDoesNotAllocateInSteadyState) {
 
 TEST(MvmKernel, BatchedMvmDoesNotAllocateInSteadyState) {
   Crossbar x = make_crossbar(IrModel::kSpatial, std::nullopt);
+  Crossbar noisy = make_crossbar(IrModel::kSpatial,
+                                 NoiseModel(read_noise_only(), 7));
   constexpr int kBatch = 8;
   const auto panel = random_input(31, kBatch * kSize);
+  const auto in_t = feature_major(panel, kBatch, kSize, kLiveRows);
   std::vector<double> out(static_cast<std::size_t>(kBatch) * kLiveCols);
   std::vector<double> ou_out(static_cast<std::size_t>(kBatch) * 16);
   // Warm the planes, the pool and the batch scratch at the target size.
-  x.mvm(panel, kBatch, kSize, 16, 16, 2.0, kAdcBits, out, kLiveCols);
+  x.mvm(in_t, kBatch, 16, 16, 2.0, kAdcBits, out);
+  noisy.mvm(in_t, kBatch, 16, 16, 2.0, kAdcBits, out);
   x.mvm_ou(std::span<const double>(panel).subspan(0, kBatch * 16), kBatch,
            32, 16, 48, 16, 2.0, kAdcBits, ou_out);
   const std::uint64_t before = g_allocations.load();
   for (int rep = 0; rep < 8; ++rep) {
-    x.mvm(panel, kBatch, kSize, 16, 16, 2.0, kAdcBits, out, kLiveCols);
+    x.mvm(in_t, kBatch, 16, 16, 2.0, kAdcBits, out);
+    noisy.mvm(in_t, kBatch, 16, 16, 2.0, kAdcBits, out);
     x.mvm_ou(std::span<const double>(panel).subspan(0, kBatch * 16), kBatch,
              32, 16, 48, 16, 2.0, kAdcBits, ou_out);
   }
@@ -505,6 +538,8 @@ TEST(MvmKernel, BatchedMvmDoesNotAllocateInSteadyState) {
 
 namespace odin::core {
 namespace {
+
+namespace gemm = reram::gemm;
 
 TEST(MvmKernel, ForwardPassDoesNotAllocateInSteadyState) {
   nn::MultiHeadMlp model(
@@ -523,10 +558,10 @@ TEST(MvmKernel, ForwardPassDoesNotAllocateInSteadyState) {
 
 // --- Batched forward path ----------------------------------------------------
 
-HardwareMlpRunner make_runner() {
+HardwareMlpRunner make_runner(std::uint64_t noise_seed = 0) {
   nn::MultiHeadMlp model(
       nn::MlpConfig{.inputs = 48, .hidden = {32}, .heads = {10}}, 5);
-  return HardwareMlpRunner(model, reram::DeviceParams{}, 64);
+  return HardwareMlpRunner(model, reram::DeviceParams{}, 64, noise_seed);
 }
 
 std::vector<double> random_panel(std::uint64_t seed, std::size_t n) {
@@ -564,43 +599,84 @@ TEST(MvmKernel, BatchedForwardMatchesSingleQuery) {
 // 8-column tile in the last grid column), the head a 4x1 grid (a partial
 // 8-row tile in the last grid row), so the batched pass runs several tiles
 // per layer in parallel and reduces their partials across grid rows.
-HardwareMlpRunner make_multi_tile_runner() {
+HardwareMlpRunner make_multi_tile_runner(std::uint64_t noise_seed = 0) {
   nn::MultiHeadMlp model(
       nn::MlpConfig{.inputs = 192, .hidden = {200}, .heads = {10}}, 13);
-  return HardwareMlpRunner(model, reram::DeviceParams{}, 64);
+  return HardwareMlpRunner(model, reram::DeviceParams{}, 64, noise_seed);
 }
 
+/// 64 random query rows of 192 features, with edge rows at 1-4 (in the
+/// first SIMD block, and row 4 in the scalar tail of a batch of 5): all
+/// zero (the DAC scale stays 1e-12), all negative (layer 0's scale takes
+/// |x|), +inf and -inf features, and one NaN feature.
+std::vector<double> multi_tile_panel() {
+  constexpr std::size_t kStride = 192;
+  auto panel = random_panel(19, 64 * kStride);
+  auto row = [&](std::size_t b) {
+    return std::span<double>(panel).subspan(b * kStride, kStride);
+  };
+  for (std::size_t f = 0; f < kStride; ++f)
+    row(1)[f] = f % 2 == 0 ? 0.0 : -0.0;
+  for (double& v : row(2)) v = -std::abs(v) - 0x1p-20;
+  row(3)[7] = std::numeric_limits<double>::infinity();
+  row(3)[100] = -std::numeric_limits<double>::infinity();
+  row(4)[150] = std::numeric_limits<double>::quiet_NaN();
+  return panel;
+}
+
+/// Logits of the first `batch` panel rows, batched on `batched` and one
+/// query at a time on `single`, equal bit for bit.
+void expect_batched_logits_match(HardwareMlpRunner& batched,
+                                 HardwareMlpRunner& single,
+                                 std::span<const double> panel, int batch,
+                                 ou::OuConfig ou, double t) {
+  constexpr std::size_t kStride = 192;
+  std::vector<double> got(static_cast<std::size_t>(batch) * 10);
+  batched.logits(panel.subspan(0, static_cast<std::size_t>(batch) * kStride),
+                 batch, kStride, ou, t, got);
+  for (int b = 0; b < batch; ++b) {
+    const auto one = single.logits(
+        panel.subspan(static_cast<std::size_t>(b) * kStride, kStride), ou, t);
+    ASSERT_EQ(one.size(), 10u);
+    for (std::size_t k = 0; k < one.size(); ++k)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                    got[static_cast<std::size_t>(b) * 10 + k]),
+                std::bit_cast<std::uint64_t>(one[k]))
+          << "query " << b << " logit " << k;
+  }
+}
+
+// Noiseless, one runner serves both sides. With read noise, two
+// identically seeded runners see the same per-crossbar query sequence, so
+// each crossbar's stream draws in the same order on both.
 TEST(MvmKernel, MultiTileBatchedForwardMatchesSingleQuery) {
   HardwareMlpRunner hw = make_multi_tile_runner();
-  constexpr std::size_t kStride = 192;
-  const auto panel = random_panel(19, 64 * kStride);
-  for (ou::OuConfig ou : {ou::OuConfig{8, 8}, ou::OuConfig{16, 8},
-                          ou::OuConfig{32, 32}}) {
-    for (double t : {1.0, 2.5e6}) {
-      for (int batch : {1, 5, 16, 64}) {
-        SCOPED_TRACE(::testing::Message() << "OU " << ou.rows << "x"
-                                          << ou.cols << " t=" << t
-                                          << " batch " << batch);
-        std::vector<double> batched(static_cast<std::size_t>(batch) * 10);
-        hw.logits(std::span<const double>(panel).subspan(
-                      0, static_cast<std::size_t>(batch) * kStride),
-                  batch, kStride, ou, t, batched);
-        for (int b = 0; b < batch; ++b) {
-          const auto one = hw.logits(std::span<const double>(panel).subspan(
-                                         static_cast<std::size_t>(b) *
-                                             kStride,
-                                         kStride),
-                                     ou, t);
-          ASSERT_EQ(one.size(), 10u);
-          for (std::size_t k = 0; k < one.size(); ++k)
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                          batched[static_cast<std::size_t>(b) * 10 + k]),
-                      std::bit_cast<std::uint64_t>(one[k]))
-                << "query " << b << " logit " << k;
+  HardwareMlpRunner noisy_batched = make_multi_tile_runner(77);
+  HardwareMlpRunner noisy_single = make_multi_tile_runner(77);
+  const auto panel = multi_tile_panel();
+  std::vector<gemm::SimdMode> modes = {gemm::SimdMode::kScalar};
+  if (gemm::avx2_available()) modes.push_back(gemm::SimdMode::kAvx2);
+  for (gemm::SimdMode mode : modes) {
+    gemm::set_simd_mode(mode);
+    for (ou::OuConfig ou : {ou::OuConfig{8, 8}, ou::OuConfig{16, 8},
+                            ou::OuConfig{32, 32}}) {
+      for (double t : {1.0, 2.5e6}) {
+        for (int batch : {1, 5, 16, 64}) {
+          SCOPED_TRACE(::testing::Message()
+                       << gemm::simd_mode_name(mode) << " OU " << ou.rows
+                       << "x" << ou.cols << " t=" << t << " batch "
+                       << batch);
+          expect_batched_logits_match(hw, hw, panel, batch, ou, t);
+          if (batch != 64) {
+            SCOPED_TRACE("noisy");
+            expect_batched_logits_match(noisy_batched, noisy_single, panel,
+                                        batch, ou, t);
+          }
         }
       }
     }
   }
+  gemm::set_simd_mode(gemm::default_simd_mode());
 }
 
 TEST(MvmKernel, BatchedAccuracyMatchesSingleQuery) {
@@ -623,18 +699,23 @@ TEST(MvmKernel, BatchedAccuracyMatchesSingleQuery) {
 
 TEST(MvmKernel, BatchedForwardDoesNotAllocateInSteadyState) {
   HardwareMlpRunner hw = make_runner();
+  HardwareMlpRunner noisy = make_runner(/*noise_seed=*/9);
   constexpr int kBatch = 6;
   constexpr std::size_t kStride = 48;
   const auto panel = random_panel(11, kBatch * kStride);
   std::vector<double> out(static_cast<std::size_t>(kBatch) * 10);
   std::vector<int> preds(kBatch);
   // Warm scratch + planes at the target batch size.
-  hw.logits(panel, kBatch, kStride, {16, 16}, 1.0, out);
-  hw.predict(panel, kBatch, kStride, {16, 16}, 1.0, preds);
+  for (HardwareMlpRunner* runner : {&hw, &noisy}) {
+    runner->logits(panel, kBatch, kStride, {16, 16}, 1.0, out);
+    runner->predict(panel, kBatch, kStride, {16, 16}, 1.0, preds);
+  }
   const std::uint64_t before = g_allocations.load();
   for (int rep = 0; rep < 8; ++rep) {
-    hw.logits(panel, kBatch, kStride, {16, 16}, 1.0, out);
-    hw.predict(panel, kBatch, kStride, {16, 16}, 1.0, preds);
+    for (HardwareMlpRunner* runner : {&hw, &noisy}) {
+      runner->logits(panel, kBatch, kStride, {16, 16}, 1.0, out);
+      runner->predict(panel, kBatch, kStride, {16, 16}, 1.0, preds);
+    }
   }
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "batched logits/predict allocated in steady state";

@@ -229,25 +229,29 @@ TEST(ParallelDeterminism, HardwareNoisyLogitsBitwiseIdentical) {
     EXPECT_EQ(seq[i], par[i]) << "logit " << i;
 }
 
-// Noiseless batched passes over multi-tile layers (192-200-10 on 64-cell
-// crossbars: 3x4 and 4x1 grids): the DAC scaling, the tile tasks and the
-// cross-tile reduction all run on the pool.
+// Noiseless batched passes over multi-tile layers on 64-cell crossbars:
+// 192-200-10 (3x4 and 4x1 grids) runs its tile tasks on the pool, and
+// 192-400-10 (3x7 and 7x1 grids) also its cross-tile reduction (layer 0's
+// 7 grid columns).
 std::vector<double> run_hardware_batched(int threads) {
   common::ThreadPool::instance().set_threads(threads);
-  nn::MultiHeadMlp model(
-      nn::MlpConfig{.inputs = 192, .hidden = {200}, .heads = {10}}, 13);
-  HardwareMlpRunner runner(model, reram::DeviceParams{}, 64);
   constexpr int kBatch = 64;
   std::vector<double> panel(kBatch * 192);
   common::Rng rng(21);
   for (double& v : panel) v = rng.uniform(-1.0, 1.0);
   std::vector<double> out;
   std::vector<double> logits(kBatch * 10);
-  for (ou::OuConfig ou : {ou::OuConfig{8, 8}, ou::OuConfig{32, 32}})
-    for (double t : {1.0, 2.5e6}) {
-      runner.logits(panel, kBatch, 192, ou, t, logits);
-      out.insert(out.end(), logits.begin(), logits.end());
-    }
+  for (std::size_t hidden : {200, 400}) {
+    nn::MultiHeadMlp model(
+        nn::MlpConfig{.inputs = 192, .hidden = {hidden}, .heads = {10}},
+        13);
+    HardwareMlpRunner runner(model, reram::DeviceParams{}, 64);
+    for (ou::OuConfig ou : {ou::OuConfig{8, 8}, ou::OuConfig{32, 32}})
+      for (double t : {1.0, 2.5e6}) {
+        runner.logits(panel, kBatch, 192, ou, t, logits);
+        out.insert(out.end(), logits.begin(), logits.end());
+      }
+  }
   return out;
 }
 
