@@ -42,8 +42,8 @@ int main() {
   const auto odin = core::serve_with_odin(
       tenants, nonideal, cost, policy::OuPolicy(ou::OuLevelGrid(128)), cfg);
   auto add_row = [&](const core::ServingResult& r) {
-    int reprograms = 0;
-    for (const auto& t : r.tenants) reprograms += t.reprograms;
+    const int reprograms = r.sum(&core::TenantStats::reprograms);
+    const int mismatches = r.sum(&core::TenantStats::mismatches);
     const double layers_served = [&] {
       double n = 0;
       for (std::size_t i = 0; i < tenants.size(); ++i)
@@ -56,8 +56,7 @@ int main() {
                    common::Table::num(r.total().latency_s, 4),
                    common::Table::num(r.total_edp(), 4),
                    common::Table::integer(reprograms),
-                   common::Table::num(
-                       100.0 * r.total_mismatches() / layers_served, 3),
+                   common::Table::num(100.0 * mismatches / layers_served, 3),
                    common::Table::num(r.total_edp() / odin.total_edp(), 3)});
   };
   add_row(odin);

@@ -20,71 +20,29 @@ constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 4;
 /// Refuse absurd payloads before allocating (a corrupt size field must not
 /// drive a multi-gigabyte read).
 constexpr std::uint64_t kMaxPayload = 1ull << 30;
-/// Count bound for the tenant-indexed lists.
-constexpr std::uint64_t kMaxShortSeq = 1u << 16;
 
-/// Wire layout of the whole payload (common/binary_io.hpp). The
-/// fingerprint has no walk of its own: its fields sit among the state they
-/// gate, at the offsets the layout gave them when each layer was added.
+/// Wire layout of the whole payload (common/binary_io.hpp), one walk per
+/// struct.
 template <typename S, common::MaybeConst<ServingCheckpoint> C>
 void fields(S& s, C& c) {
-  auto& fp = c.fingerprint;
   s.field(c.segment);
   s.field(c.next_run);
-  s.field(fp.segments);
-  s.field(fp.horizon_runs);
-  s.field(fp.t_start_s);
-  s.field(fp.t_end_s);
-  s.seq(fp.tenant_names, kMaxShortSeq);
-  s.field(c.result.label);
-  s.seq(c.result.tenants, kMaxShortSeq);
-  s.field(c.result.programming);
-  s.field(c.result.switches);
-  s.field(c.result.policy_updates);
+  s.field(c.fingerprint);
+  s.field(c.result);
   s.field(c.controller);
-  s.field(fp.has_faults);
-  // The wear fingerprint is listed here, split, rather than by the
-  // WearState walk: crossbars_retired sits with the leveling fields below.
-  s.field(c.wear.campaigns);
-  s.field(c.wear.stuck_cells);
-  s.field(c.wear.failed_wordlines);
-  s.field(c.wear.failed_bitlines);
-  s.field(fp.has_resilience);
-  s.field(fp.shed_policy);
-  s.field(fp.queue_capacity);
+  s.field(c.wear);
   s.field(c.busy_until_s);
   s.seq(c.pending_runs, common::kMaxSeq);
-  s.seq(c.breakers, kMaxShortSeq);
-  s.seq(c.fallback_ous, kMaxShortSeq, [](auto& st, auto& ou) {
+  s.seq(c.breakers, kMaxTenants);
+  s.seq(c.fallback_ous, kMaxTenants, [](auto& st, auto& ou) {
     st.field(ou.rows);
     st.field(ou.cols);
   });
-  s.field(fp.batching_enabled);
-  s.field(fp.batch_cap);
-  s.field(fp.leveling_enabled);
-  s.field(fp.leveling_spare_rows);
-  s.field(fp.leveling_wear_budget);
-  // wear.crossbars_retired and the controller's wear_deferred_reprograms
-  // and retired_seen belong to other structs, but the layout carries them
-  // in this wear-leveling block; listing them with their own structs would
-  // move their bytes.
-  s.field(c.wear.crossbars_retired);
   s.field(c.wear_seg_base_rows_remapped);
   s.field(c.wear_seg_base_crossbars_retired);
   s.field(c.wear_seg_base_writes_leveled);
-  s.field(c.controller.wear_deferred_reprograms);
-  s.field(c.controller.retired_seen);
-  s.field(fp.fleet_shards);
-  s.field(fp.fleet_shard_index);
-  s.field(fp.has_service_models);
-  s.seq(fp.service_models, kMaxShortSeq, [](auto& st, auto& m) {
-    st.field(m.noc_extra);
-    st.field(m.pipeline_overlap);
-  });
-  s.field(fp.sojourn_cap);
   s.field(c.has_scenario);
   s.field(c.scenario);
-  s.field(c.has_cluster);
   s.field(c.cluster);
 }
 

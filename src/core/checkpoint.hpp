@@ -40,9 +40,9 @@
 namespace odin::core {
 
 /// On-disk payload version. There is one layout, the ServingCheckpoint
-/// walk in core/checkpoint.cpp; a change to it bumps this number, and
-/// frames of any other version are refused.
-inline constexpr std::uint32_t kCheckpointVersion = 8;
+/// walk in core/checkpoint.cpp and the walks it runs; a change to any of
+/// them bumps this number, and frames of any other version are refused.
+inline constexpr std::uint32_t kCheckpointVersion = 9;
 
 /// The configuration a checkpointed walk ran under. The serving walk
 /// builds one from its arguments both when it writes a checkpoint and when
@@ -72,7 +72,6 @@ struct ServingFingerprint {
   std::int32_t batch_cap = 0;  ///< resolved max batch in force
   std::int32_t fleet_shards = 1;
   std::int32_t fleet_shard_index = 0;
-  bool has_service_models = false;
   std::vector<TenantServiceModel> service_models;
   /// Raw sojourn retention cap: the campaign engine's bound; serving walks
   /// keep every sample and write 0.
@@ -80,6 +79,32 @@ struct ServingFingerprint {
 
   bool operator==(const ServingFingerprint&) const = default;
 };
+
+/// Wire layout (common/binary_io.hpp).
+template <typename S, common::MaybeConst<ServingFingerprint> F>
+void fields(S& s, F& fp) {
+  s.field(fp.segments);
+  s.field(fp.horizon_runs);
+  s.field(fp.t_start_s);
+  s.field(fp.t_end_s);
+  s.seq(fp.tenant_names, kMaxTenants);
+  s.field(fp.has_faults);
+  s.field(fp.leveling_enabled);
+  s.field(fp.leveling_spare_rows);
+  s.field(fp.leveling_wear_budget);
+  s.field(fp.has_resilience);
+  s.field(fp.shed_policy);
+  s.field(fp.queue_capacity);
+  s.field(fp.batching_enabled);
+  s.field(fp.batch_cap);
+  s.field(fp.fleet_shards);
+  s.field(fp.fleet_shard_index);
+  s.seq(fp.service_models, kMaxTenants, [](auto& st, auto& m) {
+    st.field(m.noc_extra);
+    st.field(m.pipeline_overlap);
+  });
+  s.field(fp.sojourn_cap);
+}
 
 /// The complete serving state at a run boundary. `segment`/`next_run`
 /// locate the resume point: the next inference to execute is
@@ -110,15 +135,11 @@ struct ServingCheckpoint {
   int wear_seg_base_rows_remapped = 0;
   int wear_seg_base_crossbars_retired = 0;
   long long wear_seg_base_writes_leveled = 0;
-  /// Scenario surface. The campaign state is only meaningful when
-  /// has_scenario (the campaign engine's checkpoints); the plain serving
-  /// loop writes it defaulted.
+  /// Campaign-engine surface: set on every frame the engine writes (a
+  /// plain campaign's is a one-mesh cluster frame) and required by its
+  /// resume. The plain serving loop writes both states defaulted.
   bool has_scenario = false;
   CampaignState scenario;
-  /// Cluster surface. Set on every frame the campaign engine writes — a
-  /// plain campaign's is a one-mesh cluster frame — and required by its
-  /// resume: a frame with has_cluster unset decodes but does not resume.
-  bool has_cluster = false;
   ClusterState cluster;
 };
 

@@ -336,7 +336,6 @@ std::optional<ClusterResult> run_cluster_impl(
     ckpt.result.tenants = stats;
     ckpt.has_scenario = true;
     ckpt.scenario = st;
-    ckpt.has_cluster = true;
     ckpt.cluster = cs;
     writer->write(ckpt);
   };
@@ -555,12 +554,8 @@ std::optional<ClusterResult> run_cluster_impl(
   };
 
   long long served_now = 0;
-  bool stopped = false;
   while (st.next_event < st.requests) {
-    if (camp.max_requests > 0 && served_now >= camp.max_requests) {
-      stopped = true;
-      break;
-    }
+    if (camp.max_requests > 0 && served_now >= camp.max_requests) break;
     const ArrivalGenerator::Arrival arr = gen.next();
     const double t = arr.t_s;
     const auto tenant = static_cast<std::size_t>(arr.tenant);
@@ -727,7 +722,6 @@ std::optional<ClusterResult> run_cluster_impl(
     if (writer.has_value() && served_now % every == 0) write_checkpoint();
   }
   write_checkpoint();
-  (void)stopped;
 
   st.shard_wear.resize(static_cast<std::size_t>(S));
   for (int s = 0; s < S; ++s)
@@ -836,8 +830,7 @@ std::optional<ClusterResult> resume_cluster(const ClusterConfig& config) {
   if (config.campaign.checkpoint.base_path.empty()) return std::nullopt;
   const auto ckpt =
       load_latest_checkpoint(config.campaign.checkpoint.base_path);
-  if (!ckpt.has_value() || !ckpt->has_scenario || !ckpt->has_cluster)
-    return std::nullopt;
+  if (!ckpt.has_value() || !ckpt->has_scenario) return std::nullopt;
   // Wrong-geometry refusal, campaign then cluster: the state only
   // reinstates onto the identical scenario AND the identical cluster
   // (mesh count, replication cadence, failover arm).

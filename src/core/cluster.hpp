@@ -34,8 +34,8 @@
 // Determinism: every cluster decision (outage windows, storm target
 // meshes, failover destinations) is a pure function of the seeds and the
 // state, so same-seed replay and mid-campaign resume reproduce the summary
-// byte for byte. The state rides the serving checkpoint with the cluster
-// surface set. Resume refuses a frame with has_cluster unset, a frame
+// byte for byte. The state rides the serving checkpoint with the campaign
+// surface set. Resume refuses a frame with has_scenario unset, a frame
 // whose fingerprint names another geometry, and a frame whose state does
 // not fit that geometry.
 #pragma once

@@ -110,7 +110,6 @@ AggregateResult simulate_odin(OdinController& controller,
   }
   agg.reprograms = controller.reprogram_count();
   agg.policy_updates = controller.update_count();
-  agg.updates_accepted = controller.updates_accepted();
   agg.updates_rejected = controller.updates_rejected();
   agg.updates_rolled_back = controller.updates_rolled_back();
   agg.buffer_dropped = static_cast<long long>(controller.buffer_dropped());

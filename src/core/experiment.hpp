@@ -85,7 +85,6 @@ struct AggregateResult {
   int program_retries = 0;   ///< extra write-verify attempts (Odin only)
   int degraded_runs = 0;     ///< runs served in degraded mode (Odin only)
   /// Update-guardrail counters (Odin only; zero while the guard is off).
-  int updates_accepted = 0;
   int updates_rejected = 0;
   int updates_rolled_back = 0;
   long long buffer_dropped = 0;      ///< replay-buffer saturation drops

@@ -404,12 +404,12 @@ FleetPlacement place_fleet(
 
 int FleetResult::total_runs() const noexcept {
   int n = 0;
-  for (const ServingResult& s : shards) n += s.total_runs();
+  for (const ServingResult& s : shards) n += s.sum(&TenantStats::runs);
   return n;
 }
 
 double FleetResult::shard_busy_s(std::size_t shard) const noexcept {
-  return shards[shard].total_service_s() +
+  return shards[shard].sum(&TenantStats::service_s) +
          shards[shard].programming.latency_s;
 }
 

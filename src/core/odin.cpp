@@ -298,12 +298,6 @@ RunResult OdinController::run_inference(double t_s,
   if (probation_left_ == 0)
     maybe_update_policy(run, drift_s, fault_nf);  // line 11, guarded
   run.buffer_dropped = buffer_.dropped();
-  if (faults_ != nullptr) {
-    run.rows_remapped = faults_->rows_remapped();
-    run.spares_remaining = faults_->spares_remaining();
-    run.crossbars_retired = faults_->crossbars_retired();
-    run.writes_leveled = faults_->writes_leveled();
-  }
   return run;
 }
 
@@ -351,7 +345,6 @@ void OdinController::maybe_update_policy(RunResult& run, double drift_s,
     policy_.train(buffer_.to_dataset(grid_), config_.update_options);
     buffer_.reset();
     ++update_count_;
-    ++updates_accepted_;
     run.policy_updated = true;
     return;
   }
@@ -440,7 +433,6 @@ void OdinController::maybe_update_policy(RunResult& run, double drift_s,
     policy_ = std::move(candidate);
     buffer_.reset();
     ++update_count_;
-    ++updates_accepted_;
     run.policy_updated = true;
     probation_left_ = std::max(gp.probation_runs, 0);
     probation_mismatches_ = probation_layers_ = 0;
@@ -468,7 +460,6 @@ ControllerSnapshot OdinController::snapshot() {
   s.degraded_runs = degraded_runs_;
   s.wear_deferred_reprograms = wear_deferred_reprograms_;
   s.retired_seen = retired_seen_;
-  s.updates_accepted = updates_accepted_;
   s.updates_rejected = updates_rejected_;
   s.updates_rolled_back = updates_rolled_back_;
   s.probation_left = probation_left_;
@@ -524,7 +515,6 @@ bool OdinController::restore(const ControllerSnapshot& s) {
   degraded_runs_ = s.degraded_runs;
   wear_deferred_reprograms_ = s.wear_deferred_reprograms;
   retired_seen_ = s.retired_seen;
-  updates_accepted_ = s.updates_accepted;
   updates_rejected_ = s.updates_rejected;
   updates_rolled_back_ = s.updates_rolled_back;
   probation_left_ = s.probation_left;

@@ -175,11 +175,6 @@ struct RunResult {
   /// A campaign this run exhausted the spare pool: the crossbar was retired
   /// and the tenant migrated to a fresh array (degradation ladder cleared).
   bool crossbar_retired = false;
-  /// Cumulative leveling totals after this run (injector-wide).
-  int rows_remapped = 0;
-  int spares_remaining = 0;
-  int crossbars_retired = 0;
-  long long writes_leveled = 0;
   common::EnergyLatency inference;
   common::EnergyLatency reprogram;
   std::vector<LayerDecision> decisions;  ///< one per layer
@@ -198,12 +193,10 @@ struct ControllerSnapshot {
   double eta_scale = 1.0;
   int retry_count = 0;
   int degraded_runs = 0;
-  /// Wear-leveling state. Written by the ServingCheckpoint walk, not the
-  /// one below (core/checkpoint.cpp says why).
+  /// Wear-leveling state.
   int wear_deferred_reprograms = 0;
   int retired_seen = 0;
-  /// Guardrail state.
-  int updates_accepted = 0;
+  /// Guardrail state (the accepted updates are update_count).
   int updates_rejected = 0;
   int updates_rolled_back = 0;
   int probation_left = 0;
@@ -233,7 +226,8 @@ void fields(S& s, C& c) {
   s.field(c.eta_scale);
   s.field(c.retry_count);
   s.field(c.degraded_runs);
-  s.field(c.updates_accepted);
+  s.field(c.wear_deferred_reprograms);
+  s.field(c.retired_seen);
   s.field(c.updates_rejected);
   s.field(c.updates_rolled_back);
   s.field(c.probation_left);
@@ -281,10 +275,10 @@ class OdinController {
   RunResult run_inference(double t_s, common::Deadline* deadline = nullptr);
 
   int reprogram_count() const noexcept { return reprogram_count_; }
+  /// Promoted retrains (Algorithm 1's line 11, after the guard if on).
   int update_count() const noexcept { return update_count_; }
   double programmed_at_s() const noexcept { return programmed_at_s_; }
-  /// Guardrail counters (accepted == update_count when the guard is off).
-  int updates_accepted() const noexcept { return updates_accepted_; }
+  /// Guardrail counters.
   int updates_rejected() const noexcept { return updates_rejected_; }
   int updates_rolled_back() const noexcept { return updates_rolled_back_; }
   /// Replay-buffer observability.
@@ -355,7 +349,6 @@ class OdinController {
   /// Guardrail state (see GuardPolicy). The incumbent that a promotion
   /// displaced is kept until its successor survives probation; the batch
   /// that trained the promotion is kept so a rollback can quarantine it.
-  int updates_accepted_ = 0;
   int updates_rejected_ = 0;
   int updates_rolled_back_ = 0;
   int probation_left_ = 0;

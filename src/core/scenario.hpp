@@ -31,7 +31,7 @@
 //    (core/checkpoint), so a campaign can crash mid-storm and resume
 //    bitwise. Resume refuses a
 //    frame whose fingerprint names another geometry, whose state does not
-//    fit that geometry, or that carries no cluster surface.
+//    fit that geometry, or that carries no campaign surface.
 #pragma once
 
 #include <cstdint>

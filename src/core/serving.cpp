@@ -43,138 +43,6 @@ common::EnergyLatency ServingResult::total() const noexcept {
   return t;
 }
 
-int ServingResult::total_mismatches() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.mismatches;
-  return n;
-}
-
-int ServingResult::total_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.runs;
-  return n;
-}
-
-int ServingResult::total_retries() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.retries;
-  return n;
-}
-
-int ServingResult::total_degraded_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.degraded_runs;
-  return n;
-}
-
-int ServingResult::total_updates_accepted() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.updates_accepted;
-  return n;
-}
-
-int ServingResult::total_updates_rejected() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.updates_rejected;
-  return n;
-}
-
-int ServingResult::total_updates_rolled_back() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.updates_rolled_back;
-  return n;
-}
-
-long long ServingResult::total_buffer_dropped() const noexcept {
-  long long n = 0;
-  for (const TenantStats& s : tenants) n += s.buffer_dropped;
-  return n;
-}
-
-long long ServingResult::total_buffer_quarantined() const noexcept {
-  long long n = 0;
-  for (const TenantStats& s : tenants) n += s.buffer_quarantined;
-  return n;
-}
-
-int ServingResult::total_shed_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.shed_runs;
-  return n;
-}
-
-int ServingResult::total_breaker_open_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_open_runs;
-  return n;
-}
-
-int ServingResult::total_deadline_misses() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.deadline_misses;
-  return n;
-}
-
-int ServingResult::total_deferred_reprograms() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.deferred_reprograms;
-  return n;
-}
-
-int ServingResult::total_searches_truncated() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.searches_truncated;
-  return n;
-}
-
-int ServingResult::total_breaker_opens() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_opens;
-  return n;
-}
-
-int ServingResult::total_breaker_reopens() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_reopens;
-  return n;
-}
-
-int ServingResult::total_breaker_probes() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_probes;
-  return n;
-}
-
-int ServingResult::total_breaker_closes() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.breaker_closes;
-  return n;
-}
-
-int ServingResult::total_watchdog_stalls() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.watchdog_stalls;
-  return n;
-}
-
-int ServingResult::total_batches_formed() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.batches_formed;
-  return n;
-}
-
-int ServingResult::total_batch_members() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.batch_members;
-  return n;
-}
-
-int ServingResult::total_batch_slo_capped() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.batch_slo_capped;
-  return n;
-}
-
 int ServingResult::max_batch() const noexcept {
   int n = 0;
   for (const TenantStats& s : tenants) n = std::max(n, s.max_batch);
@@ -182,58 +50,10 @@ int ServingResult::max_batch() const noexcept {
 }
 
 double ServingResult::mean_batch_occupancy() const noexcept {
-  const int formed = total_batches_formed();
+  const int formed = sum(&TenantStats::batches_formed);
   if (formed == 0) return 0.0;
-  return static_cast<double>(total_batch_members()) /
+  return static_cast<double>(sum(&TenantStats::batch_members)) /
          static_cast<double>(formed);
-}
-
-int ServingResult::total_rows_remapped() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.rows_remapped;
-  return n;
-}
-
-int ServingResult::total_crossbars_retired() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.crossbars_retired;
-  return n;
-}
-
-long long ServingResult::total_writes_leveled() const noexcept {
-  long long n = 0;
-  for (const TenantStats& s : tenants) n += s.writes_leveled;
-  return n;
-}
-
-int ServingResult::total_wear_deferred_reprograms() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.wear_deferred_reprograms;
-  return n;
-}
-
-int ServingResult::spares_remaining() const noexcept {
-  // The pool is device-global: every served tenant's gauge reads the same
-  // shared injector, so the smallest nonzero observation is the current
-  // pool (tenants that never served report 0 and are skipped).
-  int gauge = 0;
-  for (const TenantStats& s : tenants)
-    if (s.runs > 0 && s.spares_remaining > 0 &&
-        (gauge == 0 || s.spares_remaining < gauge))
-      gauge = s.spares_remaining;
-  return gauge;
-}
-
-double ServingResult::total_service_s() const noexcept {
-  double t = 0.0;
-  for (const TenantStats& s : tenants) t += s.service_s;
-  return t;
-}
-
-int ServingResult::total_pipelined_runs() const noexcept {
-  int n = 0;
-  for (const TenantStats& s : tenants) n += s.pipelined_runs;
-  return n;
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> segment_bounds(
@@ -307,7 +127,6 @@ ServingFingerprint serving_fingerprint(
   }
   fp.fleet_shards = config.fleet_shards;
   fp.fleet_shard_index = config.fleet_shard_index;
-  fp.has_service_models = !config.service_models.empty();
   fp.service_models = config.service_models;
   return fp;
 }
@@ -826,7 +645,6 @@ std::optional<ServingResult> serve_odin_impl(
       drain_queue(std::numeric_limits<double>::infinity());
     stats.reprograms += controller.reprogram_count();
     stats.retries += controller.retry_count();
-    stats.updates_accepted += controller.updates_accepted();
     stats.updates_rejected += controller.updates_rejected();
     stats.updates_rolled_back += controller.updates_rolled_back();
     stats.buffer_dropped +=
@@ -842,7 +660,6 @@ std::optional<ServingResult> serve_odin_impl(
           faults->crossbars_retired() - seg_base_crossbars_retired;
       stats.writes_leveled +=
           faults->writes_leveled() - seg_base_writes_leveled;
-      stats.spares_remaining = faults->spares_remaining();
     }
     result.policy_updates += controller.update_count();
     policy = controller.policy().clone();  // carry the learning forward

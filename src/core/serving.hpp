@@ -106,8 +106,8 @@ struct TenantStats {
   int mismatches = 0;
   int retries = 0;        ///< extra write-verify attempts on this tenant
   int degraded_runs = 0;  ///< runs this tenant served in degraded mode
-  /// Update-guardrail surface (zero while the guard is disabled).
-  int updates_accepted = 0;
+  /// Update-guardrail surface (zero while the guard is disabled); the
+  /// accepted updates are ServingResult::policy_updates.
   int updates_rejected = 0;
   int updates_rolled_back = 0;
   /// Replay-buffer observability: examples dropped at saturation and
@@ -143,9 +143,6 @@ struct TenantStats {
   int crossbars_retired = 0;  ///< pool exhaustions (tenant migrated)
   long long writes_leveled = 0;      ///< row writes redirected off-identity
   int wear_deferred_reprograms = 0;  ///< campaigns deferred while wear-hot
-  /// Gauge, not a delta: spare rows left in the device's current pool after
-  /// this tenant's most recent segment.
-  int spares_remaining = 0;
   /// Fleet surface (zero outside a multi-shard fleet): wall-clock busy time
   /// this tenant held its shard's device, and runs that were served at the
   /// pipelined (overlapped) rate because the pipeline was primed.
@@ -194,7 +191,6 @@ void fields(S& s, T& t) {
   s.field(t.mismatches);
   s.field(t.retries);
   s.field(t.degraded_runs);
-  s.field(t.updates_accepted);
   s.field(t.updates_rejected);
   s.field(t.updates_rolled_back);
   s.field(t.buffer_dropped);
@@ -222,7 +218,6 @@ void fields(S& s, T& t) {
   s.field(t.crossbars_retired);
   s.field(t.writes_leveled);
   s.field(t.wear_deferred_reprograms);
-  s.field(t.spares_remaining);
   s.field(t.service_s);
   s.field(t.pipelined_runs);
   s.field(t.sojourn_sketch);
@@ -247,46 +242,36 @@ struct ServingResult {
 
   common::EnergyLatency total() const noexcept;
   double total_edp() const noexcept { return total().edp(); }
-  int total_mismatches() const noexcept;
-  int total_runs() const noexcept;
-  int total_retries() const noexcept;
-  int total_degraded_runs() const noexcept;
-  int total_updates_accepted() const noexcept;
-  int total_updates_rejected() const noexcept;
-  int total_updates_rolled_back() const noexcept;
-  long long total_buffer_dropped() const noexcept;
-  long long total_buffer_quarantined() const noexcept;
-  /// Resilience totals (all zero while resilience is disabled).
-  int total_shed_runs() const noexcept;
-  int total_breaker_open_runs() const noexcept;
-  int total_deadline_misses() const noexcept;
-  int total_deferred_reprograms() const noexcept;
-  int total_searches_truncated() const noexcept;
-  int total_breaker_opens() const noexcept;
-  int total_breaker_reopens() const noexcept;
-  int total_breaker_probes() const noexcept;
-  int total_breaker_closes() const noexcept;
-  int total_watchdog_stalls() const noexcept;
-  /// Batch-formation totals (zero while batching is disabled).
-  int total_batches_formed() const noexcept;
-  int total_batch_members() const noexcept;
-  int total_batch_slo_capped() const noexcept;
+  /// One per-tenant counter summed over the tenants in order, e.g.
+  /// `sum(&TenantStats::runs)`.
+  template <class T>
+  T sum(T TenantStats::*field) const noexcept {
+    T n{};
+    for (const TenantStats& s : tenants) n += s.*field;
+    return n;
+  }
+  /// Kept by name: perfbench's serve-zoo workload reads it.
+  int total_breaker_opens() const noexcept {
+    return sum(&TenantStats::breaker_opens);
+  }
   /// Largest batch formed anywhere; 0 when batching never ran.
   int max_batch() const noexcept;
   /// Mean members per formed batch (the occupancy figure; 0 when none).
   double mean_batch_occupancy() const noexcept;
-  /// Wear-leveling totals (zero while leveling is disabled).
-  int total_rows_remapped() const noexcept;
-  int total_crossbars_retired() const noexcept;
-  long long total_writes_leveled() const noexcept;
-  int total_wear_deferred_reprograms() const noexcept;
-  /// Spare rows left in the device's current pool (the smallest gauge any
-  /// served tenant observed; 0 while leveling is disabled).
-  int spares_remaining() const noexcept;
-  /// Fleet totals (zero outside a multi-shard fleet).
-  double total_service_s() const noexcept;
-  int total_pipelined_runs() const noexcept;
 };
+
+/// Count bound for the tenant-indexed lists a checkpoint carries.
+inline constexpr std::uint64_t kMaxTenants = 1u << 16;
+
+/// Wire layout (common/binary_io.hpp); `resumed` is not on the wire.
+template <typename S, common::MaybeConst<ServingResult> R>
+void fields(S& s, R& r) {
+  s.field(r.label);
+  s.seq(r.tenants, kMaxTenants);
+  s.field(r.programming);
+  s.field(r.switches);
+  s.field(r.policy_updates);
+}
 
 /// Serve `tenants` (non-owning; must outlive the call) with one adapting
 /// Odin policy. `initial_policy` is typically offline-bootstrapped.

@@ -92,7 +92,6 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   ckpt.result.tenants[0].crossbars_retired = 1;
   ckpt.result.tenants[0].writes_leveled = 384;
   ckpt.result.tenants[0].wear_deferred_reprograms = 2;
-  ckpt.result.tenants[0].spares_remaining = 10;
   ckpt.controller = controller.snapshot();
   ckpt.controller.wear_deferred_reprograms = 2;
   ckpt.controller.retired_seen = 1;
@@ -125,7 +124,6 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   // with a placement-derived service model per tenant.
   ckpt.fingerprint.fleet_shards = 2;
   ckpt.fingerprint.fleet_shard_index = 1;
-  ckpt.fingerprint.has_service_models = true;
   ckpt.fingerprint.service_models = {{{1.5e-9, 2.5e-7}, 0.62},
                                      {{0.0, 0.0}, 1.0}};
   ckpt.result.tenants[0].service_s = 4.75e-3;
@@ -186,7 +184,6 @@ ServingCheckpoint sample_checkpoint(const ou::MappedModel& tenant) {
   ckpt.result.tenants[0].outage_dropped = 4;
   ckpt.result.tenants[0].rpo_s = 321.5;
   ckpt.result.tenants[0].rto_s = 44.25;
-  ckpt.has_cluster = true;
   ckpt.cluster.meshes = 2;
   ckpt.cluster.replication_epochs = 4;
   ckpt.cluster.failover = true;
@@ -267,7 +264,6 @@ ServingCheckpoint pinned_checkpoint() {
     t.mismatches = n();
     t.retries = n();
     t.degraded_runs = n();
-    t.updates_accepted = n();
     t.updates_rejected = n();
     t.updates_rolled_back = n();
     t.buffer_dropped = n();
@@ -292,7 +288,6 @@ ServingCheckpoint pinned_checkpoint() {
     t.crossbars_retired = n();
     t.writes_leveled = n();
     t.wear_deferred_reprograms = n();
-    t.spares_remaining = n();
     t.service_s = x();
     t.pipelined_runs = n();
     t.failovers = n();
@@ -322,7 +317,6 @@ ServingCheckpoint pinned_checkpoint() {
   ctl.degraded_runs = n();
   ctl.wear_deferred_reprograms = n();
   ctl.retired_seen = n();
-  ctl.updates_accepted = n();
   ctl.updates_rejected = n();
   ctl.updates_rolled_back = n();
   ctl.probation_left = n();
@@ -358,7 +352,6 @@ ServingCheckpoint pinned_checkpoint() {
   c.wear_seg_base_writes_leveled = n();
   c.fingerprint.fleet_shards = n();
   c.fingerprint.fleet_shard_index = n();
-  c.fingerprint.has_service_models = true;
   c.fingerprint.service_models = {{{x(), x()}, x()}, {{x(), x()}, x()}};
   c.fingerprint.sojourn_cap = n();
 
@@ -404,7 +397,6 @@ ServingCheckpoint pinned_checkpoint() {
   sc.epoch_slack_p1 = {QuantileSketch(0.25), QuantileSketch(0.75)};
   for (QuantileSketch& q : sc.epoch_slack_p1) sketch(q);
 
-  c.has_cluster = true;
   ClusterState& cl = c.cluster;
   cl.meshes = n();
   cl.replication_epochs = n();
@@ -478,11 +470,9 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   EXPECT_EQ(decoded->controller.wear_deferred_reprograms, 2);
   EXPECT_EQ(decoded->controller.retired_seen, 1);
   EXPECT_EQ(decoded->result.tenants[0].rows_remapped, 6);
-  EXPECT_EQ(decoded->result.tenants[0].spares_remaining, 10);
   // Fleet surface.
   EXPECT_EQ(decoded->fingerprint.fleet_shards, 2);
   EXPECT_EQ(decoded->fingerprint.fleet_shard_index, 1);
-  EXPECT_TRUE(decoded->fingerprint.has_service_models);
   const auto& models = decoded->fingerprint.service_models;
   ASSERT_EQ(models.size(), 2u);
   EXPECT_EQ(models[0].noc_extra.energy_j, 1.5e-9);
@@ -508,7 +498,6 @@ TEST(Checkpoint, PayloadRoundTripIsExact) {
   EXPECT_TRUE(decoded->scenario.epoch_slack_p1[0] ==
               ckpt.scenario.epoch_slack_p1[0]);
   // Cluster surface.
-  EXPECT_TRUE(decoded->has_cluster);
   EXPECT_EQ(decoded->cluster.meshes, 2);
   EXPECT_EQ(decoded->cluster.outages_fired, 1);
   EXPECT_EQ(decoded->cluster.mesh_down, ckpt.cluster.mesh_down);
@@ -720,7 +709,7 @@ TEST(Checkpoint, OnlyTheCurrentVersionFrameLoads) {
   common::ByteWriter payload;
   encode_checkpoint(sample_checkpoint(tenant), payload);
   const std::string path = temp_base("versions") + ".a";
-  for (std::uint32_t version : {0u, 1u, 7u, 9u}) {
+  for (std::uint32_t version : {0u, 1u, 8u, 10u}) {
     write_file(path, frame_with_version(version, 9, payload.bytes()));
     EXPECT_FALSE(load_checkpoint_file(path).has_value())
         << "version=" << version;
@@ -740,9 +729,9 @@ TEST(Checkpoint, PayloadLayoutIsPinned) {
   // re-pins both values.
   common::ByteWriter out;
   encode_checkpoint(pinned_checkpoint(), out);
-  EXPECT_EQ(out.bytes().size(), 4037u);
+  EXPECT_EQ(out.bytes().size(), 4015u);
   EXPECT_EQ(common::crc32(out.bytes().data(), out.bytes().size()),
-            0x02944936u);
+            0x694bf655u);
 }
 
 TEST(Checkpoint, ForgedCountsAndTrailingBytesAreRefused) {

@@ -2,7 +2,7 @@
 // fault domains with failover evacuation vs unbounded loss with failover
 // off, replica staleness (RPO) surfacing, the outage-during-storm overlap
 // with byte-identical replay and mid-failover crash/resume through
-// checkpoint payload v8, the wrong-cluster-geometry resume refusal (a
+// checkpoint payload v9, the wrong-cluster-geometry resume refusal (a
 // multi-mesh frame refuses resume_campaign), the refusal of CRC-valid
 // frames whose state does not fit the geometry, the ClusterState codec,
 // the cluster scenario-file parser, campaign and cluster output against

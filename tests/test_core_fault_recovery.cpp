@@ -202,8 +202,10 @@ TEST(FaultRecovery, ServingSurfacesRetryAndDegradedCounters) {
   const ServingResult result =
       serve_with_odin({&a, &b}, nonideal, cost,
                       policy::OuPolicy(ou::OuLevelGrid(128)), cfg, &faults);
-  EXPECT_EQ(result.total_degraded_runs(), result.total_runs());
-  EXPECT_EQ(result.total_retries(), 0);  // degraded controllers never retry
+  EXPECT_EQ(result.sum(&TenantStats::degraded_runs),
+            result.sum(&TenantStats::runs));
+  // Degraded controllers never retry.
+  EXPECT_EQ(result.sum(&TenantStats::retries), 0);
   EXPECT_EQ(faults.campaigns(), result.switches);
   for (const TenantStats& t : result.tenants)
     EXPECT_EQ(t.reprograms, 0);
@@ -213,7 +215,8 @@ TEST(FaultRecovery, ServingSurfacesRetryAndDegradedCounters) {
   const ServingResult hom = serve_with_homogeneous(
       {&a, &b}, nonideal, cost, ou::OuConfig{.rows = 8, .cols = 4}, cfg,
       &hfaults);
-  EXPECT_EQ(hom.total_degraded_runs(), 0);  // baselines never degrade
+  // Baselines never degrade.
+  EXPECT_EQ(hom.sum(&TenantStats::degraded_runs), 0);
   EXPECT_GT(hfaults.campaigns(), hom.switches);  // they thrash instead
 }
 

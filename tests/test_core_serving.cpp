@@ -33,7 +33,7 @@ TEST(Serving, EveryTenantGetsServedAndRunsAddUp) {
       fx.tenants(), fx.nonideal, fx.cost,
       policy::OuPolicy(ou::OuLevelGrid(128)), fx.config());
   EXPECT_EQ(result.switches, 6);
-  EXPECT_EQ(result.total_runs(), 120);
+  EXPECT_EQ(result.sum(&TenantStats::runs), 120);
   ASSERT_EQ(result.tenants.size(), 3u);
   for (const TenantStats& t : result.tenants) {
     EXPECT_EQ(t.runs, 40);  // 2 segments x 20 runs each
@@ -88,7 +88,8 @@ TEST(Serving, PolicyLearningCarriesAcrossTenants) {
         c.odin.buffer_capacity = 1'000'000;  // never updates
         return c;
       }());
-  EXPECT_LT(result.total_mismatches(), frozen.total_mismatches());
+  EXPECT_LT(result.sum(&TenantStats::mismatches),
+            frozen.sum(&TenantStats::mismatches));
 }
 
 TEST(Serving, OdinBeatsHomogeneousAcrossTenants) {
@@ -98,7 +99,7 @@ TEST(Serving, OdinBeatsHomogeneousAcrossTenants) {
       policy::OuPolicy(ou::OuLevelGrid(128)), fx.config());
   const auto base = serve_with_homogeneous(fx.tenants(), fx.nonideal,
                                            fx.cost, {16, 16}, fx.config());
-  EXPECT_EQ(base.total_runs(), odin.total_runs());
+  EXPECT_EQ(base.sum(&TenantStats::runs), odin.sum(&TenantStats::runs));
   // Same programming burden (same tenants); Odin wins on the rest.
   EXPECT_NEAR(base.programming.energy_j, odin.programming.energy_j, 1e-12);
   EXPECT_LT(odin.total_edp(), base.total_edp() * 1.05);

@@ -109,8 +109,8 @@ TEST(Fleet, SingleShardIsBitwiseIdenticalToServeWithOdin) {
   // The single-shard path must not inject service models or scale the
   // horizon — the ServingConfig passes through untouched.
   expect_bitwise_equal(fleet.shards[0], direct);
-  EXPECT_EQ(fleet.shards[0].total_pipelined_runs(), 0);
-  EXPECT_EQ(fleet.total_runs(), direct.total_runs());
+  EXPECT_EQ(fleet.shards[0].sum(&TenantStats::pipelined_runs), 0);
+  EXPECT_EQ(fleet.total_runs(), direct.sum(&TenantStats::runs));
 }
 
 // --- placement properties ---------------------------------------------------
@@ -252,10 +252,10 @@ TEST(Fleet, ServiceModelsChargeNocAndCreditPipelining) {
   // force and queued (back-to-back) serves ran at the overlapped rate.
   int pipelined = 0, served_shards = 0;
   for (const ServingResult& s : fleet.shards) {
-    pipelined += s.total_pipelined_runs();
-    if (s.total_runs() > 0) {
+    pipelined += s.sum(&TenantStats::pipelined_runs);
+    if (s.sum(&TenantStats::runs) > 0) {
       ++served_shards;
-      EXPECT_GT(s.total_service_s(), 0.0);
+      EXPECT_GT(s.sum(&TenantStats::service_s), 0.0);
     }
   }
   EXPECT_GT(served_shards, 1);
@@ -364,7 +364,6 @@ TEST(Fleet, MultiShardCheckpointResumeIsBitwise) {
   ASSERT_TRUE(ckpt.has_value());
   EXPECT_EQ(ckpt->fingerprint.fleet_shards, 2);
   EXPECT_EQ(ckpt->fingerprint.fleet_shard_index, 0);
-  EXPECT_TRUE(ckpt->fingerprint.has_service_models);
   EXPECT_FALSE(ckpt->fingerprint.service_models.empty());
 
   FleetConfig resume_cfg = cfg;
@@ -375,7 +374,7 @@ TEST(Fleet, MultiShardCheckpointResumeIsBitwise) {
   ASSERT_TRUE(resumed.has_value());
   ASSERT_EQ(resumed->shards.size(), uninterrupted.shards.size());
   for (std::size_t k = 0; k < resumed->shards.size(); ++k) {
-    if (uninterrupted.shards[k].total_runs() > 0) {
+    if (uninterrupted.shards[k].sum(&TenantStats::runs) > 0) {
       EXPECT_TRUE(resumed->shards[k].resumed) << "shard " << k;
     }
     expect_bitwise_equal(resumed->shards[k], uninterrupted.shards[k]);

@@ -128,8 +128,9 @@ void expect_same_serving(const ServingResult& seq, const ServingResult& par) {
   expect_same(seq.programming, par.programming);
   expect_same(seq.total(), par.total());
   EXPECT_EQ(seq.switches, par.switches);
-  EXPECT_EQ(seq.total_runs(), par.total_runs());
-  EXPECT_EQ(seq.total_mismatches(), par.total_mismatches());
+  EXPECT_EQ(seq.sum(&TenantStats::runs), par.sum(&TenantStats::runs));
+  EXPECT_EQ(seq.sum(&TenantStats::mismatches),
+            par.sum(&TenantStats::mismatches));
   ASSERT_EQ(seq.tenants.size(), par.tenants.size());
   for (std::size_t i = 0; i < seq.tenants.size(); ++i) {
     expect_same(seq.tenants[i].inference, par.tenants[i].inference);
@@ -179,8 +180,9 @@ ServingResult run_faulty_serving(int threads, bool odin) {
 void expect_same_fault_counters(const ServingResult& seq,
                                 const ServingResult& par) {
   expect_same_serving(seq, par);
-  EXPECT_EQ(seq.total_retries(), par.total_retries());
-  EXPECT_EQ(seq.total_degraded_runs(), par.total_degraded_runs());
+  EXPECT_EQ(seq.sum(&TenantStats::retries), par.sum(&TenantStats::retries));
+  EXPECT_EQ(seq.sum(&TenantStats::degraded_runs),
+            par.sum(&TenantStats::degraded_runs));
   for (std::size_t i = 0; i < seq.tenants.size(); ++i) {
     EXPECT_EQ(seq.tenants[i].retries, par.tenants[i].retries);
     EXPECT_EQ(seq.tenants[i].degraded_runs, par.tenants[i].degraded_runs);

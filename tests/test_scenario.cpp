@@ -3,7 +3,7 @@
 // arrival stream, the branch-free tenant pick against std::upper_bound,
 // the arrival stream against its recorded CRC-32, campaign-summary bitwise
 // determinism, mid-storm crash/resume through one-mesh cluster frames
-// (payload v8) with the wrong-geometry refusal, the autoscaled-vs-static
+// (payload v9) with the wrong-geometry refusal, the autoscaled-vs-static
 // flash-phase comparison, the streaming percentile sketches against exact
 // nearest-rank, the capped TenantStats fallback, rescale_shard_blocks
 // invariants, the scenario-file parser, and the trace -> serving-schedule

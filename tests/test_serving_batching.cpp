@@ -65,8 +65,8 @@ TEST(ServingBatching, DisabledByDefaultAndCapOneIsTransparent) {
   ServingConfig plain_cfg = overloaded(fx);
   const auto plain = serve_with_odin(fx.tenants(), fx.nonideal, fx.cost,
                                      fx.policy(), plain_cfg);
-  EXPECT_EQ(plain.total_batches_formed(), 0);
-  EXPECT_EQ(plain.total_batch_members(), 0);
+  EXPECT_EQ(plain.sum(&TenantStats::batches_formed), 0);
+  EXPECT_EQ(plain.sum(&TenantStats::batch_members), 0);
   EXPECT_EQ(plain.max_batch(), 0);
   EXPECT_EQ(plain.mean_batch_occupancy(), 0.0);
 
@@ -77,9 +77,9 @@ TEST(ServingBatching, DisabledByDefaultAndCapOneIsTransparent) {
   capped_cfg.resilience.batching.max_batch = 1;
   const auto capped = serve_with_odin(fx.tenants(), fx.nonideal, fx.cost,
                                       fx.policy(), capped_cfg);
-  EXPECT_EQ(capped.total_runs(), 120);
-  EXPECT_EQ(capped.total_batches_formed(), 120);
-  EXPECT_EQ(capped.total_batch_members(), 120);
+  EXPECT_EQ(capped.sum(&TenantStats::runs), 120);
+  EXPECT_EQ(capped.sum(&TenantStats::batches_formed), 120);
+  EXPECT_EQ(capped.sum(&TenantStats::batch_members), 120);
   EXPECT_EQ(capped.max_batch(), 1);
   EXPECT_EQ(capped.mean_batch_occupancy(), 1.0);
   EXPECT_EQ(capped.total().energy_j, plain.total().energy_j);
@@ -105,15 +105,15 @@ TEST(ServingBatching, OverloadFormsBatchesAndDrainsBacklogFaster) {
                                        fx.policy(), batched_cfg);
 
   // Every arrival is still served exactly once, all through the batch path.
-  EXPECT_EQ(batched.total_runs(), 120);
-  EXPECT_EQ(batched.total_batch_members(), 120);
+  EXPECT_EQ(batched.sum(&TenantStats::runs), 120);
+  EXPECT_EQ(batched.sum(&TenantStats::batch_members), 120);
   EXPECT_EQ(static_cast<int>(pooled_sojourns(batched).size()), 120);
   // The backlog actually produced multi-member batches...
-  EXPECT_LT(batched.total_batches_formed(), 120);
+  EXPECT_LT(batched.sum(&TenantStats::batches_formed), 120);
   EXPECT_GE(batched.max_batch(), 2);
   EXPECT_LE(batched.max_batch(), 8);
   EXPECT_GT(batched.mean_batch_occupancy(), 1.0);
-  EXPECT_EQ(batched.total_batch_slo_capped(), 0);  // no SLO in force
+  EXPECT_EQ(batched.sum(&TenantStats::batch_slo_capped), 0);  // no SLO in force
   // ...and batching one search + a pipelined pass per group drains the
   // queue faster than one full serve per arrival.
   const double worst_plain = percentile(pooled_sojourns(plain), 100.0);
@@ -133,10 +133,10 @@ TEST(ServingBatching, TightSloCapsBatchGrowth) {
   cfg.resilience.default_slo_s = 1e-3;
   const auto result = serve_with_odin(fx.tenants(), fx.nonideal, fx.cost,
                                       fx.policy(), cfg);
-  EXPECT_EQ(result.total_runs(), 120);
-  EXPECT_GT(result.total_batch_slo_capped(), 0);
+  EXPECT_EQ(result.sum(&TenantStats::runs), 120);
+  EXPECT_GT(result.sum(&TenantStats::batch_slo_capped), 0);
   EXPECT_EQ(result.max_batch(), 1);
-  EXPECT_EQ(result.total_batch_members(), 120);
+  EXPECT_EQ(result.sum(&TenantStats::batch_members), 120);
 }
 
 // --- Checkpoint/resume of the batch-formation state ---
@@ -149,7 +149,7 @@ TEST(ServingBatching, CheckpointResumeRoundTripsBatchStateBitwise) {
 
   const auto uninterrupted = serve_with_odin(
       fx.tenants(), fx.nonideal, fx.cost, fx.policy(), cfg);
-  EXPECT_GT(uninterrupted.total_batches_formed(), 0);
+  EXPECT_GT(uninterrupted.sum(&TenantStats::batches_formed), 0);
   EXPECT_GE(uninterrupted.max_batch(), 2);  // the state is exercised
 
   const std::string base = ::testing::TempDir() + "odin_batching_ckpt";
@@ -161,7 +161,7 @@ TEST(ServingBatching, CheckpointResumeRoundTripsBatchStateBitwise) {
   crashed.max_runs = 25;  // die inside segment 1 with the queue backed up
   const auto partial = serve_with_odin(fx.tenants(), fx.nonideal, fx.cost,
                                        fx.policy(), crashed);
-  EXPECT_LT(partial.total_runs(), 120);
+  EXPECT_LT(partial.sum(&TenantStats::runs), 120);
 
   const auto ckpt = load_latest_checkpoint(base);
   ASSERT_TRUE(ckpt.has_value());
@@ -173,13 +173,13 @@ TEST(ServingBatching, CheckpointResumeRoundTripsBatchStateBitwise) {
                                         *ckpt, cfg);
   ASSERT_TRUE(resumed.has_value());
   EXPECT_TRUE(resumed->resumed);
-  EXPECT_EQ(resumed->total_batches_formed(),
-            uninterrupted.total_batches_formed());
-  EXPECT_EQ(resumed->total_batch_members(),
-            uninterrupted.total_batch_members());
+  EXPECT_EQ(resumed->sum(&TenantStats::batches_formed),
+            uninterrupted.sum(&TenantStats::batches_formed));
+  EXPECT_EQ(resumed->sum(&TenantStats::batch_members),
+            uninterrupted.sum(&TenantStats::batch_members));
   EXPECT_EQ(resumed->max_batch(), uninterrupted.max_batch());
-  EXPECT_EQ(resumed->total_batch_slo_capped(),
-            uninterrupted.total_batch_slo_capped());
+  EXPECT_EQ(resumed->sum(&TenantStats::batch_slo_capped),
+            uninterrupted.sum(&TenantStats::batch_slo_capped));
   EXPECT_EQ(resumed->total().energy_j, uninterrupted.total().energy_j);
   EXPECT_EQ(resumed->total().latency_s, uninterrupted.total().latency_s);
   ASSERT_EQ(resumed->tenants.size(), uninterrupted.tenants.size());

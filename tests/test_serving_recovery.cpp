@@ -67,11 +67,12 @@ void remove_slots(const std::string& base) {
 }
 
 void expect_identical(const ServingResult& a, const ServingResult& b) {
-  EXPECT_EQ(a.total_runs(), b.total_runs());
-  EXPECT_EQ(a.total_mismatches(), b.total_mismatches());
+  EXPECT_EQ(a.sum(&TenantStats::runs), b.sum(&TenantStats::runs));
+  EXPECT_EQ(a.sum(&TenantStats::mismatches), b.sum(&TenantStats::mismatches));
   EXPECT_EQ(a.policy_updates, b.policy_updates);
   EXPECT_EQ(a.switches, b.switches);
-  EXPECT_EQ(a.total_buffer_dropped(), b.total_buffer_dropped());
+  EXPECT_EQ(a.sum(&TenantStats::buffer_dropped),
+            b.sum(&TenantStats::buffer_dropped));
   EXPECT_EQ(a.total().energy_j, b.total().energy_j);
   EXPECT_EQ(a.total().latency_s, b.total().latency_s);
   ASSERT_EQ(a.tenants.size(), b.tenants.size());
@@ -102,7 +103,7 @@ TEST(ServingRecovery, ResumedRunMatchesUninterruptedRun) {
   crashed.max_runs = 33;
   const auto partial = serve_with_odin(fx.tenants(), fx.nonideal, fx.cost,
                                        fx.fresh_policy(), crashed);
-  EXPECT_EQ(partial.total_runs(), 33);
+  EXPECT_EQ(partial.sum(&TenantStats::runs), 33);
 
   // A fresh process: everything rebuilt from scratch + the checkpoint.
   const auto ckpt = load_latest_checkpoint(base);

@@ -162,16 +162,16 @@ TEST(ServingResilience, EnabledWithoutSloServesEveryArrivalOnce) {
   cfg.resilience.enabled = true;  // default SLO = infinity: no deadlines
   const auto result = serve_with_odin(fx.tenants(), fx.nonideal, fx.cost,
                                       fx.policy(), cfg);
-  EXPECT_EQ(result.total_runs(), 120);
+  EXPECT_EQ(result.sum(&TenantStats::runs), 120);
   for (const TenantStats& t : result.tenants) {
     EXPECT_EQ(static_cast<int>(t.sojourn_s.size()), t.runs);
     EXPECT_EQ(t.slo_s, 0.0);  // no SLO in force
     EXPECT_GT(t.sojourn_percentile(50.0), 0.0);
   }
-  EXPECT_EQ(result.total_deadline_misses(), 0);
-  EXPECT_EQ(result.total_shed_runs(), 0);
-  EXPECT_EQ(result.total_breaker_opens(), 0);
-  EXPECT_EQ(result.total_watchdog_stalls(), 0);
+  EXPECT_EQ(result.sum(&TenantStats::deadline_misses), 0);
+  EXPECT_EQ(result.sum(&TenantStats::shed_runs), 0);
+  EXPECT_EQ(result.sum(&TenantStats::breaker_opens), 0);
+  EXPECT_EQ(result.sum(&TenantStats::watchdog_stalls), 0);
 }
 
 TEST(ServingResilience, DeadlineBoundsTailLatencyUnderDriftBurst) {
@@ -206,22 +206,22 @@ TEST(ServingResilience, DeadlineBoundsTailLatencyUnderDriftBurst) {
       serve_with_odin(fx.tenants(), fx.nonideal, fx.cost, fx.policy(), cfg,
                       &faults_unbounded);
 
-  EXPECT_EQ(with_deadline.total_runs(), 120);
-  EXPECT_EQ(unbounded.total_runs(), 120);
+  EXPECT_EQ(with_deadline.sum(&TenantStats::runs), 120);
+  EXPECT_EQ(unbounded.sum(&TenantStats::runs), 120);
   // The storm reprograms in the unbounded arm and defers in the deadline
   // arm (the SLO budget cannot absorb a campaign's latency).
   int unbounded_reprograms = 0;
   for (const TenantStats& t : unbounded.tenants)
     unbounded_reprograms += t.reprograms;
   EXPECT_GE(unbounded_reprograms, 4);
-  EXPECT_EQ(unbounded.total_deferred_reprograms(), 0);
+  EXPECT_EQ(unbounded.sum(&TenantStats::deferred_reprograms), 0);
   int bounded_reprograms = 0;
   for (const TenantStats& t : with_deadline.tenants)
     bounded_reprograms += t.reprograms;
   EXPECT_EQ(bounded_reprograms, 0);
-  EXPECT_GE(with_deadline.total_deferred_reprograms(), 4);
-  EXPECT_GE(with_deadline.total_searches_truncated(), 100);
-  EXPECT_EQ(unbounded.total_searches_truncated(), 0);
+  EXPECT_GE(with_deadline.sum(&TenantStats::deferred_reprograms), 4);
+  EXPECT_GE(with_deadline.sum(&TenantStats::searches_truncated), 100);
+  EXPECT_EQ(unbounded.sum(&TenantStats::searches_truncated), 0);
 
   const double p99_bounded =
       percentile(pooled_sojourns(with_deadline), 99.0);
@@ -253,14 +253,14 @@ TEST(ServingResilience, ShedPoliciesBoundQueueAndTailUnderOverload) {
 
   // Every arrival is served exactly once under every policy.
   for (const ServingResult* r : {&block, &oldest, &newest}) {
-    EXPECT_EQ(r->total_runs(), 120);
+    EXPECT_EQ(r->sum(&TenantStats::runs), 120);
     EXPECT_EQ(static_cast<int>(pooled_sojourns(*r).size()), 120);
   }
   // Blocking absorbs the overload as waiting time; shedding converts it
   // into degraded fallback serves.
-  EXPECT_EQ(block.total_shed_runs(), 0);
-  EXPECT_GT(oldest.total_shed_runs(), 0);
-  EXPECT_GT(newest.total_shed_runs(), 0);
+  EXPECT_EQ(block.sum(&TenantStats::shed_runs), 0);
+  EXPECT_GT(oldest.sum(&TenantStats::shed_runs), 0);
+  EXPECT_GT(newest.sum(&TenantStats::shed_runs), 0);
   const double worst_block = percentile(pooled_sojourns(block), 100.0);
   const double worst_oldest = percentile(pooled_sojourns(oldest), 100.0);
   const double worst_newest = percentile(pooled_sojourns(newest), 100.0);
@@ -372,8 +372,9 @@ TEST(ServingResilience, WatchdogCancelsHungRunAndMarksItShed) {
       serve_with_odin({&fx.tenant_a, &fx.tenant_b}, fx.nonideal, fx.cost,
                       fx.policy(), cfg);
 
-  EXPECT_EQ(result.total_runs(), 20);  // the hung run was still served
-  EXPECT_GE(result.total_watchdog_stalls(), 1);
+  // The hung run was still served.
+  EXPECT_EQ(result.sum(&TenantStats::runs), 20);
+  EXPECT_GE(result.sum(&TenantStats::watchdog_stalls), 1);
   EXPECT_GE(result.tenants[0].watchdog_stalls, 1);  // run 2 is segment 0
   EXPECT_GE(result.tenants[0].shed_runs, 1);
   EXPECT_EQ(static_cast<int>(result.tenants[0].sojourn_s.size()),
@@ -426,9 +427,9 @@ TEST(ServingResilience, CheckpointResumeRoundTripsResilienceStateBitwise) {
   const auto uninterrupted = serve_with_odin(
       fx.tenants(), fx.nonideal, fx.cost, fx.policy(), cfg);
   // Sanity: the scenario actually exercises the state being checkpointed.
-  EXPECT_GT(uninterrupted.total_shed_runs(), 0);
-  EXPECT_GT(uninterrupted.total_deadline_misses(), 0);
-  EXPECT_GT(uninterrupted.total_breaker_opens(), 0);
+  EXPECT_GT(uninterrupted.sum(&TenantStats::shed_runs), 0);
+  EXPECT_GT(uninterrupted.sum(&TenantStats::deadline_misses), 0);
+  EXPECT_GT(uninterrupted.sum(&TenantStats::breaker_opens), 0);
 
   const std::string base = ::testing::TempDir() + "odin_resilience_ckpt";
   std::remove((base + ".a").c_str());
@@ -439,7 +440,7 @@ TEST(ServingResilience, CheckpointResumeRoundTripsResilienceStateBitwise) {
   crashed.max_runs = 25;  // die inside segment 1
   const auto partial = serve_with_odin(fx.tenants(), fx.nonideal, fx.cost,
                                        fx.policy(), crashed);
-  EXPECT_LT(partial.total_runs(), 120);
+  EXPECT_LT(partial.sum(&TenantStats::runs), 120);
 
   const auto ckpt = load_latest_checkpoint(base);
   ASSERT_TRUE(ckpt.has_value());

@@ -92,6 +92,7 @@
 #include "reram/fault_injection.hpp"
 
 using namespace odin;
+using core::TenantStats;
 
 namespace {
 
@@ -358,7 +359,7 @@ core::ServingConfig serving_config_from_flags(int argc, char** argv) {
 void print_serving_summary(const core::ServingResult& result) {
   common::Table table({"tenant", "runs", "mismatches", "reprograms",
                        "EDP (Js)"});
-  for (const core::TenantStats& t : result.tenants)
+  for (const TenantStats& t : result.tenants)
     table.add_row({t.name, common::Table::integer(t.runs),
                    common::Table::integer(t.mismatches),
                    common::Table::integer(t.reprograms),
@@ -369,15 +370,17 @@ void print_serving_summary(const core::ServingResult& result) {
   std::printf(
       "total: %d runs, EDP %.4f Js, %d policy updates "
       "(%d accepted, %d rejected, %d rolled back), %lld dropped\n",
-      result.total_runs(), result.total_edp(), result.policy_updates,
-      result.total_updates_accepted(), result.total_updates_rejected(),
-      result.total_updates_rolled_back(), result.total_buffer_dropped());
+      result.sum(&TenantStats::runs), result.total_edp(),
+      result.policy_updates, result.policy_updates,
+      result.sum(&TenantStats::updates_rejected),
+      result.sum(&TenantStats::updates_rolled_back),
+      result.sum(&TenantStats::buffer_dropped));
 }
 
 void print_resilience_summary(const core::ServingResult& result) {
   common::Table table({"tenant", "SLO (s)", "p50 sojourn", "p99 sojourn",
                        "p99 slack", "misses", "shed", "brk o/c", "stalls"});
-  for (const core::TenantStats& t : result.tenants) {
+  for (const TenantStats& t : result.tenants) {
     char brk[32];
     std::snprintf(brk, sizeof(brk), "%d/%d", t.breaker_opens,
                   t.breaker_closes);
@@ -397,25 +400,31 @@ void print_resilience_summary(const core::ServingResult& result) {
       "resilience: %d shed, %d breaker-held, %d deadline misses, "
       "%d deferred reprograms, %d truncated searches, "
       "breakers %d open / %d reopen / %d probe / %d close, %d stalls\n",
-      result.total_shed_runs(), result.total_breaker_open_runs(),
-      result.total_deadline_misses(), result.total_deferred_reprograms(),
-      result.total_searches_truncated(), result.total_breaker_opens(),
-      result.total_breaker_reopens(), result.total_breaker_probes(),
-      result.total_breaker_closes(), result.total_watchdog_stalls());
-  if (result.total_batches_formed() > 0)
+      result.sum(&TenantStats::shed_runs),
+      result.sum(&TenantStats::breaker_open_runs),
+      result.sum(&TenantStats::deadline_misses),
+      result.sum(&TenantStats::deferred_reprograms),
+      result.sum(&TenantStats::searches_truncated),
+      result.sum(&TenantStats::breaker_opens),
+      result.sum(&TenantStats::breaker_reopens),
+      result.sum(&TenantStats::breaker_probes),
+      result.sum(&TenantStats::breaker_closes),
+      result.sum(&TenantStats::watchdog_stalls));
+  if (result.sum(&TenantStats::batches_formed) > 0)
     std::printf(
         "batching: %d batches over %d runs (mean occupancy %.2f, "
         "max batch %d, %d SLO-capped)\n",
-        result.total_batches_formed(), result.total_batch_members(),
+        result.sum(&TenantStats::batches_formed),
+        result.sum(&TenantStats::batch_members),
         result.mean_batch_occupancy(), result.max_batch(),
-        result.total_batch_slo_capped());
+        result.sum(&TenantStats::batch_slo_capped));
 }
 
 void print_wear_summary(const core::ServingResult& result,
                         const reram::FaultInjector& faults) {
   common::Table table({"tenant", "rows remapped", "xbars retired",
                        "writes leveled", "wear-deferred"});
-  for (const core::TenantStats& t : result.tenants)
+  for (const TenantStats& t : result.tenants)
     table.add_row({t.name, common::Table::integer(t.rows_remapped),
                    common::Table::integer(t.crossbars_retired),
                    common::Table::integer(t.writes_leveled),
@@ -425,9 +434,11 @@ void print_wear_summary(const core::ServingResult& result,
   std::printf(
       "wear: %d rows remapped, %d crossbars retired, %lld writes leveled, "
       "%d wear-deferred reprograms, %d of %d spare rows remaining\n",
-      result.total_rows_remapped(), result.total_crossbars_retired(),
-      result.total_writes_leveled(),
-      result.total_wear_deferred_reprograms(), result.spares_remaining(),
+      result.sum(&TenantStats::rows_remapped),
+      result.sum(&TenantStats::crossbars_retired),
+      result.sum(&TenantStats::writes_leveled),
+      result.sum(&TenantStats::wear_deferred_reprograms),
+      faults.spares_remaining(),
       faults.params().leveling.resolved_spare_rows());
 }
 
@@ -447,14 +458,14 @@ void print_fleet_summary(const core::FleetResult& fleet,
          common::Table::integer(
              static_cast<long long>(fleet.placement.shard_pes[k].size())),
          common::Table::integer(fleet.placement.shard_load[k]),
-         common::Table::integer(fleet.shards[k].total_runs()),
+         common::Table::integer(fleet.shards[k].sum(&TenantStats::runs)),
          common::Table::num(fleet.shard_busy_s(k), 4),
          common::Table::num(fleet.shards[k].total_edp(), 4)});
   }
   common::print_table("fleet (NoC-/wear-aware sharded serving)", table);
   int pipelined = 0, displaced = 0;
   for (const core::ServingResult& r : fleet.shards)
-    pipelined += r.total_pipelined_runs();
+    pipelined += r.sum(&TenantStats::pipelined_runs);
   for (const core::TenantPlacement& p : fleet.placement.tenants)
     displaced += p.wear_displaced ? 1 : 0;
   std::printf(
@@ -597,11 +608,12 @@ int cmd_checkpoint(const std::string& base, int argc, char** argv) {
       {&mapped}, nonideal, cost,
       policy::OuPolicy(ou::OuLevelGrid(crossbar)), config);
   print_serving_summary(result);
-  if (config.max_runs > 0 && result.total_runs() < config.horizon.runs)
+  const int served = result.sum(&TenantStats::runs);
+  if (config.max_runs > 0 && served < config.horizon.runs)
     std::printf("stopped after %d runs (simulated crash); resume with:\n"
                 "  odin_cli resume %s --workload %s --runs %d --segments %d"
                 " --crossbar %d\n",
-                result.total_runs(), base.c_str(), workload.c_str(),
+                served, base.c_str(), workload.c_str(),
                 config.horizon.runs, config.segments, crossbar);
   return 0;
 }
