@@ -63,11 +63,14 @@ std::uint32_t frame_crc(std::uint64_t sequence, const std::string& payload) {
 
 /// Header fields of one framed file; nullopt when the frame is invalid.
 struct Frame {
+  std::uint32_t version = 0;
   std::uint64_t sequence = 0;
   std::string payload;
 };
 
-std::optional<Frame> read_frame(const std::string& path) {
+/// The intact frame at `path`, whatever its version: magic, payload size and
+/// CRC all hold (the CRC does not cover the version field).
+std::optional<Frame> read_any_frame(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;
   // The header may claim any payload size; the buffer is sized only once
@@ -83,9 +86,8 @@ std::optional<Frame> read_frame(const std::string& path) {
   for (char& m : magic) m = static_cast<char>(hr.u8());
   if (std::string_view(magic, 8) != std::string_view(kMagic, 8))
     return std::nullopt;
-  // One layout: a frame of any other version is refused, never misparsed.
-  if (hr.u32() != kCheckpointVersion) return std::nullopt;
   Frame frame;
+  frame.version = hr.u32();
   frame.sequence = hr.u64();
   const std::uint64_t size = hr.u64();
   const std::uint32_t crc = hr.u32();
@@ -97,6 +99,15 @@ std::optional<Frame> read_frame(const std::string& path) {
     return std::nullopt;
   if (frame_crc(frame.sequence, frame.payload) != crc)
     return std::nullopt;  // bit rot / partial overwrite
+  return frame;
+}
+
+/// read_any_frame of this build's version. One layout: a frame of any other
+/// version is refused, never misparsed.
+std::optional<Frame> read_frame(const std::string& path) {
+  auto frame = read_any_frame(path);
+  if (frame.has_value() && frame->version != kCheckpointVersion)
+    return std::nullopt;
   return frame;
 }
 
@@ -186,6 +197,20 @@ std::optional<ServingCheckpoint> load_checkpoint_file(
   auto ckpt = decode_checkpoint(reader);
   if (ckpt.has_value()) ckpt->sequence = frame->sequence;
   return ckpt;
+}
+
+std::optional<std::uint32_t> foreign_checkpoint_version(
+    const std::string& base_path) {
+  std::optional<Frame> newest;
+  for (int slot = 0; slot < 2; ++slot) {
+    auto frame = read_any_frame(slot_path(base_path, slot));
+    if (!frame.has_value()) continue;
+    if (frame->version == kCheckpointVersion) return std::nullopt;
+    if (!newest.has_value() || frame->sequence > newest->sequence)
+      newest = std::move(frame);
+  }
+  if (!newest.has_value()) return std::nullopt;
+  return newest->version;
 }
 
 std::optional<ServingCheckpoint> load_latest_checkpoint(

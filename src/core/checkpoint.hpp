@@ -182,4 +182,12 @@ std::optional<ServingCheckpoint> load_checkpoint_file(
 std::optional<ServingCheckpoint> load_latest_checkpoint(
     const std::string& base_path);
 
+/// Why a pair refused to load, when the cause is its version: with no slot
+/// holding an intact frame of kCheckpointVersion, the payload version of the
+/// newest slot whose frame is otherwise intact (magic, size and CRC hold).
+/// nullopt when a slot holds a current-version frame, or when no slot is
+/// intact (a torn or corrupt pair, or none at all).
+std::optional<std::uint32_t> foreign_checkpoint_version(
+    const std::string& base_path);
+
 }  // namespace odin::core

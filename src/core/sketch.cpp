@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "reram/batch_gemm.hpp"
+#include "common/simd.hpp"
 
 namespace odin::core {
 
@@ -121,9 +121,9 @@ void SojournSketch::set_lane(std::size_t l, const QuantileSketch& sk) noexcept {
 
 void SojournSketch::add(double x) noexcept {
 #if defined(ODIN_HAVE_AVX2)
-  const bool lockstep = reram::gemm::active_simd_mode() ==
-                            reram::gemm::SimdMode::kAvx2 &&
-                        add_lockstep_avx2(x);
+  const bool lockstep =
+      common::active_simd_mode() == common::SimdMode::kAvx2 &&
+      add_lockstep_avx2(x);
 #else
   constexpr bool lockstep = false;
 #endif

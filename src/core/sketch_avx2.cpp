@@ -1,6 +1,6 @@
 // Lockstep AVX2 step of SojournSketch: its four P² estimators, one per
 // ymm lane. This TU alone is compiled with -mavx2 (and -ffp-contract=off);
-// SojournSketch::add only calls it when reram::gemm::active_simd_mode()
+// SojournSketch::add only calls it when common::active_simd_mode()
 // selects AVX2, which it does only after a runtime
 // __builtin_cpu_supports("avx2") check.
 //

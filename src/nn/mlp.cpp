@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "common/math.hpp"
+#include "common/simd.hpp"
+#include "nn/mlp_avx2.hpp"
 
 namespace odin::nn {
 
@@ -44,11 +46,14 @@ std::size_t MultiHeadMlp::input_width(std::size_t l) const noexcept {
   return l == 0 ? config_.inputs : config_.hidden[l - 1];
 }
 
+const double* MultiHeadMlp::layer_input(std::size_t l) const noexcept {
+  return l == 0 ? ws_.input.data() : ws_.act[l - 1].data();
+}
+
 std::span<const double> MultiHeadMlp::input_row(std::size_t l,
                                                 std::size_t r) const {
   const std::size_t width = input_width(l);
-  if (l == 0) return {ws_.input[r], width};
-  return {ws_.act[l - 1].data() + r * width, width};
+  return {layer_input(l) + r * width, width};
 }
 
 std::span<const std::uint32_t> MultiHeadMlp::nonzeros(std::size_t l,
@@ -64,7 +69,7 @@ std::span<double> MultiHeadMlp::logit_row(std::size_t h, std::size_t r) {
 void MultiHeadMlp::reserve(std::size_t batch) {
   if (batch <= ws_.rows) return;
   ws_.rows = batch;
-  ws_.input.resize(batch);
+  ws_.input.resize(batch * config_.inputs);
   for (std::size_t l = 0; l <= trunk_.size(); ++l) {
     ws_.nz[l].resize(batch * input_width(l));
     ws_.nz_count[l].resize(batch);
@@ -85,8 +90,9 @@ void MultiHeadMlp::bind_rows(const Matrix& input, std::size_t first,
                              std::size_t batch) {
   assert(input.cols() == config_.inputs);
   reserve(batch);
-  for (std::size_t r = 0; r < batch; ++r)
-    ws_.input[r] = input.row(first + r).data();
+  const auto rows = input.flat().subspan(first * config_.inputs,
+                                         batch * config_.inputs);
+  std::copy(rows.begin(), rows.end(), ws_.input.begin());
 }
 
 void MultiHeadMlp::index_nonzeros(std::size_t l, std::size_t batch) {
@@ -97,6 +103,12 @@ void MultiHeadMlp::index_nonzeros(std::size_t l, std::size_t batch) {
 }
 
 void MultiHeadMlp::forward_pass(std::size_t batch) {
+#if defined(ODIN_HAVE_AVX2)
+  if (common::active_simd_mode() == common::SimdMode::kAvx2) {
+    forward_tiles(batch);
+    return;
+  }
+#endif
   const std::size_t depth = trunk_.size();
   for (std::size_t l = 0; l < depth; ++l) {
     // Dense then ReLU: z = x W + b, a = z < 0 ? 0 : z.
@@ -132,18 +144,13 @@ void MultiHeadMlp::forward_pass(std::size_t batch) {
 void MultiHeadMlp::infer(std::span<const double> features) {
   assert(features.size() == config_.inputs);
   reserve(1);
-  ws_.input[0] = features.data();
+  std::copy(features.begin(), features.end(), ws_.input.begin());
   forward_pass(1);
   for (std::size_t h = 0; h < heads_.size(); ++h)
     common::softmax_inplace(logit_row(h, 0));
 }
 
-double MultiHeadMlp::backward_pass(std::size_t batch) {
-  // Parameter gradients accumulate straight into zeroed storage, which
-  // equals the layer stack's zeros + 1.0 * dW: a sum started at +0.0 is
-  // never -0.0.
-  zero_gradients();
-  const std::size_t depth = trunk_.size();
+double MultiHeadMlp::head_deltas(std::size_t batch, bool with_loss) {
   const double inv_batch = 1.0 / static_cast<double>(batch);
   double total_loss = 0.0;
   for (std::size_t h = 0; h < heads_.size(); ++h) {
@@ -154,13 +161,29 @@ double MultiHeadMlp::backward_pass(std::size_t batch) {
       common::softmax_inplace(p);
       const auto y = static_cast<std::size_t>(labels[r]);
       assert(y < p.size());
-      total -= std::log(std::max(p[y], 1e-300));
+      if (with_loss) total -= std::log(std::max(p[y], 1e-300));
       // dL/dlogits = (p - onehot) / batch
       p[y] -= 1.0;
       for (double& v : p) v *= inv_batch;
     }
     total_loss += total / static_cast<double>(batch);
+  }
+  return total_loss;
+}
 
+void MultiHeadMlp::backward_pass(std::size_t batch) {
+#if defined(ODIN_HAVE_AVX2)
+  if (common::active_simd_mode() == common::SimdMode::kAvx2) {
+    backward_tiles(batch);
+    return;
+  }
+#endif
+  // Parameter gradients accumulate straight into zeroed storage, which
+  // equals the layer stack's zeros + 1.0 * dW: a sum started at +0.0 is
+  // never -0.0.
+  zero_gradients();
+  const std::size_t depth = trunk_.size();
+  for (std::size_t h = 0; h < heads_.size(); ++h) {
     Dense& head = heads_[h];
     const std::size_t classes = config_.heads[h];
     double* dw = head.weight().grad.flat().data();
@@ -219,8 +242,63 @@ double MultiHeadMlp::backward_pass(std::size_t batch) {
     }
     std::swap(ws_.grad, ws_.grad_next);
   }
-  return total_loss;
 }
+
+#if defined(ODIN_HAVE_AVX2)
+void MultiHeadMlp::forward_tiles(std::size_t batch) {
+  const std::size_t depth = trunk_.size();
+  for (std::size_t l = 0; l < depth; ++l) {
+    Dense& layer = trunk_[l];
+    avx2::dense_forward(layer_input(l), batch, input_width(l),
+                        layer.weight().value.flat().data(),
+                        layer.bias().value.flat().data(), config_.hidden[l],
+                        true, ws_.act[l].data());
+  }
+  for (std::size_t h = 0; h < heads_.size(); ++h)
+    avx2::dense_forward(layer_input(depth), batch, input_width(depth),
+                        heads_[h].weight().value.flat().data(),
+                        heads_[h].bias().value.flat().data(),
+                        config_.heads[h], false, ws_.logits[h].data());
+}
+
+void MultiHeadMlp::backward_tiles(std::size_t batch) {
+  // Every gradient element is stored, so nothing is zeroed first.
+  const std::size_t depth = trunk_.size();
+  const std::size_t width = input_width(depth);
+  for (std::size_t h = 0; h < heads_.size(); ++h) {
+    Dense& head = heads_[h];
+    const std::size_t classes = config_.heads[h];
+    avx2::dense_weight_grad(layer_input(depth), batch, width,
+                            ws_.logits[h].data(), classes,
+                            head.weight().grad.flat().data(),
+                            head.bias().grad.flat().data());
+    if (depth == 0) continue;  // the model input's gradient is unread
+    // dL/d(trunk output): each head's dz W^T on its own, added in head
+    // order onto head 0's.
+    transpose_into(head.weight().value, ws_.wt.data());
+    avx2::dense_input_grad(ws_.logits[h].data(), batch, classes,
+                           ws_.wt.data(), width, h > 0, ws_.grad.data());
+  }
+
+  for (std::size_t l = depth; l-- > 0;) {
+    Dense& layer = trunk_[l];
+    const std::size_t out = config_.hidden[l];
+    // ReLU: no gradient where the output a <= 0.
+    const double* a = ws_.act[l].data();
+    for (std::size_t i = 0; i < batch * out; ++i)
+      ws_.grad[i] = a[i] <= 0.0 ? 0.0 : ws_.grad[i];
+    avx2::dense_weight_grad(layer_input(l), batch, input_width(l),
+                            ws_.grad.data(), out,
+                            layer.weight().grad.flat().data(),
+                            layer.bias().grad.flat().data());
+    if (l == 0) break;  // the model input's gradient is unread
+    transpose_into(layer.weight().value, ws_.wt.data());
+    avx2::dense_input_grad(ws_.grad.data(), batch, out, ws_.wt.data(),
+                           input_width(l), false, ws_.grad_next.data());
+    std::swap(ws_.grad, ws_.grad_next);
+  }
+}
+#endif
 
 std::vector<Matrix> MultiHeadMlp::forward(const Matrix& input) {
   const std::size_t batch = input.rows();
@@ -263,22 +341,27 @@ double MultiHeadMlp::compute_gradients(
     std::copy_n(labels[h].begin(), batch,
                 ws_.labels.begin() + static_cast<std::ptrdiff_t>(h * ws_.rows));
   forward_pass(batch);
-  return backward_pass(batch);
+  const double total_loss = head_deltas(batch, true);
+  backward_pass(batch);
+  return total_loss;
 }
 
-double MultiHeadMlp::compute_gradients(
+void MultiHeadMlp::minibatch_gradients(
     const Matrix& input, std::span<const std::vector<int>> labels,
     std::span<const std::size_t> rows) {
   assert(input.cols() == config_.inputs && labels.size() == heads_.size());
   const std::size_t batch = rows.size();
   reserve(batch);
-  for (std::size_t r = 0; r < batch; ++r)
-    ws_.input[r] = input.row(rows[r]).data();
+  for (std::size_t r = 0; r < batch; ++r) {
+    const auto row = input.row(rows[r]);
+    std::copy(row.begin(), row.end(), ws_.input.data() + r * config_.inputs);
+  }
   for (std::size_t h = 0; h < heads_.size(); ++h)
     for (std::size_t r = 0; r < batch; ++r)
       ws_.labels[h * ws_.rows + r] = labels[h][rows[r]];
   forward_pass(batch);
-  return backward_pass(batch);
+  head_deltas(batch, false);
+  backward_pass(batch);
 }
 
 double MultiHeadMlp::loss(const Matrix& input,

@@ -10,6 +10,8 @@
 // Inference and training run as one forward and one backward pass over a
 // workspace the model owns (DESIGN.md §19): no virtual calls, and no heap
 // allocation once the workspace has grown to the largest batch seen. The
+// products run on the row kernels of nn/tensor.hpp, or on AVX2 register
+// tiles (mlp_avx2.hpp) where common::active_simd_mode() selects AVX2. The
 // arithmetic is that of a Dense -> ReLU -> ... -> Dense -> softmax layer
 // stack, operation for operation, so every parameter and prediction is
 // bitwise what the layer-by-layer engine computes. The Dense layers remain
@@ -61,9 +63,10 @@ class MultiHeadMlp {
   double compute_gradients(const Matrix& input,
                            std::span<const std::vector<int>> labels);
 
-  /// The same step on the minibatch whose row r is input row rows[r],
-  /// labelled labels[h][rows[r]]: fit's shuffled batches, read in place.
-  double compute_gradients(const Matrix& input,
+  /// fit's step: the same gradients on the minibatch whose row r is input
+  /// row rows[r], labelled labels[h][rows[r]], without the loss (fit never
+  /// reads a step's loss, and it costs a log per row and head).
+  void minibatch_gradients(const Matrix& input,
                            std::span<const std::vector<int>> labels,
                            std::span<const std::size_t> rows);
 
@@ -95,10 +98,10 @@ class MultiHeadMlp {
   /// thread_local: fleet shards train their own policies concurrently.
   struct Workspace {
     std::size_t rows = 0;
-    std::vector<const double*> input;  ///< [rows] batch input rows, in place
+    std::vector<double> input;  ///< [rows x inputs] the batch's input rows
     /// [layer input l][rows x width_l]: the nonzero-index list of each row
     /// of the input to trunk layer l (l = trunk size: the heads' input),
-    /// shared by the forward product and the weight gradient.
+    /// shared by the row kernels' forward product and weight gradient.
     std::vector<std::vector<std::uint32_t>> nz;
     std::vector<std::vector<std::uint32_t>> nz_count;  ///< [l][rows]
     std::vector<std::vector<double>> act;  ///< [trunk layer][rows x width]
@@ -116,6 +119,8 @@ class MultiHeadMlp {
 
   /// Width of the input to trunk layer l (l = trunk size: the heads).
   std::size_t input_width(std::size_t l) const noexcept;
+  /// The [rows x input_width(l)] input to trunk layer l.
+  const double* layer_input(std::size_t l) const noexcept;
   /// Row r of the input to trunk layer l.
   std::span<const double> input_row(std::size_t l, std::size_t r) const;
   std::span<const std::uint32_t> nonzeros(std::size_t l, std::size_t r) const;
@@ -131,8 +136,15 @@ class MultiHeadMlp {
   void forward_pass(std::size_t batch);
   /// Softmax probabilities of one sample, left in row 0 of each head.
   void infer(std::span<const double> features);
-  /// Softmax, loss and backward pass of the bound, labelled batch.
-  double backward_pass(std::size_t batch);
+  /// Turns each head's logits into dL/dlogits; returns the summed loss
+  /// when `with_loss`, else 0.0.
+  double head_deltas(std::size_t batch, bool with_loss);
+  /// Parameter gradients of the bound batch from head_deltas' dL/dlogits.
+  void backward_pass(std::size_t batch);
+  /// forward_pass and backward_pass's products on the AVX2 tiles
+  /// (mlp_avx2.hpp); only built and called where AVX2 is available.
+  void forward_tiles(std::size_t batch);
+  void backward_tiles(std::size_t batch);
 
   MlpConfig config_;
   std::vector<Dense> trunk_;

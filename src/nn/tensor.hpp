@@ -70,8 +70,8 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 void transpose_into(const Matrix& b, double* out) noexcept;
 
 // --- Row kernels -------------------------------------------------------------
-// The three products above and the MultiHeadMlp training step are all built
-// from these, writing into caller storage. Each output element accumulates
+// The three products above and the scalar body of the MultiHeadMlp training
+// step are all built from these, writing into caller storage. Each output element accumulates
 // its terms in ascending index order onto the value already there, so a
 // zeroed output reproduces "start from +0.0, add a[k] * b[k] for k = 0, 1,
 // ..." bit for bit. Loops run across independent outputs only. They are

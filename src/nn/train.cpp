@@ -119,7 +119,7 @@ TrainResult fit(MultiHeadMlp& model, const Dataset& data,
          start += options.batch_size) {
       const std::size_t end =
           std::min(start + options.batch_size, order.size());
-      model.compute_gradients(
+      model.minibatch_gradients(
           data.inputs, data.labels,
           std::span<const std::size_t>{order.data() + start, end - start});
       optimizer.step();

@@ -1,7 +1,7 @@
 // Batched OU inner kernel: a register-blocked GEMM over the column-major
-// weight plane and the ADC epilogue that quantizes its accumulators, plus
-// the SIMD dispatch that selects between an explicit AVX2 implementation
-// and a portable scalar one.
+// weight plane and the ADC epilogue that quantizes its accumulators, each
+// with an explicit AVX2 implementation and a portable scalar one, picked
+// by the common/simd switch.
 //
 // Contract (DESIGN.md §14): for a batch of B queries packed transposed
 // (`in_t[r * batch + b]` = element r of query b), the kernel computes
@@ -30,39 +30,16 @@
 #include <cmath>
 #include <cstddef>
 
+#include "common/simd.hpp"
+
 namespace odin::reram::gemm {
 
-/// Inner-kernel instruction set. kAvx2 vectorizes across the batch
-/// dimension (4 queries per ymm register); kScalar is the portable
-/// fallback with the same per-lane operation order.
-enum class SimdMode { kScalar, kAvx2 };
-
-/// "scalar" / "avx2" (for logs and bench output).
-const char* simd_mode_name(SimdMode mode) noexcept;
-
-/// True when the AVX2 kernel was compiled in AND the CPU supports it.
-bool avx2_available() noexcept;
-
-/// Strict parse of an ODIN_SIMD value ("avx2" or "scalar"). Returns
-/// false on anything else, leaving `out` untouched.
-bool parse_simd_mode(const char* text, SimdMode& out) noexcept;
-
-/// Best mode available on this build/CPU (kAvx2 when possible).
-SimdMode default_simd_mode() noexcept;
-
-/// Resolve the mode from ODIN_SIMD with the strict-env contract: unset
-/// picks default_simd_mode(); garbage warns to stderr and picks the
-/// default; "avx2" on a machine without AVX2 warns and degrades to
-/// scalar.
-SimdMode simd_mode_from_env() noexcept;
-
-/// The mode ou_gemm dispatches to. Resolved from ODIN_SIMD on first use
-/// and cached; override with set_simd_mode (tests, CLI).
-SimdMode active_simd_mode() noexcept;
-
-/// Force the dispatch mode. kAvx2 silently degrades to kScalar when
-/// unavailable, so callers can request it unconditionally.
-void set_simd_mode(SimdMode mode) noexcept;
+// The dispatch switch lives in common/simd. perfbench/main.cpp still names
+// these three through reram::gemm; the using-declarations go when a
+// benchmark change next edits that file.
+using common::active_simd_mode;
+using common::simd_mode_name;
+using common::SimdMode;
 
 /// The bipolar ADC of one OU column: the differential column current
 /// spans [-full_scale, +full_scale], and `value` is clamped to it, rounded
@@ -104,7 +81,7 @@ void ou_gemm_scalar(const double* in_t, int batch, int rows,
                     const double* irt, double* acc);
 
 /// AVX2 implementation; only defined when the toolchain supports -mavx2
-/// (never call directly — go through ou_gemm / set_simd_mode).
+/// (never call directly — go through ou_gemm / common::set_simd_mode).
 void ou_gemm_avx2(const double* in_t, int batch, int rows,
                   const double* colbase, std::size_t col_stride, int cols,
                   const double* irt, double* acc);

@@ -721,6 +721,43 @@ TEST(Checkpoint, OnlyTheCurrentVersionFrameLoads) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, ForeignVersionOfAnIntactPairIsReported) {
+  // An intact pair from another build is told apart from a torn or corrupt
+  // one: foreign_checkpoint_version names the newest intact slot's version,
+  // and only when no slot holds a current-version frame.
+  const auto tenant = testing::tiny_mapped();
+  common::ByteWriter payload;
+  encode_checkpoint(sample_checkpoint(tenant), payload);
+  const std::string base = temp_base("foreign");
+  remove_slots(base);
+  EXPECT_FALSE(foreign_checkpoint_version(base).has_value()) << "no files";
+  for (std::uint32_t version : {8u, 10u}) {
+    write_file(base + ".a", frame_with_version(version, 3, payload.bytes()));
+    write_file(base + ".b", frame_with_version(version, 4, payload.bytes()));
+    EXPECT_FALSE(load_latest_checkpoint(base).has_value());
+    EXPECT_EQ(foreign_checkpoint_version(base), version);
+  }
+  // Mixed foreign versions: the slot with the higher sequence speaks.
+  write_file(base + ".a", frame_with_version(10, 7, payload.bytes()));
+  write_file(base + ".b", frame_with_version(8, 6, payload.bytes()));
+  EXPECT_EQ(foreign_checkpoint_version(base), 10u);
+  // A corrupt foreign slot is not evidence; the intact one still is.
+  std::string torn = frame_with_version(10, 7, payload.bytes());
+  torn[torn.size() / 2] ^= 0x01;
+  write_file(base + ".a", torn);
+  EXPECT_EQ(foreign_checkpoint_version(base), 8u);
+  // With no intact slot the pair is torn or corrupt, not foreign.
+  write_file(base + ".b", torn);
+  EXPECT_FALSE(foreign_checkpoint_version(base).has_value());
+  // A current-version slot means the pair is this build's.
+  write_file(base + ".a", frame_with_version(8, 9, payload.bytes()));
+  write_file(base + ".b",
+             frame_with_version(kCheckpointVersion, 2, payload.bytes()));
+  EXPECT_FALSE(foreign_checkpoint_version(base).has_value());
+  EXPECT_TRUE(load_latest_checkpoint(base).has_value());
+  remove_slots(base);
+}
+
 TEST(Checkpoint, PayloadLayoutIsPinned) {
   // The round-trip tests cannot see a walk that swaps two fields (both
   // directions swap together); the payload bytes can. Every field of

@@ -1,6 +1,6 @@
 // Strict environment-variable parsing (common/env.hpp) and the one knob
 // tested here that is built on it, ODIN_SIMD kernel dispatch
-// (reram/batch_gemm.hpp): a value must parse in full or it is ignored with
+// (common/simd.hpp): a value must parse in full or it is ignored with
 // a stderr warning and the default applies — a typo never silently
 // changes behaviour (DESIGN.md §14). Also pins the defaults and clamp
 // bounds of the simulator settings, which have no environment source.
@@ -9,11 +9,11 @@
 #include <cstdlib>
 
 #include "common/env.hpp"
+#include "common/simd.hpp"
 #include "core/cluster.hpp"
 #include "core/fleet.hpp"
 #include "core/resilience.hpp"
 #include "core/scenario.hpp"
-#include "reram/batch_gemm.hpp"
 #include "reram/wear_leveling.hpp"
 
 namespace odin {
@@ -86,45 +86,45 @@ TEST(Env, StringReturnsNullWhenUnsetOrEmpty) {
 }
 
 TEST(Env, ParseSimdModeIsStrict) {
-  using reram::gemm::SimdMode;
+  using common::SimdMode;
   SimdMode mode = SimdMode::kAvx2;
-  EXPECT_TRUE(reram::gemm::parse_simd_mode("scalar", mode));
+  EXPECT_TRUE(common::parse_simd_mode("scalar", mode));
   EXPECT_EQ(mode, SimdMode::kScalar);
-  EXPECT_TRUE(reram::gemm::parse_simd_mode("avx2", mode));
+  EXPECT_TRUE(common::parse_simd_mode("avx2", mode));
   EXPECT_EQ(mode, SimdMode::kAvx2);
   for (const char* bad : {"AVX2", "sse", "avx2 ", "", "scalar2"}) {
     SimdMode untouched = SimdMode::kScalar;
-    EXPECT_FALSE(reram::gemm::parse_simd_mode(bad, untouched))
+    EXPECT_FALSE(common::parse_simd_mode(bad, untouched))
         << "value '" << bad << "'";
     EXPECT_EQ(untouched, SimdMode::kScalar);
   }
 }
 
 TEST(Env, SimdModeFromEnvFollowsStrictContract) {
-  using reram::gemm::SimdMode;
+  using common::SimdMode;
   {
     ScopedEnv env("ODIN_SIMD", nullptr);
-    EXPECT_EQ(reram::gemm::simd_mode_from_env(),
-              reram::gemm::default_simd_mode());
+    EXPECT_EQ(common::simd_mode_from_env(),
+              common::default_simd_mode());
   }
   {
     ScopedEnv env("ODIN_SIMD", "scalar");
-    EXPECT_EQ(reram::gemm::simd_mode_from_env(), SimdMode::kScalar);
+    EXPECT_EQ(common::simd_mode_from_env(), SimdMode::kScalar);
   }
   {
     // Garbage warns and falls back to the default — never a third state.
     ScopedEnv env("ODIN_SIMD", "neon");
-    EXPECT_EQ(reram::gemm::simd_mode_from_env(),
-              reram::gemm::default_simd_mode());
+    EXPECT_EQ(common::simd_mode_from_env(),
+              common::default_simd_mode());
   }
   {
     // An explicit avx2 request resolves to avx2 when available and
     // degrades to scalar (with a warning) when not — never fails.
     ScopedEnv env("ODIN_SIMD", "avx2");
-    const SimdMode want = reram::gemm::avx2_available()
+    const SimdMode want = common::avx2_available()
                               ? SimdMode::kAvx2
                               : SimdMode::kScalar;
-    EXPECT_EQ(reram::gemm::simd_mode_from_env(), want);
+    EXPECT_EQ(common::simd_mode_from_env(), want);
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include "allocation_counter.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "core/hardware_inference.hpp"
 #include "nn/train.hpp"
 #include "reference_kernel.hpp"
@@ -337,7 +338,7 @@ TEST(MvmKernel, BatchedNoisyStreamMatchesSequential) {
 // The explicit-SIMD path vectorizes across queries with per-lane operation
 // order identical to the scalar kernel, so the two must agree bit for bit.
 TEST(MvmKernel, SimdModesAgreeBitwise) {
-  if (!gemm::avx2_available())
+  if (!common::avx2_available())
     GTEST_SKIP() << "AVX2 unavailable in this build/CPU";
   for (IrModel ir : {IrModel::kLumped, IrModel::kSpatial}) {
     Crossbar x = make_crossbar(ir, std::nullopt);
@@ -354,11 +355,11 @@ TEST(MvmKernel, SimdModesAgreeBitwise) {
         std::vector<double> scalar_out(static_cast<std::size_t>(batch) *
                                        kLiveCols);
         std::vector<double> avx2_out(scalar_out.size());
-        gemm::set_simd_mode(gemm::SimdMode::kScalar);
+        common::set_simd_mode(common::SimdMode::kScalar);
         x.mvm(in_t, batch, ou.rows, ou.cols, 2.0, kAdcBits, scalar_out);
-        gemm::set_simd_mode(gemm::SimdMode::kAvx2);
+        common::set_simd_mode(common::SimdMode::kAvx2);
         x.mvm(in_t, batch, ou.rows, ou.cols, 2.0, kAdcBits, avx2_out);
-        gemm::set_simd_mode(gemm::default_simd_mode());
+        common::set_simd_mode(common::default_simd_mode());
         expect_bitwise(avx2_out, scalar_out, "scalar vs avx2");
       }
     }
@@ -453,15 +454,15 @@ void expect_epilogue_matches_reference(const std::vector<double>& acc,
 // it, -0.0 passed through and NaN kept NaN. Full scales 3 and 48 are the
 // non-power-of-two heights of partial OU tiles.
 TEST(MvmKernel, AdcEpilogueMatchesQuantizer) {
-  std::vector<gemm::SimdMode> modes = {gemm::SimdMode::kScalar};
-  if (gemm::avx2_available()) modes.push_back(gemm::SimdMode::kAvx2);
+  std::vector<common::SimdMode> modes = {common::SimdMode::kScalar};
+  if (common::avx2_available()) modes.push_back(common::SimdMode::kAvx2);
   int exact_halves = 0;
-  for (gemm::SimdMode mode : modes) {
-    gemm::set_simd_mode(mode);
+  for (common::SimdMode mode : modes) {
+    common::set_simd_mode(mode);
     for (double full_scale : {1.0, 3.0, 48.0, 64.0}) {
       for (int adc_bits = 1; adc_bits <= 12; ++adc_bits) {
         SCOPED_TRACE(::testing::Message()
-                     << gemm::simd_mode_name(mode) << " full scale "
+                     << common::simd_mode_name(mode) << " full scale "
                      << full_scale << " bits " << adc_bits);
         const auto probes = epilogue_probes(full_scale, adc_bits);
         for (double v : probes) {
@@ -474,23 +475,23 @@ TEST(MvmKernel, AdcEpilogueMatchesQuantizer) {
       }
     }
   }
-  gemm::set_simd_mode(gemm::default_simd_mode());
+  common::set_simd_mode(common::default_simd_mode());
   EXPECT_GT(exact_halves, 0) << "no probe's code argument lands on k + 0.5";
   // One bit at full scale 1: -2^-53 puts the code argument at
   // 0.49999999999999994, which rounds to 0 (floor(x + 0.5) would give 1).
   const std::vector<double> below_half = {-0x1p-53, -0x1p-53, -0x1p-53,
                                           -0x1p-53, -0x1p-53};
   ASSERT_EQ(code_argument(below_half[0], 1.0, 1), 0.49999999999999994);
-  for (gemm::SimdMode mode : modes) {
-    gemm::set_simd_mode(mode);
-    SCOPED_TRACE(gemm::simd_mode_name(mode));
+  for (common::SimdMode mode : modes) {
+    common::set_simd_mode(mode);
+    SCOPED_TRACE(common::simd_mode_name(mode));
     expect_epilogue_matches_reference(below_half, 1.0, 1.0, 1);
     std::vector<double> out(below_half.size());
     gemm::adc_epilogue(below_half.data(), out.size(), 1.0, 1.0, 1,
                        out.data(), /*accumulate=*/false);
     EXPECT_EQ(out[0], -1.0);  // code 0
   }
-  gemm::set_simd_mode(gemm::default_simd_mode());
+  common::set_simd_mode(common::default_simd_mode());
 }
 
 // --- Zero allocation in steady state ----------------------------------------
@@ -654,16 +655,16 @@ TEST(MvmKernel, MultiTileBatchedForwardMatchesSingleQuery) {
   HardwareMlpRunner noisy_batched = make_multi_tile_runner(77);
   HardwareMlpRunner noisy_single = make_multi_tile_runner(77);
   const auto panel = multi_tile_panel();
-  std::vector<gemm::SimdMode> modes = {gemm::SimdMode::kScalar};
-  if (gemm::avx2_available()) modes.push_back(gemm::SimdMode::kAvx2);
-  for (gemm::SimdMode mode : modes) {
-    gemm::set_simd_mode(mode);
+  std::vector<common::SimdMode> modes = {common::SimdMode::kScalar};
+  if (common::avx2_available()) modes.push_back(common::SimdMode::kAvx2);
+  for (common::SimdMode mode : modes) {
+    common::set_simd_mode(mode);
     for (ou::OuConfig ou : {ou::OuConfig{8, 8}, ou::OuConfig{16, 8},
                             ou::OuConfig{32, 32}}) {
       for (double t : {1.0, 2.5e6}) {
         for (int batch : {1, 5, 16, 64}) {
           SCOPED_TRACE(::testing::Message()
-                       << gemm::simd_mode_name(mode) << " OU " << ou.rows
+                       << common::simd_mode_name(mode) << " OU " << ou.rows
                        << "x" << ou.cols << " t=" << t << " batch "
                        << batch);
           expect_batched_logits_match(hw, hw, panel, batch, ou, t);
@@ -676,7 +677,7 @@ TEST(MvmKernel, MultiTileBatchedForwardMatchesSingleQuery) {
       }
     }
   }
-  gemm::set_simd_mode(gemm::default_simd_mode());
+  common::set_simd_mode(common::default_simd_mode());
 }
 
 TEST(MvmKernel, BatchedAccuracyMatchesSingleQuery) {

@@ -28,12 +28,12 @@
 #include "common/binary_io.hpp"
 #include "common/rng.hpp"
 #include "core/sketch.hpp"
-#include "reram/batch_gemm.hpp"
+#include "common/simd.hpp"
 
 namespace odin::core {
 namespace {
 
-using reram::gemm::SimdMode;
+using common::SimdMode;
 
 constexpr std::uint64_t kSamples = std::uint64_t{1} << 20;
 constexpr std::uint64_t kEveryAdd = 10'000;  // compare after each add
@@ -93,10 +93,10 @@ T decoded(const std::string& bytes) {
 /// Restores the dispatch mode the test binary started with.
 class SketchKernel : public ::testing::Test {
  protected:
-  void TearDown() override { reram::gemm::set_simd_mode(initial_); }
+  void TearDown() override { common::set_simd_mode(initial_); }
 
  private:
-  SimdMode initial_ = reram::gemm::active_simd_mode();
+  SimdMode initial_ = common::active_simd_mode();
 };
 
 /// The three walks of one stream.
@@ -106,9 +106,9 @@ struct Trio {
   ReferenceSojourn ref;
 
   void add(const std::vector<double>& xs) {
-    reram::gemm::set_simd_mode(SimdMode::kAvx2);
+    common::set_simd_mode(SimdMode::kAvx2);
     for (const double x : xs) avx2.add(x);
-    reram::gemm::set_simd_mode(SimdMode::kScalar);
+    common::set_simd_mode(SimdMode::kScalar);
     for (const double x : xs) scalar.add(x);
     for (const double x : xs) ref.add(x);
   }
@@ -226,7 +226,7 @@ std::vector<std::pair<const char*, Stream>> streams() {
 }
 
 TEST_F(SketchKernel, LockstepMatchesFourScalarEstimatorsOnEveryStream) {
-  if (!reram::gemm::avx2_available())
+  if (!common::avx2_available())
     std::printf("AVX2 unavailable: both modes run the lanes scalar\n");
   for (const auto& [name, sample] : streams()) {
     SCOPED_TRACE(name);

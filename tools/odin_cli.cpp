@@ -618,10 +618,25 @@ int cmd_checkpoint(const std::string& base, int argc, char** argv) {
   return 0;
 }
 
+/// Prints why the checkpoint pair at `base` did not load when the cause is
+/// a payload version this build does not read, and returns true; a torn or
+/// corrupt pair returns false for the caller's own message.
+bool report_foreign_version(const std::string& base) {
+  const auto version = core::foreign_checkpoint_version(base);
+  if (!version) return false;
+  std::fprintf(stderr,
+               "checkpoint at %s.{a,b} was written by payload v%u; this "
+               "build reads v%u\n",
+               base.c_str(), static_cast<unsigned>(*version),
+               static_cast<unsigned>(core::kCheckpointVersion));
+  return true;
+}
+
 int cmd_resume(const std::string& base, int argc, char** argv) {
   auto ckpt = core::load_latest_checkpoint(base);
   if (!ckpt) {
-    std::fprintf(stderr, "no valid checkpoint at %s.{a,b}\n", base.c_str());
+    if (!report_foreign_version(base))
+      std::fprintf(stderr, "no valid checkpoint at %s.{a,b}\n", base.c_str());
     return 1;
   }
   const std::string workload =
@@ -737,6 +752,7 @@ int cmd_cluster(int argc, char** argv) {
     }
     result = core::resume_cluster(cfg);
     if (!result) {
+      if (report_foreign_version(cfg.campaign.checkpoint.base_path)) return 1;
       std::fprintf(stderr,
                    "no matching cluster checkpoint at %s.{a,b} "
                    "(check --seed/--tenants/--requests/--shards/--epochs/"
