@@ -182,11 +182,13 @@ std::optional<ServingCheckpoint> load_checkpoint_file(
 std::optional<ServingCheckpoint> load_latest_checkpoint(
     const std::string& base_path);
 
-/// Why a pair refused to load, when the cause is its version: with no slot
-/// holding an intact frame of kCheckpointVersion, the payload version of the
-/// newest slot whose frame is otherwise intact (magic, size and CRC hold).
-/// nullopt when a slot holds a current-version frame, or when no slot is
-/// intact (a torn or corrupt pair, or none at all).
+/// Why a pair refused to load, when the cause may be its version: with no
+/// slot holding an intact frame of kCheckpointVersion, the payload version
+/// that the header of the newest otherwise intact slot claims (magic, size
+/// and CRC hold). The CRC does not cover the version field, so the claim may
+/// also be a bit flip in a current-version header. nullopt when a slot holds
+/// a current-version frame, or when no slot is intact (a torn or corrupt
+/// pair, or none at all).
 std::optional<std::uint32_t> foreign_checkpoint_version(
     const std::string& base_path);
 

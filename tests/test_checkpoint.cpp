@@ -755,6 +755,17 @@ TEST(Checkpoint, ForeignVersionOfAnIntactPairIsReported) {
              frame_with_version(kCheckpointVersion, 2, payload.bytes()));
   EXPECT_FALSE(foreign_checkpoint_version(base).has_value());
   EXPECT_TRUE(load_latest_checkpoint(base).has_value());
+  // The CRC does not cover the version field, so one flipped version bit in
+  // an intact current-version slot, beside a torn one, reads as a foreign
+  // version: the value is only what the header claims, and the CLI's message
+  // says so.
+  std::string flipped =
+      frame_with_version(kCheckpointVersion, 5, payload.bytes());
+  flipped[8] ^= 0x04;  // low byte of the little-endian version field
+  write_file(base + ".a", flipped);
+  write_file(base + ".b", torn);
+  EXPECT_FALSE(load_latest_checkpoint(base).has_value());
+  EXPECT_EQ(foreign_checkpoint_version(base), kCheckpointVersion ^ 0x04u);
   remove_slots(base);
 }
 

@@ -17,11 +17,11 @@
 
 #include "common/binary_io.hpp"
 #include "common/crc32.hpp"
-#include "common/simd.hpp"
 #include "core/checkpoint.hpp"
 #include "core/cluster.hpp"
 #include "core/scenario.hpp"
 #include "core/serving.hpp"
+#include "simd_modes.hpp"
 
 namespace odin::core {
 namespace {
@@ -83,20 +83,7 @@ CampaignConfig shedding_campaign(std::uint64_t seed, long long requests) {
   return c;
 }
 
-using common::SimdMode;
-
-/// Runs `body` under each SIMD dispatch mode, then restores the mode the
-/// test binary started with.
-template <typename F>
-void in_both_simd_modes(F&& body) {
-  const SimdMode initial = common::active_simd_mode();
-  for (const SimdMode mode : {SimdMode::kAvx2, SimdMode::kScalar}) {
-    SCOPED_TRACE(common::simd_mode_name(mode));
-    common::set_simd_mode(mode);
-    body();
-  }
-  common::set_simd_mode(initial);
-}
+using testing::in_both_simd_modes;
 
 TEST(Cluster, SingleMeshClusterNeverFailsOverOrReplicates) {
   ClusterConfig cfg = small_cluster();

@@ -19,39 +19,19 @@
 
 #include "allocation_counter.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "nn/mlp.hpp"
 #include "nn/train.hpp"
 #include "policy/policy.hpp"
 #include "reference_mlp.hpp"
+#include "simd_modes.hpp"
 
 namespace odin::nn {
 namespace {
 
-using common::SimdMode;
+using testing::in_both_simd_modes;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-/// Runs each case under the scalar row kernels, then the AVX2 tiles (which
-/// degrade to scalar where the CPU lacks AVX2), and restores the mode the
-/// test binary started with.
-class NnTrainKernel : public ::testing::Test {
- protected:
-  void TearDown() override { common::set_simd_mode(initial_); }
-
-  template <typename F>
-  static void in_both_modes(F&& body) {
-    for (const SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2}) {
-      SCOPED_TRACE(common::simd_mode_name(mode));
-      common::set_simd_mode(mode);
-      body();
-    }
-  }
-
- private:
-  SimdMode initial_ = common::active_simd_mode();
-};
 
 bool same_bits(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
@@ -175,19 +155,19 @@ void gradients_and_compare(Pair& p, const Dataset& data, std::size_t batch) {
   expect_same_grads(p.lib, p.ref_params);
 }
 
-TEST_F(NnTrainKernel, PolicyShapeRetrainIsBitwiseEqual) {
+TEST(NnTrainKernel, PolicyShapeRetrainIsBitwiseEqual) {
   // The online retrain: 4-16-(6,6), a full 50-entry buffer, batch 10.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     Pair p(config, 0x0d1e);
     fit_and_compare(p, make_data(config, 50, 1), options(100, 10, 0x5eed));
   });
 }
 
-TEST_F(NnTrainKernel, EveryBatchSizeUpTo17IsBitwiseEqual) {
+TEST(NnTrainKernel, EveryBatchSizeUpTo17IsBitwiseEqual) {
   // Every row tile (4, 3, 2 and 1 rows) on the policy shape, in one step
   // and in a fit whose last batch is ragged.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     const Dataset data = make_data(config, 40, 16, 0.3);
     for (std::size_t batch = 1; batch <= 17; ++batch) {
@@ -199,10 +179,10 @@ TEST_F(NnTrainKernel, EveryBatchSizeUpTo17IsBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, DeepTrunkRaggedBatchIsBitwiseEqual) {
+TEST(NnTrainKernel, DeepTrunkRaggedBatchIsBitwiseEqual) {
   // Two trunk layers (the inner input gradient is live) and 37 rows in
   // batches of 8: the last batch of every epoch has 5 rows.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {8, 12}, .heads = {2, 3}};
     Pair p(config, 7);
     fit_and_compare(p, make_data(config, 37, 2, 0.0, -1.0),
@@ -210,10 +190,10 @@ TEST_F(NnTrainKernel, DeepTrunkRaggedBatchIsBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, WidthsThatAreNoMultipleOfFourAreBitwiseEqual) {
+TEST(NnTrainKernel, WidthsThatAreNoMultipleOfFourAreBitwiseEqual) {
   // 5-13-(6,3,1): every product ends in a partial ymm, and the 1-class
   // head's gradient is exactly zero.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 5, .hidden = {13}, .heads = {6, 3, 1}};
     Pair p(config, 29);
     const Dataset data = make_data(config, 31, 17, 0.25, -1.0);
@@ -222,10 +202,10 @@ TEST_F(NnTrainKernel, WidthsThatAreNoMultipleOfFourAreBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, ReferenceClassifierShapesAreBitwiseEqual) {
+TEST(NnTrainKernel, ReferenceClassifierShapesAreBitwiseEqual) {
   // The Monte-Carlo / hardware-runner reference nets: 192-48-10 and the
   // beyond-L2 192-1024-10 (2 epochs keep the scalar reference quick).
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig small{.inputs = 192, .hidden = {48}, .heads = {10}};
     Pair a(small, 3);
     fit_and_compare(a, make_data(small, 70, 3, 0.2, -0.5), options(6, 32, 5));
@@ -235,8 +215,8 @@ TEST_F(NnTrainKernel, ReferenceClassifierShapesAreBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, ExactZerosAllZeroRowAndDeadUnitsAreBitwiseEqual) {
-  in_both_modes([] {
+TEST(NnTrainKernel, ExactZerosAllZeroRowAndDeadUnitsAreBitwiseEqual) {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 6, .hidden = {16}, .heads = {6, 6}};
     Pair p(config, 9);
     Dataset data = make_data(config, 23, 5, 0.4);
@@ -252,10 +232,10 @@ TEST_F(NnTrainKernel, ExactZerosAllZeroRowAndDeadUnitsAreBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, RowsOfNegativeZeroAreBitwiseEqual) {
+TEST(NnTrainKernel, RowsOfNegativeZeroAreBitwiseEqual) {
   // -0.0 is a zero: its terms drop out exactly like +0.0's, and a batch
   // of nothing but -0.0 rows leaves only the biases to train.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     Pair p(config, 31);
     Dataset data = make_data(config, 24, 19, 0.2, -1.0);
@@ -267,10 +247,10 @@ TEST_F(NnTrainKernel, RowsOfNegativeZeroAreBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, NanFeatureIsBitwiseEqual) {
+TEST(NnTrainKernel, NanFeatureIsBitwiseEqual) {
   // A NaN feature is not a zero (NaN != 0): its terms stay in the sums in
   // both engines, so the loss, gradients and weights turn NaN alike.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     Pair p(config, 37);
     Dataset data = make_data(config, 12, 21);
@@ -280,12 +260,12 @@ TEST_F(NnTrainKernel, NanFeatureIsBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, InfiniteWeightBehindZeroActivationStaysOutOfTheSums) {
+TEST(NnTrainKernel, InfiniteWeightBehindZeroActivationStaysOutOfTheSums) {
   // Feature 0 is always exactly zero and unit 0 never fires, so the +inf
   // weights behind them multiply only zeros. Skipping those terms is what
   // keeps 0 * inf = NaN out of every logit and gradient. Head 0's inf
   // weights sit in classes 4 and 5, the lanes of its last, partial ymm.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     Pair p(config, 13);
     Dataset data = make_data(config, 30, 6);
@@ -305,10 +285,10 @@ TEST_F(NnTrainKernel, InfiniteWeightBehindZeroActivationStaysOutOfTheSums) {
   });
 }
 
-TEST_F(NnTrainKernel, ChainedFitsOnOneModelAreBitwiseEqual) {
+TEST(NnTrainKernel, ChainedFitsOnOneModelAreBitwiseEqual) {
   // Batches grow, shrink and grow again on one workspace; the dataset
   // shapes change between fits.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     Pair p(config, 17);
     fit_and_compare(p, make_data(config, 50, 7), options(10, 10, 1));
@@ -318,8 +298,8 @@ TEST_F(NnTrainKernel, ChainedFitsOnOneModelAreBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, ComputeGradientsIsBitwiseEqual) {
-  in_both_modes([] {
+TEST(NnTrainKernel, ComputeGradientsIsBitwiseEqual) {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 5, .hidden = {7, 9},
                            .heads = {4, 3, 2}};
     Pair p(config, 19);
@@ -340,10 +320,10 @@ TEST_F(NnTrainKernel, ComputeGradientsIsBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, PolicyTrainSanitizerPathIsBitwiseEqual) {
+TEST(NnTrainKernel, PolicyTrainSanitizerPathIsBitwiseEqual) {
   // OuPolicy::train clamps NaN/inf/out-of-range features before fitting;
   // the fit behind it must match the reference on the clamped data.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const ou::OuLevelGrid grid(128);
     policy::OuPolicy policy(grid);
     policy::OuPolicy twin(grid);
@@ -368,12 +348,12 @@ TEST_F(NnTrainKernel, PolicyTrainSanitizerPathIsBitwiseEqual) {
   });
 }
 
-TEST_F(NnTrainKernel, FitRefusesLabelsOutsideTheHeads) {
+TEST(NnTrainKernel, FitRefusesLabelsOutsideTheHeads) {
   // An off-grid replay label decodes to -1; a class past the head's width,
   // a missing head or label, or a row of the wrong width would index past
   // the workspace. fit refuses all of them (and a zero batch size) in every
   // build and leaves the weights untouched.
-  in_both_modes([] {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     const Dataset good = make_data(config, 20, 13);
     std::vector<Dataset> bad(5, good);
@@ -398,8 +378,8 @@ TEST_F(NnTrainKernel, FitRefusesLabelsOutsideTheHeads) {
 
 // --- Zero allocation in steady state ----------------------------------------
 
-TEST_F(NnTrainKernel, StepAndPredictDoNotAllocateInSteadyState) {
-  in_both_modes([] {
+TEST(NnTrainKernel, StepAndPredictDoNotAllocateInSteadyState) {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     MultiHeadMlp model(config, 23);
     const Dataset data = make_data(config, 10, 14);
@@ -419,8 +399,8 @@ TEST_F(NnTrainKernel, StepAndPredictDoNotAllocateInSteadyState) {
   });
 }
 
-TEST_F(NnTrainKernel, FitAllocationsDoNotGrowWithEpochs) {
-  in_both_modes([] {
+TEST(NnTrainKernel, FitAllocationsDoNotGrowWithEpochs) {
+  in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     const Dataset data = make_data(config, 50, 15);
     auto allocations = [&](int epochs) {

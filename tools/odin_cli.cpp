@@ -618,15 +618,17 @@ int cmd_checkpoint(const std::string& base, int argc, char** argv) {
   return 0;
 }
 
-/// Prints why the checkpoint pair at `base` did not load when the cause is
-/// a payload version this build does not read, and returns true; a torn or
-/// corrupt pair returns false for the caller's own message.
+/// Prints why the checkpoint pair at `base` did not load when its header
+/// claims a payload version this build does not read, and returns true; a
+/// torn or corrupt pair returns false for the caller's own message. The
+/// frame CRC does not cover the version field, so the message names what
+/// the header says, not who wrote it.
 bool report_foreign_version(const std::string& base) {
   const auto version = core::foreign_checkpoint_version(base);
   if (!version) return false;
   std::fprintf(stderr,
-               "checkpoint at %s.{a,b} was written by payload v%u; this "
-               "build reads v%u\n",
+               "checkpoint at %s.{a,b}: its header says payload v%u (or the "
+               "header is corrupt); this build reads v%u\n",
                base.c_str(), static_cast<unsigned>(*version),
                static_cast<unsigned>(core::kCheckpointVersion));
   return true;
