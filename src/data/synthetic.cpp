@@ -3,8 +3,24 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <span>
+
+#include "common/parallel.hpp"
 
 namespace odin::data {
+
+namespace {
+
+/// A sample's pixels around its class prototype: one brightness draw, then
+/// one noise draw per pixel in order. `out` may alias `prototype`.
+void jitter(common::Rng& rng, std::span<const double> prototype,
+            std::span<double> out) {
+  const double brightness = rng.uniform(0.8, 1.2);
+  for (std::size_t p = 0; p < out.size(); ++p)
+    out[p] = prototype[p] * brightness + rng.normal(0.0, 0.25);
+}
+
+}  // namespace
 
 DatasetSpec DatasetSpec::for_kind(DatasetKind kind) {
   switch (kind) {
@@ -60,15 +76,18 @@ nn::Image SyntheticDataset::prototype(int label) const {
   return img;
 }
 
-Sample SyntheticDataset::sample(std::uint64_t index) const {
+common::Rng SyntheticDataset::stream(std::uint64_t index, int& label) const {
   common::Rng rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (index + 1)));
-  const int label =
-      static_cast<int>(rng.uniform_index(
-          static_cast<std::uint64_t>(spec_.classes)));
-  Sample s{.image = prototype(label), .label = label};
-  const double brightness = rng.uniform(0.8, 1.2);
-  for (double& v : s.image.data)
-    v = v * brightness + rng.normal(0.0, 0.25);
+  label = static_cast<int>(
+      rng.uniform_index(static_cast<std::uint64_t>(spec_.classes)));
+  return rng;
+}
+
+Sample SyntheticDataset::sample(std::uint64_t index) const {
+  Sample s;
+  common::Rng rng = stream(index, s.label);
+  s.image = prototype(s.label);
+  jitter(rng, s.image.data, s.image.data);
   return s;
 }
 
@@ -86,23 +105,35 @@ nn::Dataset SyntheticDataset::as_feature_dataset(std::size_t n,
   nn::Dataset ds;
   ds.inputs = nn::Matrix(n, feature_count(pool));
   ds.labels.assign(1, std::vector<int>(n, 0));
+  // Each class's prototype once per call, then every row from its own
+  // index-seeded stream as sample(i) draws it, on the pool.
+  std::vector<std::vector<double>> prototypes(
+      static_cast<std::size_t>(spec_.classes));
+  common::parallel_for(0, prototypes.size(), 1, [&](std::size_t c) {
+    prototypes[c] = prototype(static_cast<int>(c)).data;
+  });
   const double inv_area = 1.0 / static_cast<double>(pool * pool);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample s = sample(i);
-    ds.labels[0][i] = s.label;
-    std::size_t f = 0;
-    for (int c = 0; c < spec_.channels; ++c) {
-      for (int y = 0; y < ph; ++y) {
-        for (int x = 0; x < pw; ++x, ++f) {
-          double acc = 0.0;
-          for (int dy = 0; dy < pool; ++dy)
-            for (int dx = 0; dx < pool; ++dx)
-              acc += s.image.at(c, y * pool + dy, x * pool + dx);
-          ds.inputs(i, f) = acc * inv_area;
+  common::parallel_for_chunks(0, n, 0, [&](std::size_t b, std::size_t e) {
+    nn::Image image{spec_.channels, spec_.height, spec_.width,
+                    std::vector<double>(spec_.pixels())};
+    for (std::size_t i = b; i < e; ++i) {
+      int& label = ds.labels[0][i];
+      common::Rng rng = stream(i, label);
+      jitter(rng, prototypes[static_cast<std::size_t>(label)], image.data);
+      std::size_t f = 0;
+      for (int c = 0; c < spec_.channels; ++c) {
+        for (int y = 0; y < ph; ++y) {
+          for (int x = 0; x < pw; ++x, ++f) {
+            double acc = 0.0;
+            for (int dy = 0; dy < pool; ++dy)
+              for (int dx = 0; dx < pool; ++dx)
+                acc += image.at(c, y * pool + dy, x * pool + dx);
+            ds.inputs(i, f) = acc * inv_area;
+          }
         }
       }
     }
-  }
+  });
   return ds;
 }
 

@@ -50,9 +50,10 @@ class SyntheticDataset {
   /// Deterministic sample `index` (same index -> same sample).
   Sample sample(std::uint64_t index) const;
 
-  /// `n` samples flattened to a feature matrix, optionally spatially
+  /// Samples 0..n-1 flattened to a feature matrix, optionally spatially
   /// downsampled by `pool` (e.g. pool=4 turns 32x32 into 8x8) so reference
-  /// classifiers stay small. Single-head labels.
+  /// classifiers stay small. Single-head labels. Row i is sample(i) pooled,
+  /// bit for bit; the rows are drawn on common::ThreadPool.
   nn::Dataset as_feature_dataset(std::size_t n, int pool = 4) const;
 
   /// Feature count produced by as_feature_dataset for a given pool.
@@ -60,6 +61,9 @@ class SyntheticDataset {
 
  private:
   nn::Image prototype(int label) const;
+  /// The stream sample `index` draws from, seeded by the index alone, after
+  /// its first draw: the sample's `label`.
+  common::Rng stream(std::uint64_t index, int& label) const;
 
   DatasetSpec spec_;
   std::uint64_t seed_;

@@ -5,10 +5,55 @@
 #include <cmath>
 
 #include "common/math.hpp"
+#include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "nn/mlp_avx2.hpp"
 
 namespace odin::nn {
+
+namespace {
+
+/// Whether a pass runs its products on the AVX2 tiles (mlp_avx2.hpp)
+/// rather than the row kernels of nn/tensor.hpp.
+bool use_tiles() noexcept {
+#if defined(ODIN_HAVE_AVX2)
+  return common::active_simd_mode() == common::SimdMode::kAvx2;
+#else
+  return false;
+#endif
+}
+
+/// Output columns per pool task of a split product: the AVX2 tile width.
+constexpr std::size_t kSplitCols = 8;
+/// Host time of one multiply-add of a product, measured on the AVX2 tiles
+/// (DESIGN.md §9), and the multiply-adds that take the pool's cutoff at
+/// that rate.
+constexpr double kNsPerMac = 0.15;
+constexpr auto kMinSplitMacs = static_cast<std::size_t>(
+    common::ThreadPool::min_parallel_work_ns() / kNsPerMac);
+
+/// Runs every product of a pass. product(j0, j1) computes the output
+/// columns [j0, j1) of a rows x cols output, each element a sum of `terms`
+/// products. A product estimated under the pool's cutoff is one call over
+/// every column on the calling thread; a larger one runs as pool tasks over
+/// blocks of kSplitCols columns. Each element is computed by exactly one
+/// call, with the same terms in the same order, so the split changes no
+/// bit at any thread count.
+template <class Product>
+void split_columns(std::size_t rows, std::size_t cols, std::size_t terms,
+                   const Product& product) {
+  if (rows * cols * terms < kMinSplitMacs) {
+    product(std::size_t{0}, cols);
+    return;
+  }
+  common::parallel_for_chunks(
+      0, (cols + kSplitCols - 1) / kSplitCols, 0,
+      [&](std::size_t b, std::size_t e) {
+        product(b * kSplitCols, std::min(cols, e * kSplitCols));
+      });
+}
+
+}  // namespace
 
 MultiHeadMlp::MultiHeadMlp(MlpConfig config, std::uint64_t seed)
     : config_(std::move(config)) {
@@ -103,42 +148,16 @@ void MultiHeadMlp::index_nonzeros(std::size_t l, std::size_t batch) {
 }
 
 void MultiHeadMlp::forward_pass(std::size_t batch) {
-#if defined(ODIN_HAVE_AVX2)
-  if (common::active_simd_mode() == common::SimdMode::kAvx2) {
-    forward_tiles(batch);
-    return;
-  }
-#endif
+  const bool tiles = use_tiles();
   const std::size_t depth = trunk_.size();
   for (std::size_t l = 0; l < depth; ++l) {
-    // Dense then ReLU: z = x W + b, a = z < 0 ? 0 : z.
-    index_nonzeros(l, batch);
-    Dense& layer = trunk_[l];
-    const std::size_t out = config_.hidden[l];
-    const double* w = layer.weight().value.flat().data();
-    const auto bias = layer.bias().value.flat();
-    for (std::size_t r = 0; r < batch; ++r) {
-      const std::span<double> a{ws_.act[l].data() + r * out, out};
-      std::fill(a.begin(), a.end(), 0.0);
-      accumulate_rows(input_row(l, r), nonzeros(l, r), w, out, a);
-      for (std::size_t j = 0; j < out; ++j) {
-        const double z = a[j] + bias[j];
-        a[j] = z < 0.0 ? 0.0 : z;
-      }
-    }
+    if (!tiles) index_nonzeros(l, batch);
+    dense_forward(l, trunk_[l], true, ws_.act[l].data(), batch, tiles);
   }
-  index_nonzeros(depth, batch);
-  for (std::size_t h = 0; h < heads_.size(); ++h) {
-    const double* w = heads_[h].weight().value.flat().data();
-    const auto bias = heads_[h].bias().value.flat();
-    for (std::size_t r = 0; r < batch; ++r) {
-      const std::span<double> z = logit_row(h, r);
-      std::fill(z.begin(), z.end(), 0.0);
-      accumulate_rows(input_row(depth, r), nonzeros(depth, r), w, z.size(),
-                      z);
-      for (std::size_t j = 0; j < z.size(); ++j) z[j] += bias[j];
-    }
-  }
+  if (!tiles) index_nonzeros(depth, batch);
+  for (std::size_t h = 0; h < heads_.size(); ++h)
+    dense_forward(depth, heads_[h], false, ws_.logits[h].data(), batch,
+                  tiles);
 }
 
 void MultiHeadMlp::infer(std::span<const double> features) {
@@ -172,133 +191,121 @@ double MultiHeadMlp::head_deltas(std::size_t batch, bool with_loss) {
 }
 
 void MultiHeadMlp::backward_pass(std::size_t batch) {
-#if defined(ODIN_HAVE_AVX2)
-  if (common::active_simd_mode() == common::SimdMode::kAvx2) {
-    backward_tiles(batch);
-    return;
-  }
-#endif
-  // Parameter gradients accumulate straight into zeroed storage, which
-  // equals the layer stack's zeros + 1.0 * dW: a sum started at +0.0 is
-  // never -0.0.
-  zero_gradients();
+  const bool tiles = use_tiles();
   const std::size_t depth = trunk_.size();
   for (std::size_t h = 0; h < heads_.size(); ++h) {
-    Dense& head = heads_[h];
-    const std::size_t classes = config_.heads[h];
-    double* dw = head.weight().grad.flat().data();
-    const auto db = head.bias().grad.flat();
-    for (std::size_t r = 0; r < batch; ++r) {
-      const std::span<const double> dz = logit_row(h, r);
-      accumulate_outer(input_row(depth, r), nonzeros(depth, r), dz, dw,
-                       classes);
-      for (std::size_t c = 0; c < classes; ++c) db[c] += dz[c];
-    }
-    if (depth == 0) continue;  // the model input's gradient is unread
-
-    // dL/d(trunk output): each head's dz W^T on its own, summed in head
-    // order. Head 0's goes straight into the zeroed rows, which equals
-    // adding it to zeros: a sum started at +0.0 is never -0.0.
-    const std::size_t width = input_width(depth);
-    transpose_into(head.weight().value, ws_.wt.data());
-    const std::span<const std::uint32_t> all{ws_.all.data(), classes};
-    for (std::size_t r = 0; r < batch; ++r) {
-      const std::span<double> g{ws_.grad.data() + r * width, width};
-      if (h == 0) {
-        std::fill(g.begin(), g.end(), 0.0);
-        accumulate_rows(logit_row(h, r), all, ws_.wt.data(), width, g);
-        continue;
-      }
-      std::fill(ws_.head_grad.begin(), ws_.head_grad.end(), 0.0);
-      accumulate_rows(logit_row(h, r), all, ws_.wt.data(), width,
-                      ws_.head_grad);
-      for (std::size_t j = 0; j < width; ++j) g[j] += ws_.head_grad[j];
-    }
-  }
-
-  for (std::size_t l = depth; l-- > 0;) {
-    Dense& layer = trunk_[l];
-    const std::size_t out = config_.hidden[l];
-    double* dw = layer.weight().grad.flat().data();
-    const auto db = layer.bias().grad.flat();
-    for (std::size_t r = 0; r < batch; ++r) {
-      const std::span<double> g{ws_.grad.data() + r * out, out};
-      // ReLU: no gradient where z <= 0, i.e. where the output a <= 0.
-      const double* a = ws_.act[l].data() + r * out;
-      for (std::size_t j = 0; j < out; ++j) g[j] = a[j] <= 0.0 ? 0.0 : g[j];
-      accumulate_outer(input_row(l, r), nonzeros(l, r), g, dw, out);
-      for (std::size_t c = 0; c < out; ++c) db[c] += g[c];
-    }
-    if (l == 0) break;  // the model input's gradient is unread
-
-    const std::size_t in = input_width(l);
-    transpose_into(layer.weight().value, ws_.wt.data());
-    const std::span<const std::uint32_t> all{ws_.all.data(), out};
-    for (std::size_t r = 0; r < batch; ++r) {
-      const std::span<double> next{ws_.grad_next.data() + r * in, in};
-      std::fill(next.begin(), next.end(), 0.0);
-      accumulate_rows({ws_.grad.data() + r * out, out}, all, ws_.wt.data(),
-                      in, next);
-    }
-    std::swap(ws_.grad, ws_.grad_next);
-  }
-}
-
-#if defined(ODIN_HAVE_AVX2)
-void MultiHeadMlp::forward_tiles(std::size_t batch) {
-  const std::size_t depth = trunk_.size();
-  for (std::size_t l = 0; l < depth; ++l) {
-    Dense& layer = trunk_[l];
-    avx2::dense_forward(layer_input(l), batch, input_width(l),
-                        layer.weight().value.flat().data(),
-                        layer.bias().value.flat().data(), config_.hidden[l],
-                        true, ws_.act[l].data());
-  }
-  for (std::size_t h = 0; h < heads_.size(); ++h)
-    avx2::dense_forward(layer_input(depth), batch, input_width(depth),
-                        heads_[h].weight().value.flat().data(),
-                        heads_[h].bias().value.flat().data(),
-                        config_.heads[h], false, ws_.logits[h].data());
-}
-
-void MultiHeadMlp::backward_tiles(std::size_t batch) {
-  // Every gradient element is stored, so nothing is zeroed first.
-  const std::size_t depth = trunk_.size();
-  const std::size_t width = input_width(depth);
-  for (std::size_t h = 0; h < heads_.size(); ++h) {
-    Dense& head = heads_[h];
-    const std::size_t classes = config_.heads[h];
-    avx2::dense_weight_grad(layer_input(depth), batch, width,
-                            ws_.logits[h].data(), classes,
-                            head.weight().grad.flat().data(),
-                            head.bias().grad.flat().data());
+    dense_weight_grad(depth, heads_[h], ws_.logits[h].data(), batch, tiles);
     if (depth == 0) continue;  // the model input's gradient is unread
     // dL/d(trunk output): each head's dz W^T on its own, added in head
     // order onto head 0's.
-    transpose_into(head.weight().value, ws_.wt.data());
-    avx2::dense_input_grad(ws_.logits[h].data(), batch, classes,
-                           ws_.wt.data(), width, h > 0, ws_.grad.data());
+    dense_input_grad(heads_[h], ws_.logits[h].data(), h > 0, ws_.grad.data(),
+                     batch, tiles);
   }
 
   for (std::size_t l = depth; l-- > 0;) {
-    Dense& layer = trunk_[l];
-    const std::size_t out = config_.hidden[l];
-    // ReLU: no gradient where the output a <= 0.
+    // ReLU: no gradient where z <= 0, i.e. where the output a <= 0.
     const double* a = ws_.act[l].data();
-    for (std::size_t i = 0; i < batch * out; ++i)
+    for (std::size_t i = 0; i < batch * config_.hidden[l]; ++i)
       ws_.grad[i] = a[i] <= 0.0 ? 0.0 : ws_.grad[i];
-    avx2::dense_weight_grad(layer_input(l), batch, input_width(l),
-                            ws_.grad.data(), out,
-                            layer.weight().grad.flat().data(),
-                            layer.bias().grad.flat().data());
+    dense_weight_grad(l, trunk_[l], ws_.grad.data(), batch, tiles);
     if (l == 0) break;  // the model input's gradient is unread
-    transpose_into(layer.weight().value, ws_.wt.data());
-    avx2::dense_input_grad(ws_.grad.data(), batch, out, ws_.wt.data(),
-                           input_width(l), false, ws_.grad_next.data());
+    dense_input_grad(trunk_[l], ws_.grad.data(), false,
+                     ws_.grad_next.data(), batch, tiles);
     std::swap(ws_.grad, ws_.grad_next);
   }
 }
+
+void MultiHeadMlp::dense_forward(std::size_t l, Dense& layer, bool relu,
+                                 double* y, std::size_t batch,
+                                 [[maybe_unused]] bool tiles) {
+  const std::size_t in = input_width(l);
+  const std::size_t out = layer.weight().value.cols();
+  const double* w = layer.weight().value.flat().data();
+  const double* bias = layer.bias().value.flat().data();
+  split_columns(batch, out, in, [&](std::size_t j0, std::size_t j1) {
+#if defined(ODIN_HAVE_AVX2)
+    if (tiles) {
+      avx2::dense_forward(layer_input(l), batch, in, w, bias, out, relu, j0,
+                          j1, y);
+      return;
+    }
 #endif
+    // Dense, then ReLU when `relu`: z = x W + b, a = z < 0 ? 0 : z.
+    for (std::size_t r = 0; r < batch; ++r) {
+      const std::span<double> z{y + r * out + j0, j1 - j0};
+      std::fill(z.begin(), z.end(), 0.0);
+      accumulate_rows(input_row(l, r), nonzeros(l, r), w + j0, out, z);
+      for (std::size_t j = 0; j < z.size(); ++j) z[j] += bias[j0 + j];
+      if (relu)
+        for (double& a : z) a = a < 0.0 ? 0.0 : a;
+    }
+  });
+}
+
+void MultiHeadMlp::dense_weight_grad(std::size_t l, Dense& layer,
+                                     const double* g, std::size_t batch,
+                                     bool tiles) {
+  const std::size_t in = input_width(l);
+  const std::size_t out = layer.weight().value.cols();
+  double* dw = layer.weight().grad.flat().data();
+  double* db = layer.bias().grad.flat().data();
+  // The tiles store every element. The row kernels accumulate into zeroed
+  // storage, which equals the layer stack's zeros + 1.0 * dW: a sum started
+  // at +0.0 is never -0.0.
+  if (!tiles) {
+    layer.weight().grad.fill(0.0);
+    layer.bias().grad.fill(0.0);
+  }
+  split_columns(in, out, batch, [&](std::size_t j0, std::size_t j1) {
+#if defined(ODIN_HAVE_AVX2)
+    if (tiles) {
+      avx2::dense_weight_grad(layer_input(l), batch, in, g, out, j0, j1, dw,
+                              db);
+      return;
+    }
+#endif
+    for (std::size_t r = 0; r < batch; ++r) {
+      const double* gr = g + r * out;
+      accumulate_outer(input_row(l, r), nonzeros(l, r), {gr + j0, j1 - j0},
+                       dw + j0, out);
+      for (std::size_t j = j0; j < j1; ++j) db[j] += gr[j];
+    }
+  });
+}
+
+void MultiHeadMlp::dense_input_grad(Dense& layer, const double* g,
+                                    bool accumulate, double* dx,
+                                    std::size_t batch,
+                                    [[maybe_unused]] bool tiles) {
+  const std::size_t in = layer.weight().value.rows();
+  const std::size_t out = layer.weight().value.cols();
+  transpose_into(layer.weight().value, ws_.wt.data());
+  const double* wt = ws_.wt.data();
+  split_columns(batch, in, out, [&](std::size_t i0, std::size_t i1) {
+#if defined(ODIN_HAVE_AVX2)
+    if (tiles) {
+      avx2::dense_input_grad(g, batch, out, wt, in, accumulate, i0, i1, dx);
+      return;
+    }
+#endif
+    // Every term is kept: the index list is all of [0, out).
+    const std::span<const std::uint32_t> all{ws_.all.data(), out};
+    for (std::size_t r = 0; r < batch; ++r) {
+      const std::span<const double> gr{g + r * out, out};
+      const std::span<double> d{dx + r * in + i0, i1 - i0};
+      if (!accumulate) {
+        std::fill(d.begin(), d.end(), 0.0);
+        accumulate_rows(gr, all, wt + i0, in, d);
+        continue;
+      }
+      // A later head's gradient is summed on its own, then added.
+      const std::span<double> sum{ws_.head_grad.data() + i0, i1 - i0};
+      std::fill(sum.begin(), sum.end(), 0.0);
+      accumulate_rows(gr, all, wt + i0, in, sum);
+      for (std::size_t i = 0; i < sum.size(); ++i) d[i] += sum[i];
+    }
+  });
+}
 
 std::vector<Matrix> MultiHeadMlp::forward(const Matrix& input) {
   const std::size_t batch = input.rows();
@@ -421,14 +428,6 @@ std::size_t MultiHeadMlp::parameter_count() {
   std::size_t n = 0;
   for (Parameter* p : parameters()) n += p->value.size();
   return n;
-}
-
-void MultiHeadMlp::zero_gradients() {
-  for (auto* layers : {&trunk_, &heads_})
-    for (Dense& layer : *layers) {
-      layer.weight().grad.fill(0.0);
-      layer.bias().grad.fill(0.0);
-    }
 }
 
 }  // namespace odin::nn

@@ -11,7 +11,8 @@
 // workspace the model owns (DESIGN.md §19): no virtual calls, and no heap
 // allocation once the workspace has grown to the largest batch seen. The
 // products run on the row kernels of nn/tensor.hpp, or on AVX2 register
-// tiles (mlp_avx2.hpp) where common::active_simd_mode() selects AVX2. The
+// tiles (mlp_avx2.hpp) where common::active_simd_mode() selects AVX2, and a
+// large product's output columns run as tasks on common::ThreadPool. The
 // arithmetic is that of a Dense -> ReLU -> ... -> Dense -> softmax layer
 // stack, operation for operation, so every parameter and prediction is
 // bitwise what the layer-by-layer engine computes. The Dense layers remain
@@ -90,8 +91,6 @@ class MultiHeadMlp {
   /// Total scalar parameter count (for the paper's storage-overhead math).
   std::size_t parameter_count();
 
-  void zero_gradients();
-
  private:
   /// Scratch for the passes, sized for `rows` batch rows. It grows to the
   /// largest batch seen and never shrinks. It is per model, never static or
@@ -141,10 +140,21 @@ class MultiHeadMlp {
   double head_deltas(std::size_t batch, bool with_loss);
   /// Parameter gradients of the bound batch from head_deltas' dL/dlogits.
   void backward_pass(std::size_t batch);
-  /// forward_pass and backward_pass's products on the AVX2 tiles
-  /// (mlp_avx2.hpp); only built and called where AVX2 is available.
-  void forward_tiles(std::size_t batch);
-  void backward_tiles(std::size_t batch);
+  /// The passes' products over the bound batch's first `batch` rows, on the
+  /// AVX2 tiles (mlp_avx2.hpp) when `tiles`, else on the row kernels. Each
+  /// splits its output columns over the pool when it is large enough
+  /// (DESIGN.md §9). y = (input of trunk layer l) W + b of `layer`, then
+  /// ReLU when `relu`.
+  void dense_forward(std::size_t l, Dense& layer, bool relu, double* y,
+                     std::size_t batch, bool tiles);
+  /// Overwrites `layer`'s weight and bias gradients from the input of trunk
+  /// layer l and g = dL/d(layer output).
+  void dense_weight_grad(std::size_t l, Dense& layer, const double* g,
+                         std::size_t batch, bool tiles);
+  /// dx = g W^T of `layer` (dx += g W^T when `accumulate`), through
+  /// Workspace::wt.
+  void dense_input_grad(Dense& layer, const double* g, bool accumulate,
+                        double* dx, std::size_t batch, bool tiles);
 
   MlpConfig config_;
   std::vector<Dense> trunk_;

@@ -81,23 +81,25 @@ void row_tiles(std::size_t m, std::size_t j0, __m256i tail,
   }
 }
 
-/// Covers an m x n output with tile.run<R, V, kTail>(i0, j0, tail) calls:
-/// column blocks of kTileCols outermost, so one block of a wide weight
-/// stays in cache across all row tiles; the last block is 1 or 2 vectors,
-/// its last one partial (kTail, `tail` lanes) when n is no multiple of 4.
+/// Covers rows [0, m) x columns [j0, j1) of an output with
+/// tile.run<R, V, kTail>(i0, j, tail) calls: column blocks of kTileCols
+/// outermost, so one block of a wide weight stays in cache across all row
+/// tiles; the last block is 1 or 2 vectors, its last one partial (kTail,
+/// `tail` lanes) when j1 - j0 is no multiple of 4.
 template <class Tile>
-void tile_over(std::size_t m, std::size_t n, const Tile& tile) {
+void tile_over(std::size_t m, std::size_t j0, std::size_t j1,
+               const Tile& tile) {
   const __m256i all = _mm256_set1_epi64x(-1);
-  std::size_t j0 = 0;
-  for (; j0 + kTileCols <= n; j0 += kTileCols)
-    row_tiles<2, false>(m, j0, all, tile);
-  const std::size_t rest = n - j0;
+  std::size_t j = j0;
+  for (; j + kTileCols <= j1; j += kTileCols)
+    row_tiles<2, false>(m, j, all, tile);
+  const std::size_t rest = j1 - j;
   if (rest > 4)
-    row_tiles<2, true>(m, j0, first_lanes(rest - 4), tile);
+    row_tiles<2, true>(m, j, first_lanes(rest - 4), tile);
   else if (rest == 4)
-    row_tiles<1, false>(m, j0, all, tile);
+    row_tiles<1, false>(m, j, all, tile);
   else if (rest > 0)
-    row_tiles<1, true>(m, j0, first_lanes(rest), tile);
+    row_tiles<1, true>(m, j, first_lanes(rest), tile);
 }
 
 struct ForwardTile {
@@ -231,23 +233,24 @@ struct InputGradTile {
 
 void dense_forward(const double* x, std::size_t rows, std::size_t in,
                    const double* w, const double* bias, std::size_t out,
-                   bool relu, double* y) noexcept {
-  tile_over(rows, out, ForwardTile{x, in, w, bias, out, relu, y});
+                   bool relu, std::size_t j0, std::size_t j1,
+                   double* y) noexcept {
+  tile_over(rows, j0, j1, ForwardTile{x, in, w, bias, out, relu, y});
 }
 
 void dense_weight_grad(const double* x, std::size_t rows, std::size_t in,
-                       const double* g, std::size_t out, double* dw,
-                       double* db) noexcept {
-  tile_over(in, out, WeightGradTile{x, rows, in, g, out, dw});
-  std::size_t j = 0;
-  for (; j + 4 <= out; j += 4) {
+                       const double* g, std::size_t out, std::size_t j0,
+                       std::size_t j1, double* dw, double* db) noexcept {
+  tile_over(in, j0, j1, WeightGradTile{x, rows, in, g, out, dw});
+  std::size_t j = j0;
+  for (; j + 4 <= j1; j += 4) {
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t r = 0; r < rows; ++r)
       acc = _mm256_add_pd(acc, _mm256_loadu_pd(g + r * out + j));
     _mm256_storeu_pd(db + j, acc);
   }
-  if (j == out) return;
-  const __m256i tail = first_lanes(out - j);
+  if (j == j1) return;
+  const __m256i tail = first_lanes(j1 - j);
   __m256d acc = _mm256_setzero_pd();
   for (std::size_t r = 0; r < rows; ++r)
     acc = _mm256_add_pd(acc, _mm256_maskload_pd(g + r * out + j, tail));
@@ -256,8 +259,8 @@ void dense_weight_grad(const double* x, std::size_t rows, std::size_t in,
 
 void dense_input_grad(const double* g, std::size_t rows, std::size_t out,
                       const double* wt, std::size_t in, bool accumulate,
-                      double* dx) noexcept {
-  tile_over(rows, in, InputGradTile{g, out, wt, in, accumulate, dx});
+                      std::size_t i0, std::size_t i1, double* dx) noexcept {
+  tile_over(rows, i0, i1, InputGradTile{g, out, wt, in, accumulate, dx});
 }
 
 }  // namespace odin::nn::avx2

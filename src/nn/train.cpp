@@ -1,10 +1,10 @@
 #include "nn/train.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace odin::nn {
@@ -40,17 +40,33 @@ void adam_update(double* __restrict w, const double* __restrict g,
   }
 }
 
+/// Host time of one weight's update, measured (DESIGN.md §9); it sizes a
+/// tensor against the pool's cutoff.
+constexpr std::size_t kAdamNsPerWeight = 3;
+
 }  // namespace
 
 void Adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    adam_update(params_[i]->value.flat().data(),
-                params_[i]->grad.flat().data(), m_[i].flat().data(),
-                v_[i].flat().data(), m_[i].size(), lr_, beta1_, beta2_,
-                eps_, bc1, bc2);
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    double* w = params_[i]->value.flat().data();
+    const double* g = params_[i]->grad.flat().data();
+    double* m = m_[i].flat().data();
+    double* v = v_[i].flat().data();
+    const std::size_t n = m_[i].size();
+    if (n * kAdamNsPerWeight < common::ThreadPool::min_parallel_work_ns()) {
+      adam_update(w, g, m, v, n, lr_, beta1_, beta2_, eps_, bc1, bc2);
+      continue;
+    }
+    // A large tensor updates in contiguous chunks on the pool: each weight
+    // is still one task's, by the same formula.
+    common::parallel_for_chunks(0, n, 0, [&](std::size_t b, std::size_t e) {
+      adam_update(w + b, g + b, m + b, v + b, e - b, lr_, beta1_, beta2_,
+                  eps_, bc1, bc2);
+    });
+  }
 }
 
 Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum)
@@ -74,14 +90,16 @@ void Sgd::step() {
 
 namespace {
 
-/// Whether fit can train `model` on `data`: a label vector per head, one
-/// label per row, each inside its head's classes, and a nonzero batch. An
-/// out-of-range label would index past a row of probabilities, so this is
+/// Whether fit can train `model` on `data`: at least one row, a label
+/// vector per head, one label per row, each inside its head's classes, and
+/// a nonzero batch. An out-of-range label would index past a row of
+/// probabilities, and an empty dataset's losses would be 0/0, so this is
 /// checked in every build, not asserted.
 bool trainable(const MultiHeadMlp& model, const Dataset& data,
                const TrainOptions& options) {
   const MlpConfig& config = model.config();
-  if (options.batch_size == 0 || data.inputs.cols() != config.inputs ||
+  if (data.size() == 0 || options.batch_size == 0 ||
+      data.inputs.cols() != config.inputs ||
       data.labels.size() != config.heads.size())
     return false;
   for (std::size_t h = 0; h < config.heads.size(); ++h) {
@@ -99,7 +117,6 @@ TrainResult fit(MultiHeadMlp& model, const Dataset& data,
                 const TrainOptions& options) {
   TrainResult result;
   if (!trainable(model, data, options)) return result;
-  assert(data.size() > 0);
 
   Adam optimizer(model.parameters(), options.learning_rate);
   common::Rng rng(options.shuffle_seed);

@@ -17,6 +17,9 @@ class Adam {
                 double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
 
   /// Apply one update from the gradients currently stored in the parameters.
+  /// A tensor large enough updates in chunks on common::ThreadPool, each
+  /// weight by the same formula, so the result is the same at any thread
+  /// count.
   void step();
 
   double learning_rate() const noexcept { return lr_; }
@@ -66,11 +69,12 @@ struct TrainResult {
 };
 
 /// Minibatch-train `model` on `data` with Adam. Deterministic given the
-/// options' shuffle seed. The losses are evaluated batch_size rows at a
-/// time, so the model's workspace stays at batch_size rows. A dataset whose
-/// labels do not match the heads (one vector per head, one label per row,
-/// each in [0, classes)) or a zero batch size is refused in every build:
-/// the weights are left untouched and epochs_run is 0.
+/// options' shuffle seed, at any thread count. The losses are evaluated
+/// batch_size rows at a time, so the model's workspace stays at batch_size
+/// rows. An empty dataset, one whose labels do not match the heads (one
+/// vector per head, one label per row, each in [0, classes)) or a zero
+/// batch size is refused in every build: the weights are left untouched
+/// and epochs_run is 0.
 TrainResult fit(MultiHeadMlp& model, const Dataset& data,
                 const TrainOptions& options = {});
 

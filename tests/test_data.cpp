@@ -1,8 +1,10 @@
 // Tests for the synthetic dataset substrate (CIFAR/TinyImageNet-shaped).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "common/parallel.hpp"
 #include "data/synthetic.hpp"
 
 namespace odin::data {
@@ -61,6 +63,42 @@ TEST(SyntheticDataset, FeatureDatasetShape) {
   EXPECT_EQ(feats.inputs.cols(), ds.feature_count(4));
   ASSERT_EQ(feats.labels.size(), 1u);
   EXPECT_EQ(feats.labels[0].size(), 20u);
+}
+
+TEST(SyntheticDataset, FeatureRowsArePooledSamplesAtAnyThreadCount) {
+  // as_feature_dataset draws its rows on the pool around a per-call table
+  // of class prototypes: at 1 and 4 threads it is the same dataset, bit
+  // for bit, and row i is sample(i) averaged over 4x4 blocks.
+  const SyntheticDataset ds(DatasetSpec::for_kind(DatasetKind::kCifar10), 21);
+  common::ThreadPool& pool = common::ThreadPool::instance();
+  const int threads = pool.threads();
+  pool.set_threads(1);
+  const nn::Dataset one = ds.as_feature_dataset(40, 4);
+  pool.set_threads(4);
+  const nn::Dataset four = ds.as_feature_dataset(40, 4);
+  pool.set_threads(threads);
+  ASSERT_EQ(one.inputs.size(), four.inputs.size());
+  EXPECT_EQ(std::memcmp(one.inputs.flat().data(), four.inputs.flat().data(),
+                        one.inputs.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(one.labels, four.labels);
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    const Sample s = ds.sample(i);
+    EXPECT_EQ(one.labels[0][i], s.label) << "row " << i;
+    std::size_t f = 0;
+    for (int c = 0; c < 3; ++c)
+      for (int y = 0; y < 8; ++y)
+        for (int x = 0; x < 8; ++x, ++f) {
+          double acc = 0.0;
+          for (int dy = 0; dy < 4; ++dy)
+            for (int dx = 0; dx < 4; ++dx)
+              acc += s.image.at(c, 4 * y + dy, 4 * x + dx);
+          const double pooled = acc * (1.0 / 16.0);
+          const double row = one.inputs(i, f);
+          ASSERT_EQ(std::memcmp(&pooled, &row, sizeof(double)), 0)
+              << "row " << i << " feature " << f;
+        }
+  }
 }
 
 TEST(SyntheticDataset, ClassesAreSeparableByNearestPrototype) {

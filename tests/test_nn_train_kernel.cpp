@@ -6,10 +6,11 @@
 // size up to 17, ragged batches, exact zeros and rows of -0.0, a NaN
 // feature, dead ReLU units, infinite weights behind a zero activation (one
 // in a head's last, partial ymm), chained fits and the policy's input
-// sanitizer. Also pins the zero-allocation steady state and fit's refusal
-// of labels outside the heads. Every case runs under both bodies of the
-// products: the scalar row kernels, then the AVX2 tiles (mlp_avx2.cpp),
-// whatever ODIN_SIMD says.
+// sanitizer. Also pins the zero-allocation steady state (on the calling
+// thread and on the pool path of 192-1024-10's wide products) and fit's
+// refusal of an empty dataset and of labels outside the heads. Every case
+// runs under both bodies of the products: the scalar row kernels, then the
+// AVX2 tiles (mlp_avx2.cpp), whatever ODIN_SIMD says.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "allocation_counter.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "nn/mlp.hpp"
 #include "nn/train.hpp"
@@ -351,17 +353,19 @@ TEST(NnTrainKernel, PolicyTrainSanitizerPathIsBitwiseEqual) {
 TEST(NnTrainKernel, FitRefusesLabelsOutsideTheHeads) {
   // An off-grid replay label decodes to -1; a class past the head's width,
   // a missing head or label, or a row of the wrong width would index past
-  // the workspace. fit refuses all of them (and a zero batch size) in every
-  // build and leaves the weights untouched.
+  // the workspace, and an empty dataset's losses would be 0/0. fit refuses
+  // all of them (and a zero batch size) in every build and leaves the
+  // weights untouched.
   in_both_simd_modes([] {
     const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
     const Dataset good = make_data(config, 20, 13);
-    std::vector<Dataset> bad(5, good);
+    std::vector<Dataset> bad(6, good);
     bad[0].labels[0][0] = -1;
     bad[1].labels[1][19] = 6;
     bad[2].labels.pop_back();
     bad[3].labels[1].pop_back();
     bad[4].inputs = Matrix(20, 5);
+    bad[5] = make_data(config, 0, 13);
     for (std::size_t i = 0; i < bad.size(); ++i) {
       MultiHeadMlp model(config, 21);
       MultiHeadMlp pristine(config, 21);
@@ -378,25 +382,45 @@ TEST(NnTrainKernel, FitRefusesLabelsOutsideTheHeads) {
 
 // --- Zero allocation in steady state ----------------------------------------
 
+/// Eight rounds of every step and inference entry point, and an Adam step,
+/// on `config` after one warm-up round allocate nothing. `chunk` is loss()'s
+/// chunk.
+void expect_no_steady_state_allocation(const MlpConfig& config,
+                                       std::size_t chunk) {
+  MultiHeadMlp model(config, 23);
+  Adam optimizer(model.parameters());
+  const Dataset data = make_data(config, 10, 14);
+  const std::vector<std::size_t> rows = {9, 3, 1, 4};
+  model.compute_gradients(data.inputs, data.labels);  // warm the workspace
+  (void)model.predict(data.inputs.row(0));
+  optimizer.step();
+  const std::uint64_t before = g_allocations.load();
+  double sink = 0.0;
+  for (int rep = 0; rep < 8; ++rep) {
+    sink += model.compute_gradients(data.inputs, data.labels);
+    model.minibatch_gradients(data.inputs, data.labels, rows);
+    optimizer.step();
+    sink += model.predict(data.inputs.row(rep))[0];
+    sink += model.loss(data.inputs, data.labels, chunk);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << "training step or predict allocated (sink " << sink << ")";
+}
+
 TEST(NnTrainKernel, StepAndPredictDoNotAllocateInSteadyState) {
+  // The policy's products and Adam update run on the calling thread;
+  // 192-1024-10's wide products (4 rows and up) and its first layer's Adam
+  // update run as pool tasks at 4 threads.
+  common::ThreadPool& pool = common::ThreadPool::instance();
+  const int threads = pool.threads();
+  pool.set_threads(4);
   in_both_simd_modes([] {
-    const MlpConfig config{.inputs = 4, .hidden = {16}, .heads = {6, 6}};
-    MultiHeadMlp model(config, 23);
-    const Dataset data = make_data(config, 10, 14);
-    const std::vector<std::size_t> rows = {9, 3, 1, 4};
-    model.compute_gradients(data.inputs, data.labels);  // warm the workspace
-    (void)model.predict(data.inputs.row(0));
-    const std::uint64_t before = g_allocations.load();
-    double sink = 0.0;
-    for (int rep = 0; rep < 8; ++rep) {
-      sink += model.compute_gradients(data.inputs, data.labels);
-      model.minibatch_gradients(data.inputs, data.labels, rows);
-      sink += model.predict(data.inputs.row(rep))[1];
-      sink += model.loss(data.inputs, data.labels, 3);
-    }
-    EXPECT_EQ(g_allocations.load() - before, 0u)
-        << "training step or predict allocated (sink " << sink << ")";
+    expect_no_steady_state_allocation(
+        {.inputs = 4, .hidden = {16}, .heads = {6, 6}}, 3);
+    expect_no_steady_state_allocation(
+        {.inputs = 192, .hidden = {1024}, .heads = {10}}, 5);
   });
+  pool.set_threads(threads);
 }
 
 TEST(NnTrainKernel, FitAllocationsDoNotGrowWithEpochs) {

@@ -1,7 +1,7 @@
 // Determinism contract of the parallel execution layer: every parallelized
 // tier (tile MVM/programming, OU search, experiment sweeps, offline dataset
-// generation, set-up pruning) must produce results bitwise identical to
-// ODIN_THREADS=1.
+// generation, set-up pruning, the wide MLP's training products and Adam
+// update) must produce results bitwise identical to ODIN_THREADS=1.
 // Every comparison below is exact (EXPECT_EQ on doubles), not tolerance-
 // based — that is the whole point.
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "policy/offline.hpp"
 #include "policy/policy.hpp"
 #include "reram/fault_injection.hpp"
+#include "simd_modes.hpp"
 #include "test_helpers.hpp"
 
 namespace odin::core {
@@ -353,6 +354,66 @@ TEST(ParallelDeterminism, ConcurrentPolicyRetrainsMatchSequential) {
   }
   // The four datasets really are different retrains.
   EXPECT_NE(seq_loss[0], seq_loss[1]);
+}
+
+/// Two Adam steps of 192-1024-10 (one epoch of 64 rows at batch 32): its
+/// first layer's products and Adam update are above the pool's cutoff, so
+/// above one thread they run as tasks over column blocks and chunks.
+struct WideFit {
+  nn::TrainResult result;
+  std::vector<nn::Matrix> values, grads;
+};
+
+WideFit fit_wide(int threads, const nn::Dataset& data) {
+  common::ThreadPool::instance().set_threads(threads);
+  nn::MultiHeadMlp model(
+      nn::MlpConfig{.inputs = 192, .hidden = {1024}, .heads = {10}}, 41);
+  nn::TrainOptions opt;
+  opt.epochs = 1;
+  opt.batch_size = 32;
+  opt.learning_rate = 3e-3;
+  opt.shuffle_seed = 42;
+  WideFit fit;
+  fit.result = nn::fit(model, data, opt);
+  for (nn::Parameter* p : model.parameters()) {
+    fit.values.push_back(p->value);
+    fit.grads.push_back(p->grad);
+  }
+  return fit;
+}
+
+void expect_same_bits(const std::vector<nn::Matrix>& a,
+                      const std::vector<nn::Matrix>& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    const auto av = a[p].flat();
+    const auto bv = b[p].flat();
+    ASSERT_EQ(av.size(), bv.size());
+    for (std::size_t k = 0; k < av.size(); ++k)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(av[k]),
+                std::bit_cast<std::uint64_t>(bv[k]))
+          << what << " of parameter " << p << " element " << k;
+  }
+}
+
+TEST(ParallelDeterminism, WideMlpFitBitwiseIdentical) {
+  // hw-crossbar's wide reference net on its own feature rows: every weight,
+  // the last step's gradients and both losses at 4 threads equal 1
+  // thread's, under the row kernels and under the AVX2 tiles.
+  const data::SyntheticDataset dataset(
+      data::DatasetSpec::for_kind(data::DatasetKind::kCifar10), 5);
+  const nn::Dataset data = dataset.as_feature_dataset(64, 4);
+  testing::in_both_simd_modes([&] {
+    const WideFit seq = fit_wide(1, data);
+    const WideFit par = fit_wide(4, data);
+    EXPECT_EQ(seq.result.epochs_run, 1);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.result.initial_loss),
+              std::bit_cast<std::uint64_t>(par.result.initial_loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.result.final_loss),
+              std::bit_cast<std::uint64_t>(par.result.final_loss));
+    expect_same_bits(seq.values, par.values, "value");
+    expect_same_bits(seq.grads, par.grads, "gradient");
+  });
 }
 
 }  // namespace
