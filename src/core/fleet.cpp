@@ -75,25 +75,22 @@ ServingConfig shard_serving_config(const FleetConfig& config,
   sc.fleet_shards = shards;
   sc.fleet_shard_index = shard;
   const int total_tenants = static_cast<int>(placement.tenants.size());
-  const int global_segments = std::max(config.serving.segments, 1);
   // This shard serves the global segments whose round-robin tenant lives
   // here, at the global walk's own arrival/drift times: the shard's
-  // serving loop gets the global logspace slices of those segments, so a
+  // serving loop gets the global walk's slices of those segments, so a
   // tenant's serves (drift clock, OU decisions, physical cost) are the
   // same no matter how the fleet is sharded — only queueing changes.
-  const std::vector<double> global_schedule =
-      run_schedule(config.serving.horizon);
-  const auto bounds = segment_bounds(global_schedule.size(), global_segments);
+  const ServingWalk global = serving_walk(config.serving);
   std::vector<double> schedule;
   std::vector<std::size_t> sizes;
-  for (std::size_t s = 0; s < bounds.size(); ++s) {
+  for (std::size_t s = 0; s < global.bounds.size(); ++s) {
     if (std::find(members.begin(), members.end(),
                   static_cast<int>(s) % total_tenants) == members.end())
       continue;
-    const auto [start, end] = bounds[s];
+    const auto [start, end] = global.bounds[s];
     schedule.insert(schedule.end(),
-                    global_schedule.begin() + static_cast<long>(start),
-                    global_schedule.begin() + static_cast<long>(end));
+                    global.schedule.begin() + static_cast<long>(start),
+                    global.schedule.begin() + static_cast<long>(end));
     sizes.push_back(end - start);
   }
   sc.segments = static_cast<int>(sizes.size());

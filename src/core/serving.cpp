@@ -70,6 +70,28 @@ std::vector<std::pair<std::size_t, std::size_t>> segment_bounds(
   return out;
 }
 
+ServingWalk serving_walk(const ServingConfig& config) {
+  ServingWalk walk;
+  walk.schedule = config.schedule.empty() ? run_schedule(config.horizon)
+                                          : config.schedule;
+  assert(walk.schedule.size() ==
+         static_cast<std::size_t>(config.horizon.runs));
+  if (config.segment_sizes.empty()) {
+    walk.bounds =
+        segment_bounds(walk.schedule.size(), std::max(config.segments, 1));
+    return walk;
+  }
+  assert(config.segment_sizes.size() ==
+         static_cast<std::size_t>(config.segments));
+  std::size_t start = 0;
+  for (std::size_t n : config.segment_sizes) {
+    walk.bounds.emplace_back(start, start + n);
+    start += n;
+  }
+  assert(start == walk.schedule.size());
+  return walk;
+}
+
 namespace {
 
 common::EnergyLatency full_programming_cost(const ou::MappedModel& model,
@@ -150,24 +172,9 @@ std::optional<ServingResult> serve_odin_impl(
   for (std::size_t i = 0; i < tenants.size(); ++i)
     result.tenants[i].name = tenants[i]->model().name;
 
-  const auto schedule =
-      config.schedule.empty() ? run_schedule(config.horizon)
-                              : config.schedule;
-  assert(schedule.size() ==
-         static_cast<std::size_t>(config.horizon.runs));
-  std::vector<std::pair<std::size_t, std::size_t>> bounds;
-  if (config.segment_sizes.empty()) {
-    bounds = segment_bounds(schedule.size(), config.segments);
-  } else {
-    assert(config.segment_sizes.size() ==
-           static_cast<std::size_t>(config.segments));
-    std::size_t start = 0;
-    for (std::size_t n : config.segment_sizes) {
-      bounds.emplace_back(start, start + n);
-      start += n;
-    }
-    assert(start == schedule.size());
-  }
+  const ServingWalk walk = serving_walk(config);
+  const std::vector<double>& schedule = walk.schedule;
+  const auto& bounds = walk.bounds;
 
   // The serving walk itself is inherently sequential (the policy carries
   // its learning from segment to segment), but each segment's tenant-switch
@@ -719,8 +726,9 @@ ServingResult serve_with_homogeneous(
   for (std::size_t i = 0; i < tenants.size(); ++i)
     result.tenants[i].name = tenants[i]->model().name;
 
-  const auto schedule = run_schedule(config.horizon);
-  const auto bounds = segment_bounds(schedule.size(), config.segments);
+  const ServingWalk walk = serving_walk(config);
+  const std::vector<double>& schedule = walk.schedule;
+  const auto& bounds = walk.bounds;
 
   // With a fixed OU there is no state carried between segments: every
   // segment is an independent arm. Each arm produces a partial TenantStats

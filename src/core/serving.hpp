@@ -94,10 +94,22 @@ struct ServingConfig {
 
 /// The default split of a `runs`-long schedule into `segments` (>= 1)
 /// contiguous [begin, end) ranges of runs / segments runs each, the last
-/// also taking the remainder. The fleet cuts its per-shard slices from the
-/// same split.
+/// also taking the remainder.
 std::vector<std::pair<std::size_t, std::size_t>> segment_bounds(
     std::size_t runs, int segments);
+
+/// The arrival/drift times a walk serves and their [begin, end) segments.
+struct ServingWalk {
+  std::vector<double> schedule;
+  std::vector<std::pair<std::size_t, std::size_t>> bounds;
+};
+
+/// The walk `config` describes: `schedule` when non-empty, else
+/// run_schedule(horizon); `segment_sizes` when non-empty, else
+/// segment_bounds over at least one segment. serve_with_odin,
+/// serve_with_homogeneous and the fleet's per-shard slices all read it, so
+/// every arm serves the same traffic.
+ServingWalk serving_walk(const ServingConfig& config);
 
 struct TenantStats {
   std::string name;

@@ -113,6 +113,111 @@ TEST(Fleet, SingleShardIsBitwiseIdenticalToServeWithOdin) {
   EXPECT_EQ(fleet.total_runs(), direct.sum(&TenantStats::runs));
 }
 
+// --- the configured schedule reaches every walk ------------------------------
+
+TEST(Fleet, SingleShardOnACustomScheduleMatchesServeWithOdin) {
+  Fixture fx;
+  FleetConfig cfg = fx.fleet(1);
+  cfg.serving.schedule =
+      make_schedule(ScheduleKind::kPoisson, cfg.serving.horizon, 7);
+  const FleetResult fleet = serve_fleet(fx.tenants(), fx.nonideal, fx.cost,
+                                        fx.policy(), cfg);
+  const ServingResult direct = serve_with_odin(
+      fx.tenants(), fx.nonideal, fx.cost, fx.policy(), cfg.serving);
+  ASSERT_EQ(fleet.shards.size(), 1u);
+  expect_bitwise_equal(fleet.shards[0], direct);
+  const ServingResult logspace = serve_with_odin(
+      fx.tenants(), fx.nonideal, fx.cost, fx.policy(), fx.fleet(1).serving);
+  EXPECT_NE(direct.total().energy_j, logspace.total().energy_j);
+}
+
+/// What serve_with_homogeneous must charge each tenant for `schedule` cut
+/// into segments of `sizes` runs: one freshly programmed runner per
+/// segment, serving that segment's arrival times.
+std::vector<TenantStats> homogeneous_reference(
+    const Fixture& fx, ou::OuConfig ou, const std::vector<double>& schedule,
+    const std::vector<std::size_t>& sizes) {
+  const auto tenants = fx.tenants();
+  std::vector<TenantStats> out(tenants.size());
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    HomogeneousRunner runner(*tenants[s % tenants.size()], fx.nonideal,
+                             fx.cost, ou);
+    runner.reset_drift_clock(schedule[begin]);
+    common::EnergyLatency inference, reprogram;  // summed per segment
+    for (std::size_t i = begin; i < begin + sizes[s]; ++i) {
+      const BaselineRunResult run = runner.run_inference(schedule[i]);
+      inference += run.inference;
+      reprogram += run.reprogram;
+    }
+    TenantStats& stats = out[s % tenants.size()];
+    stats.inference += inference;
+    stats.reprogram += reprogram;
+    stats.runs += static_cast<int>(sizes[s]);
+    stats.reprograms += runner.reprogram_count();
+    begin += sizes[s];
+  }
+  return out;
+}
+
+void expect_charges(const ServingResult& r,
+                    const std::vector<TenantStats>& want) {
+  ASSERT_EQ(r.tenants.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(r.tenants[i].runs, want[i].runs) << "tenant " << i;
+    EXPECT_EQ(r.tenants[i].reprograms, want[i].reprograms) << "tenant " << i;
+    EXPECT_EQ(r.tenants[i].inference.energy_j, want[i].inference.energy_j)
+        << "tenant " << i;
+    EXPECT_EQ(r.tenants[i].reprogram.energy_j, want[i].reprogram.energy_j)
+        << "tenant " << i;
+    EXPECT_EQ(r.tenants[i].reprogram.latency_s, want[i].reprogram.latency_s)
+        << "tenant " << i;
+  }
+}
+
+TEST(Fleet, HomogeneousWalkServesTheConfiguredSchedule) {
+  Fixture fx;
+  const ou::OuConfig ou{16, 16};
+  ServingConfig cfg = fx.fleet(1).serving;
+  const ServingResult implicit =
+      serve_with_homogeneous(fx.tenants(), fx.nonideal, fx.cost, ou, cfg);
+  cfg.schedule = run_schedule(cfg.horizon);
+  const ServingResult spelled =
+      serve_with_homogeneous(fx.tenants(), fx.nonideal, fx.cost, ou, cfg);
+  EXPECT_EQ(spelled.switches, implicit.switches);
+  expect_bitwise_equal(spelled, implicit);
+  expect_charges(implicit, homogeneous_reference(
+                               fx, ou, cfg.schedule,
+                               std::vector<std::size_t>(8, 15)));
+
+  // Another schedule, cut unevenly: the 16x16 arrays reprogram where its
+  // arrivals fall, not where the logspace ones did.
+  cfg.schedule = make_schedule(ScheduleKind::kUniform, cfg.horizon);
+  cfg.segment_sizes = {5, 25, 10, 20, 15, 15, 25, 5};
+  const ServingResult uniform =
+      serve_with_homogeneous(fx.tenants(), fx.nonideal, fx.cost, ou, cfg);
+  expect_charges(uniform, homogeneous_reference(fx, ou, cfg.schedule,
+                                                cfg.segment_sizes));
+  EXPECT_NE(uniform.sum(&TenantStats::reprograms),
+            implicit.sum(&TenantStats::reprograms));
+}
+
+TEST(Fleet, SeededSchedulesGiveDifferentFleetTotals) {
+  Fixture fx;
+  auto serve = [&](std::uint64_t seed) {
+    FleetConfig cfg = fx.fleet(4);
+    cfg.serving.schedule =
+        make_schedule(ScheduleKind::kPoisson, cfg.serving.horizon, seed);
+    return serve_fleet(fx.tenants(), fx.nonideal, fx.cost, fx.policy(), cfg);
+  };
+  const FleetResult a = serve(1);
+  const FleetResult b = serve(3);
+  ASSERT_EQ(a.total_runs(), 120);
+  ASSERT_EQ(b.total_runs(), 120);
+  EXPECT_NE(a.edp_per_request(), b.edp_per_request());
+  EXPECT_NE(a.makespan_s(), b.makespan_s());
+}
+
 // --- placement properties ---------------------------------------------------
 
 TEST(Fleet, PlacementInvariantsAndDeterminism) {
