@@ -63,19 +63,23 @@ MonteCarloAccuracy::MonteCarloAccuracy(const data::SyntheticDataset& dataset,
               .hidden = {config.hidden},
               .heads = {static_cast<std::size_t>(dataset.spec().classes)}},
           config.seed) {
-  // Disjoint train/test: sample indices never overlap because test rows
-  // start beyond the training range.
-  train_ = dataset.as_feature_dataset(config_.train_samples, config_.pool);
-  nn::Dataset all = dataset.as_feature_dataset(
+  // Disjoint train/test: one draw of train + test rows (row i depends only
+  // on i), the first train_samples to train on and the rest held out.
+  const nn::Dataset all = dataset.as_feature_dataset(
       config_.train_samples + config_.test_samples, config_.pool);
-  test_.inputs = nn::Matrix(config_.test_samples, all.inputs.cols());
-  test_.labels.assign(1, std::vector<int>(config_.test_samples));
-  for (std::size_t i = 0; i < config_.test_samples; ++i) {
-    auto src = all.inputs.row(config_.train_samples + i);
-    auto dst = test_.inputs.row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-    test_.labels[0][i] = all.labels[0][config_.train_samples + i];
-  }
+  auto take_rows = [&](std::size_t begin, std::size_t n) {
+    nn::Dataset part;
+    part.inputs = nn::Matrix(n, all.inputs.cols());
+    part.labels.assign(1, std::vector<int>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      auto src = all.inputs.row(begin + i);
+      std::copy(src.begin(), src.end(), part.inputs.row(i).begin());
+      part.labels[0][i] = all.labels[0][begin + i];
+    }
+    return part;
+  };
+  train_ = take_rows(0, config_.train_samples);
+  test_ = take_rows(config_.train_samples, config_.test_samples);
 
   nn::TrainOptions options;
   options.epochs = config_.epochs;

@@ -133,6 +133,13 @@ TEST_F(MonteCarloFixture, ReferenceModelLearnsTheTask) {
   EXPECT_GT(evaluator().ideal_accuracy(), 0.75);  // chance = 0.1
 }
 
+TEST_F(MonteCarloFixture, AccuracyIsPinnedToTheRecordedRows) {
+  // Recorded when the train and test rows came from two separate draws;
+  // one draw split in two must train and score the same classifier.
+  EXPECT_EQ(evaluator().ideal_accuracy(), 1.0);
+  EXPECT_EQ(evaluator().accuracy_under(0.55, 0.5, 2), 105.0 / 200.0);
+}
+
 TEST_F(MonteCarloFixture, ZeroNoiseMatchesIdeal) {
   EXPECT_DOUBLE_EQ(evaluator().accuracy_under(0.0, 0.0),
                    evaluator().ideal_accuracy());
