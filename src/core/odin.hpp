@@ -75,6 +75,8 @@ struct FaultPolicy {
   /// relaxed budget the campaign runs — one bounded step, so deferral can
   /// never livelock into serving an infeasible array.
   double wear_defer_eta = 1.25;
+
+  bool operator==(const FaultPolicy&) const = default;
 };
 
 /// Guardrail for the online policy update (extension over Algorithm 1's
@@ -112,12 +114,17 @@ struct GuardPolicy {
   double rollback_rate_floor = 0.60;
   /// Smoothing of the trailing per-run mismatch-rate EMA.
   double rate_alpha = 0.2;
+
+  bool operator==(const GuardPolicy&) const = default;
 };
 
 struct OdinConfig {
   SearchKind search = SearchKind::kResourceBounded;
   int search_steps = 3;  ///< the paper's K
   std::size_t buffer_capacity = 50;
+  /// Alg. 1's retrain when the buffer fills: 100 epochs from the current
+  /// weights, as every paper figure runs it. The serving walk keeps all
+  /// but `epochs` (ServingConfig::odin).
   nn::TrainOptions update_options{.epochs = 100, .batch_size = 10,
                                   .learning_rate = 5e-3,
                                   .shuffle_seed = 0x0d1e};
@@ -128,6 +135,8 @@ struct OdinConfig {
   double entropy_gate = -1.0;
   FaultPolicy fault{};
   GuardPolicy guard{};
+
+  bool operator==(const OdinConfig&) const = default;
 };
 
 struct LayerDecision {

@@ -60,6 +60,8 @@ struct TrainOptions {
   std::size_t batch_size = 16;
   double learning_rate = 1e-2;
   std::uint64_t shuffle_seed = 0x5eed;
+
+  bool operator==(const TrainOptions&) const = default;
 };
 
 struct TrainResult {

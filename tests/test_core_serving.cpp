@@ -92,6 +92,33 @@ TEST(Serving, PolicyLearningCarriesAcrossTenants) {
             frozen.sum(&TenantStats::mismatches));
 }
 
+TEST(Serving, DefaultFineTuneReachesTheWalk) {
+  Fixture fx;
+  auto serve = [&](const ServingConfig& cfg) {
+    return serve_with_odin(fx.tenants(), fx.nonideal, fx.cost,
+                           policy::OuPolicy(ou::OuLevelGrid(128)), cfg);
+  };
+  auto same = [](const ServingResult& a, const ServingResult& b) {
+    if (a.policy_updates != b.policy_updates ||
+        a.total().energy_j != b.total().energy_j ||
+        a.total().latency_s != b.total().latency_s)
+      return false;
+    for (std::size_t i = 0; i < a.tenants.size(); ++i)
+      if (a.tenants[i].mismatches != b.tenants[i].mismatches ||
+          a.tenants[i].inference.energy_j != b.tenants[i].inference.energy_j)
+        return false;
+    return true;
+  };
+  const ServingResult fine = serve(fx.config());  // odin as ServingConfig{}
+  ASSERT_GE(fine.policy_updates, 1);
+  ServingConfig spelled = fx.config();
+  spelled.odin.update_options.epochs = 5;
+  EXPECT_TRUE(same(fine, serve(spelled)));
+  ServingConfig alg1 = fx.config();
+  alg1.odin = OdinConfig{};
+  EXPECT_FALSE(same(fine, serve(alg1)));
+}
+
 TEST(Serving, OdinBeatsHomogeneousAcrossTenants) {
   Fixture fx;
   const auto odin = serve_with_odin(

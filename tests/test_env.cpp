@@ -162,6 +162,19 @@ TEST(Settings, FieldDefaultsAndClampBounds) {
   fleet.shards = 5000;
   EXPECT_EQ(fleet.resolved_shards(), fleet.pim.pes);
 
+  // Alg. 1's policy update, and the serving walk's, which differs from it
+  // only in its epochs.
+  const core::OdinConfig alg1;
+  EXPECT_TRUE((alg1.update_options ==
+               nn::TrainOptions{.epochs = 100, .batch_size = 10,
+                                .learning_rate = 5e-3,
+                                .shuffle_seed = 0x0d1e}));
+  core::OdinConfig serving = core::ServingConfig{}.odin;
+  EXPECT_EQ(serving.update_options.epochs, 5);
+  EXPECT_EQ(core::kServingUpdateEpochs, 5);
+  serving.update_options.epochs = alg1.update_options.epochs;
+  EXPECT_TRUE(serving == alg1);
+
   core::ScenarioConfig scenario;
   EXPECT_EQ(scenario.seed, 1u);
   EXPECT_EQ(scenario.resolved_seed(), 1u);
