@@ -56,39 +56,26 @@ double ServingResult::mean_batch_occupancy() const noexcept {
          static_cast<double>(formed);
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> segment_bounds(
-    std::size_t runs, int segments) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  const std::size_t per = runs / static_cast<std::size_t>(segments);
-  std::size_t start = 0;
-  for (int s = 0; s < segments; ++s) {
-    const std::size_t end =
-        s + 1 == segments ? runs : start + per;
-    out.emplace_back(start, end);
-    start = end;
-  }
-  return out;
-}
-
 ServingWalk serving_walk(const ServingConfig& config) {
   ServingWalk walk;
   walk.schedule = config.schedule.empty() ? run_schedule(config.horizon)
                                           : config.schedule;
-  assert(walk.schedule.size() ==
-         static_cast<std::size_t>(config.horizon.runs));
-  if (config.segment_sizes.empty()) {
-    walk.bounds =
-        segment_bounds(walk.schedule.size(), std::max(config.segments, 1));
-    return walk;
+  const std::size_t runs = walk.schedule.size();
+  assert(runs == static_cast<std::size_t>(config.horizon.runs));
+  const auto segments =
+      static_cast<std::size_t>(std::max(config.segments, 1));
+  std::vector<std::size_t> sizes = config.segment_sizes;
+  if (sizes.empty()) {
+    sizes.assign(segments, runs / segments);
+    sizes.back() += runs % segments;
   }
-  assert(config.segment_sizes.size() ==
-         static_cast<std::size_t>(config.segments));
+  assert(sizes.size() == segments);
   std::size_t start = 0;
-  for (std::size_t n : config.segment_sizes) {
+  for (std::size_t n : sizes) {
     walk.bounds.emplace_back(start, start + n);
     start += n;
   }
-  assert(start == walk.schedule.size());
+  assert(start == runs);
   return walk;
 }
 

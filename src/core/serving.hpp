@@ -99,16 +99,10 @@ struct ServingConfig {
   /// regardless of how the fleet is sharded.
   std::vector<double> schedule;
   /// Explicit per-segment run counts paired with `schedule`: when
-  /// non-empty, replaces the equal split of segment_bounds (one entry per
-  /// segment, summing to horizon.runs).
+  /// non-empty, replaces the equal split (one entry per segment, summing to
+  /// horizon.runs).
   std::vector<std::size_t> segment_sizes;
 };
-
-/// The default split of a `runs`-long schedule into `segments` (>= 1)
-/// contiguous [begin, end) ranges of runs / segments runs each, the last
-/// also taking the remainder.
-std::vector<std::pair<std::size_t, std::size_t>> segment_bounds(
-    std::size_t runs, int segments);
 
 /// The arrival/drift times a walk serves and their [begin, end) segments.
 struct ServingWalk {
@@ -117,8 +111,9 @@ struct ServingWalk {
 };
 
 /// The walk `config` describes: `schedule` when non-empty, else
-/// run_schedule(horizon); `segment_sizes` when non-empty, else
-/// segment_bounds over at least one segment. serve_with_odin,
+/// run_schedule(horizon); `segment_sizes` when non-empty, else an equal
+/// split into at least one segment of runs / segments runs each, the last
+/// also taking the remainder. serve_with_odin,
 /// serve_with_homogeneous and the fleet's per-shard slices all read it, so
 /// every arm serves the same traffic.
 ServingWalk serving_walk(const ServingConfig& config);
