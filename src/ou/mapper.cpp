@@ -48,7 +48,8 @@ OuCounts LayerMapping::compute(OuConfig config) const {
   OuCounts out;
   std::int64_t laid_out = 0;
   // Walk crossbars; within each, walk the OU grid anchored at the crossbar
-  // origin (OU blocks never straddle crossbar boundaries).
+  // origin. A band that R or C does not fill is clipped to its crossbar,
+  // so OU blocks never straddle crossbar boundaries.
   for (int xr = 0; xr < K; xr += c) {
     const int xbar_rows = std::min(c, K - xr);
     for (int xc = 0; xc < M; xc += c) {
@@ -57,7 +58,10 @@ OuCounts LayerMapping::compute(OuConfig config) const {
       for (int r0 = 0; r0 < xbar_rows; r0 += R) {
         for (int c0 = 0; c0 < xbar_cols; c0 += C) {
           ++laid_out;
-          if (pattern_->block_live(xr + r0, xc + c0, R, C)) ++live_here;
+          if (pattern_->block_live(xr + r0, xc + c0,
+                                   std::min(R, xbar_rows - r0),
+                                   std::min(C, xbar_cols - c0)))
+            ++live_here;
         }
       }
       out.live_blocks += live_here;

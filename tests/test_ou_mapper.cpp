@@ -63,6 +63,25 @@ TEST(Mapper, NonPowerOfTwoOuSizesWork) {
             static_cast<std::int64_t>(15) * 16);  // ceil(128/9) x 128/8
 }
 
+TEST(Mapper, PartialBandsStayInsideTheirCrossbar) {
+  // 128 = 14 * 9 + 2: the first crossbar's last 9-row band holds rows
+  // 126-127 only. Row 130 lives in the second crossbar, so exactly one
+  // band there sees it; the first crossbar's band must not read past
+  // row 127. Same for a 9-column OU across a column boundary.
+  dnn::WeightPattern tall(256, 8);
+  tall.set(130, 0);
+  const auto tall_layer = layer_of(256, 8, 1);
+  const OuCounts rows = LayerMapping(tall_layer, tall, 128).counts({9, 8});
+  EXPECT_EQ(rows.live_blocks, 1);
+  EXPECT_EQ(rows.max_blocks_per_xbar, 1);
+
+  dnn::WeightPattern wide(8, 256);
+  wide.set(0, 130);
+  const auto wide_layer = layer_of(8, 256, 1);
+  EXPECT_EQ(LayerMapping(wide_layer, wide, 128).counts({8, 9}).live_blocks,
+            1);
+}
+
 TEST(Mapper, FullyZeroBlocksAreSkipped) {
   const auto layer = layer_of(32, 32, 1);
   dnn::WeightPattern p(32, 32);
