@@ -71,9 +71,6 @@ TrainResult fit_sequential(Sequential& model, const Dataset& data,
   common::Rng rng(options.shuffle_seed);
 
   TrainResult result;
-  result.initial_loss = model.compute_gradients(data.inputs, data.labels[0]);
-  model.zero_gradients();
-
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
@@ -95,8 +92,6 @@ TrainResult fit_sequential(Sequential& model, const Dataset& data,
     }
     ++result.epochs_run;
   }
-  result.final_loss = model.compute_gradients(data.inputs, data.labels[0]);
-  model.zero_gradients();
   return result;
 }
 

@@ -93,7 +93,7 @@ namespace {
 /// Whether fit can train `model` on `data`: at least one row, a label
 /// vector per head, one label per row, each inside its head's classes, and
 /// a nonzero batch. An out-of-range label would index past a row of
-/// probabilities, and an empty dataset's losses would be 0/0, so this is
+/// probabilities, and an empty dataset has nothing to fit, so this is
 /// checked in every build, not asserted.
 bool trainable(const MultiHeadMlp& model, const Dataset& data,
                const TrainOptions& options) {
@@ -120,8 +120,6 @@ TrainResult fit(MultiHeadMlp& model, const Dataset& data,
 
   Adam optimizer(model.parameters(), options.learning_rate);
   common::Rng rng(options.shuffle_seed);
-  result.initial_loss =
-      model.loss(data.inputs, data.labels, options.batch_size);
 
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
@@ -143,7 +141,6 @@ TrainResult fit(MultiHeadMlp& model, const Dataset& data,
     }
     ++result.epochs_run;
   }
-  result.final_loss = model.loss(data.inputs, data.labels, options.batch_size);
   return result;
 }
 

@@ -65,18 +65,16 @@ struct TrainOptions {
 };
 
 struct TrainResult {
-  double initial_loss = 0.0;
-  double final_loss = 0.0;
   int epochs_run = 0;
 };
 
 /// Minibatch-train `model` on `data` with Adam. Deterministic given the
-/// options' shuffle seed, at any thread count. The losses are evaluated
-/// batch_size rows at a time, so the model's workspace stays at batch_size
-/// rows. An empty dataset, one whose labels do not match the heads (one
-/// vector per head, one label per row, each in [0, classes)) or a zero
-/// batch size is refused in every build: the weights are left untouched
-/// and epochs_run is 0.
+/// options' shuffle seed, at any thread count. The model's workspace stays
+/// at batch_size rows. fit evaluates no loss; a caller that wants one asks
+/// MultiHeadMlp::loss. An empty dataset, one whose labels do not match the
+/// heads (one vector per head, one label per row, each in [0, classes)) or
+/// a zero batch size is refused in every build: the weights are left
+/// untouched and epochs_run is 0.
 TrainResult fit(MultiHeadMlp& model, const Dataset& data,
                 const TrainOptions& options = {});
 

@@ -278,7 +278,6 @@ inline nn::TrainResult fit(Mlp& model, const nn::Dataset& data,
   common::Rng rng(options.shuffle_seed);
 
   nn::TrainResult result;
-  result.initial_loss = dataset_loss(model, data);
 
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
@@ -305,7 +304,6 @@ inline nn::TrainResult fit(Mlp& model, const nn::Dataset& data,
     }
     ++result.epochs_run;
   }
-  result.final_loss = dataset_loss(model, data);
   return result;
 }
 

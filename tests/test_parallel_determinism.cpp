@@ -333,12 +333,16 @@ TEST(ParallelDeterminism, ConcurrentPolicyRetrainsMatchSequential) {
     seq.push_back(base.clone());
     par.push_back(base.clone());
   }
+  // Each clone's loss on its own data after its retrain.
+  const auto retrain = [&](policy::OuPolicy& policy, const nn::Dataset& d) {
+    policy.train(d, opt);
+    return policy.mlp().loss(d.inputs, d.labels, opt.batch_size);
+  };
   std::vector<double> seq_loss;
   for (std::size_t i = 0; i < kClones; ++i)
-    seq_loss.push_back(seq[i].train(data[i], opt).final_loss);
+    seq_loss.push_back(retrain(seq[i], data[i]));
   const std::vector<double> par_loss = common::parallel_transform(
-      kClones, 1,
-      [&](std::size_t i) { return par[i].train(data[i], opt).final_loss; });
+      kClones, 1, [&](std::size_t i) { return retrain(par[i], data[i]); });
   for (std::size_t i = 0; i < kClones; ++i) {
     EXPECT_EQ(seq_loss[i], par_loss[i]) << "clone " << i;
     const auto a = seq[i].mlp().parameters();
@@ -361,6 +365,8 @@ TEST(ParallelDeterminism, ConcurrentPolicyRetrainsMatchSequential) {
 /// above one thread they run as tasks over column blocks and chunks.
 struct WideFit {
   nn::TrainResult result;
+  double initial_loss = 0.0;
+  double final_loss = 0.0;
   std::vector<nn::Matrix> values, grads;
 };
 
@@ -374,7 +380,9 @@ WideFit fit_wide(int threads, const nn::Dataset& data) {
   opt.learning_rate = 3e-3;
   opt.shuffle_seed = 42;
   WideFit fit;
+  fit.initial_loss = model.loss(data.inputs, data.labels, opt.batch_size);
   fit.result = nn::fit(model, data, opt);
+  fit.final_loss = model.loss(data.inputs, data.labels, opt.batch_size);
   for (nn::Parameter* p : model.parameters()) {
     fit.values.push_back(p->value);
     fit.grads.push_back(p->grad);
@@ -407,10 +415,10 @@ TEST(ParallelDeterminism, WideMlpFitBitwiseIdentical) {
     const WideFit seq = fit_wide(1, data);
     const WideFit par = fit_wide(4, data);
     EXPECT_EQ(seq.result.epochs_run, 1);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.result.initial_loss),
-              std::bit_cast<std::uint64_t>(par.result.initial_loss));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.result.final_loss),
-              std::bit_cast<std::uint64_t>(par.result.final_loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.initial_loss),
+              std::bit_cast<std::uint64_t>(par.initial_loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.final_loss),
+              std::bit_cast<std::uint64_t>(par.final_loss));
     expect_same_bits(seq.values, par.values, "value");
     expect_same_bits(seq.grads, par.grads, "gradient");
   });
