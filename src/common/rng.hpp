@@ -42,9 +42,14 @@ class Rng {
     return result;
   }
 
+  /// The top 53 bits of one step: uniform() is this times 2^-53. Callers
+  /// that bucket a draw before converting it (dnn::prune_layer) read it
+  /// here, so their values cannot drift from uniform()'s.
+  constexpr std::uint64_t next_u53() noexcept { return next_u64() >> 11; }
+
   /// Uniform in [0, 1).
   double uniform() noexcept {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+    return static_cast<double>(next_u53()) * 0x1.0p-53;
   }
 
   /// Uniform in [lo, hi).
@@ -61,13 +66,13 @@ class Rng {
 
   /// Uniform in (0, 1): uniform() with its exact zero redrawn.
   double uniform_positive() noexcept {
-    double u = uniform();
-    while (u <= 0.0) u = uniform();
-    return u;
+    std::uint64_t k = next_u53();
+    while (k == 0) k = next_u53();
+    return static_cast<double>(k) * 0x1.0p-53;
   }
 
   /// The Box-Muller transform normal() applies to its two draws, u1 in
-  /// (0, 1) and u2 in [0, 1). Callers that inspect u1 before paying for
+  /// (0, 1) and u2 in [0, 1). Callers that bound a draw before paying for
   /// log/cos (dnn::prune_layer) finish through here, so their values
   /// cannot drift from normal()'s.
   static double box_muller(double u1, double u2) noexcept {
@@ -85,7 +90,7 @@ class Rng {
   /// Advance the state exactly as normal() does, without the transform:
   /// the same redraws of a zero u1, then the u2 draw.
   void discard_normal() noexcept {
-    while ((next_u64() >> 11) == 0) {
+    while (next_u53() == 0) {
     }
     (void)next_u64();
   }

@@ -1,18 +1,57 @@
 #include "dnn/pruning.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <mutex>
+#include <numbers>
 #include <span>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "dnn/pruning_bracket.hpp"
 
 namespace odin::dnn {
+
+namespace bracket {
+
+Tables::Tables() {
+  // u1 edge i is 2^(e-53)·(1 + j/256) with e = i / 256, j = i % 256. The
+  // last edge is 1, where −2 ln is 0; the computed −2·log(1) is −0, whose
+  // float pattern would sort above every positive bound.
+  constexpr std::size_t kSub = std::size_t{1} << kU1MantissaBits;
+  for (std::size_t i = 0; i < kU1Buckets; ++i) {
+    const double edge =
+        std::ldexp(1.0 + static_cast<double>(i % kSub) / kSub,
+                   static_cast<int>(i / kSub) - 53);
+    log_term[i] = -2.0 * std::log(edge);
+  }
+  log_term[kU1Buckets] = 0.0;
+  // u2 edge f is f·2^-14; cos(2π·1/4) is 0, which the computed cos of the
+  // rounded argument would miss by ~6e-17.
+  for (std::size_t f = 0; f < kU2Buckets; ++f) {
+    const double c = std::cos(
+        2.0 * std::numbers::pi *
+        std::ldexp(static_cast<double>(f), -2 - kU2BucketBits));
+    cos_term[f] = c * c;
+  }
+  cos_term[kU2Buckets] = 0.0;
+}
+
+const Tables& tables() {
+  static const Tables built;
+  return built;
+}
+
+}  // namespace bracket
+
 namespace {
 
-/// Deterministic per-(layer, row) generator: both pruning passes must see
+/// Deterministic per-(layer, row) generator: both pruning walks must see
 /// identical magnitude streams.
 common::Rng row_rng(std::uint64_t layer_seed, int row) {
   std::uint64_t s = layer_seed ^ (0xd1b54a32d192ed03ULL *
@@ -24,15 +63,140 @@ double row_importance(common::Rng& rng, double sigma) {
   return std::exp(sigma * rng.normal());
 }
 
-/// Relative widening of pass 2's early-reject bound. Rounding in the
-/// magnitude chain is below 1e-15 relative, so 1e-6 leaves orders of
-/// magnitude of room and sends only a ~1e-6 share of weights down the
-/// exact path.
-constexpr double kRejectMargin = 1e-6;
+/// uniform_positive()'s draw before its conversion: u1 = k1·2^-53.
+std::uint64_t draw_k1(common::Rng& rng) {
+  std::uint64_t k1 = rng.next_u53();
+  while (k1 == 0) k1 = rng.next_u53();
+  return k1;
+}
 
-/// Rough cost of one weight in either pass (ns), for the pool's cutoff
-/// that keeps small layers inline.
+double to_unit(std::uint64_t k) { return static_cast<double>(k) * 0x1.0p-53; }
+
+/// Walk 1's bounds on one sampled weight's squared magnitude, as the bit
+/// patterns of floats rounded outward: the bytes of one double.
+struct SampleBounds {
+  std::uint32_t lo;
+  std::uint32_t hi;
+};
+
+/// A weight of walk 2 whose bounds straddle [LO, HI], with its exact
+/// magnitude.
+struct Undecided {
+  int col;
+  bool sampled;
+  double magnitude;
+};
+
+struct RowTail {
+  std::int64_t sampled_drops = 0;
+  std::vector<Undecided> undecided;
+};
+
+/// Rough cost of one weight in either walk (ns), and of one sampled
+/// weight in the counting pass, for the pool's cutoff that keeps small
+/// layers inline.
 constexpr std::size_t kNsPerWeight = 25;
+constexpr std::size_t kNsPerCount = 2;
+
+/// Counts of one 11-bit digit of the bound patterns, [lo, hi][digit]. The
+/// select reads the digits at bits 21..31 (walk 1 counts them) and at bits
+/// 10..20 (one counting pass over the sample).
+using DigitCounts = std::array<std::array<std::uint32_t, 0x800>, 2>;
+constexpr int kTopShift = 21;
+constexpr int kNextShift = 10;
+constexpr std::uint32_t kDigit = 0x7ff;
+
+void merge(DigitCounts& into, const DigitCounts& from, std::mutex& mutex) {
+  const std::lock_guard<std::mutex> lock(mutex);
+  for (std::size_t key = 0; key < 2; ++key)
+    for (std::size_t d = 0; d <= kDigit; ++d) into[key][d] += from[key][d];
+}
+
+/// The digit holding the rank-th smallest (0-based) pattern; rank becomes
+/// the pattern's rank among those with that digit.
+std::uint32_t pick(const std::array<std::uint32_t, 0x800>& counts,
+                   std::size_t& rank) {
+  std::uint32_t d = 0;
+  while (rank >= counts[d]) rank -= counts[d++];
+  return d;
+}
+
+/// What both walks read for every row of one layer, passed by value so
+/// the loops keep it in registers across their stores.
+struct Walk {
+  const bracket::Tables* tables;
+  std::uint64_t seed;
+  double sigma;
+  std::int64_t cols;
+  std::int64_t stride;
+};
+
+/// Walk 1 over row r: fills the row's sample slots with bounds and counts
+/// their top digits; every other weight only advances the stream.
+void bound_row(Walk w, std::size_t r, std::span<SampleBounds> sample,
+               DigitCounts& top) {
+  common::Rng rng = row_rng(w.seed, static_cast<int>(r));
+  const bracket::Scales scales =
+      bracket::row_scales(row_importance(rng, w.sigma));
+  const std::int64_t first = static_cast<std::int64_t>(r) * w.cols;
+  std::int64_t slot = (first + w.stride - 1) / w.stride;
+  std::int64_t next = slot * w.stride - first;  // next sampled column
+  for (std::int64_t c = 0; c < w.cols; ++c) {
+    if (c != next) {
+      rng.discard_normal();
+      continue;
+    }
+    const std::uint64_t k1 = draw_k1(rng);
+    const bracket::Bounds b = bracket::square_bounds(
+        *w.tables, scales, bracket::u1_bucket(to_unit(k1)),
+        bracket::u2_bucket(rng.next_u53()));
+    const SampleBounds bounds{bracket::float_below(b.lo),
+                              bracket::float_above(b.hi)};
+    sample[static_cast<std::size_t>(slot++)] = bounds;
+    ++top[0][bounds.lo >> kTopShift];
+    ++top[1][bounds.hi >> kTopShift];
+    next += w.stride;
+  }
+}
+
+/// Walk 2 over row r: writes the bits the bounds decide into the row's
+/// mask words and returns the rest with their exact magnitudes.
+RowTail decide_row(Walk w, std::size_t r, double lo_cut, double hi_cut,
+                   std::span<std::uint64_t> words) {
+  RowTail tail;
+  common::Rng rng = row_rng(w.seed, static_cast<int>(r));
+  const double imp = row_importance(rng, w.sigma);
+  const bracket::Scales scales = bracket::row_scales(imp);
+  const std::int64_t first = static_cast<std::int64_t>(r) * w.cols;
+  std::int64_t next = (first + w.stride - 1) / w.stride * w.stride - first;
+  std::int64_t drops = 0;
+  for (std::int64_t base = 0; base < w.cols; base += 64) {
+    const std::int64_t end = std::min<std::int64_t>(base + 64, w.cols);
+    std::uint64_t word = 0;
+    for (std::int64_t c = base; c < end; ++c) {
+      const std::uint64_t k1 = draw_k1(rng);
+      const std::uint64_t k2 = rng.next_u53();
+      const double u1 = to_unit(k1);
+      const bracket::Bounds b = bracket::square_bounds(
+          *w.tables, scales, bracket::u1_bucket(u1), bracket::u2_bucket(k2));
+      const bool sampled = c == next;
+      if (sampled) next += w.stride;
+      const bool drop = b.hi < lo_cut;
+      const bool keep = b.lo > hi_cut;
+      // Counted by the very test that drops: θ's rank among the undecided
+      // depends on it.
+      drops += sampled && drop;
+      word |= std::uint64_t{keep} << (c & 63);
+      if (!drop && !keep) [[unlikely]]
+        tail.undecided.push_back(
+            {static_cast<int>(c), sampled,
+             imp * std::abs(common::Rng::box_muller(u1, to_unit(k2)))});
+    }
+    words[static_cast<std::size_t>(base >> 6)] = word;
+  }
+  tail.sampled_drops = drops;
+  return tail;
+}
 
 }  // namespace
 
@@ -88,70 +252,99 @@ WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
   const std::int64_t total = layer.weight_count();
   const std::int64_t stride = std::max<std::int64_t>(
       1, total / std::max<std::int64_t>(1, config.quantile_samples));
-  const double sigma = config.row_importance_sigma;
+  const auto samples = static_cast<std::size_t>((total + stride - 1) / stride);
+  // target <= 0.95 keeps the cut inside the sample.
+  const auto cut =
+      static_cast<std::size_t>(target * static_cast<double>(samples));
+  assert(cut < samples);
+  const Walk walk{&bracket::tables(), seed, config.row_importance_sigma,
+                  layer.outputs, stride};
   const auto rows = static_cast<std::size_t>(layer.fan_in);
-  const std::int64_t cols = layer.outputs;
+  const std::size_t cost = static_cast<std::size_t>(layer.outputs) * kNsPerWeight;
 
-  // Pass 1: the magnitudes at flat indices 0, stride, 2*stride, ... form
-  // the quantile sample; row r fills its own slots. Every other weight
-  // only advances the row's stream. The sample is freed before the mask
-  // is allocated, so the two never coexist.
-  const double threshold = [&] {
-    std::vector<double> sample(
-        static_cast<std::size_t>((total + stride - 1) / stride));
-    common::parallel_for(
+  // Walk 1: the weights at flat indices 0, stride, 2*stride, ... form the
+  // quantile sample; row r fills its own slots with bounds on their squared
+  // magnitudes. Two 11-bit digits of the cut-th smallest lower and upper
+  // bound give LO ≤ θ² ≤ HI, θ being the cut-th smallest sampled magnitude
+  // (DESIGN.md §21). The sample is freed before the mask is allocated, so
+  // the two never coexist.
+  const std::array<double, 2> cuts = [&] {
+    std::vector<SampleBounds> sample(samples);
+    std::mutex count_mutex;
+    DigitCounts top{};
+    common::parallel_for_chunks(
         0, rows, 0,
-        [&](std::size_t r) {
-          common::Rng rng = row_rng(seed, static_cast<int>(r));
-          const double imp = row_importance(rng, sigma);
-          const std::int64_t first = static_cast<std::int64_t>(r) * cols;
-          std::int64_t slot = (first + stride - 1) / stride;
-          std::int64_t next = slot * stride - first;  // next sampled column
-          for (std::int64_t c = 0; c < cols; ++c) {
-            if (c == next) {
-              sample[static_cast<std::size_t>(slot++)] =
-                  imp * std::abs(rng.normal());
-              next += stride;
-            } else {
-              rng.discard_normal();
-            }
-          }
+        [&](std::size_t begin, std::size_t end) {
+          DigitCounts local{};
+          for (std::size_t r = begin; r < end; ++r)
+            bound_row(walk, r, sample, local);
+          merge(top, local, count_mutex);
         },
-        static_cast<std::size_t>(cols) * kNsPerWeight);
-    // target <= 0.95 keeps the cut inside the sample.
-    const auto cut = static_cast<std::size_t>(
-        target * static_cast<double>(sample.size()));
-    assert(cut < sample.size());
-    std::nth_element(sample.begin(),
-                     sample.begin() + static_cast<std::ptrdiff_t>(cut),
-                     sample.end());
-    return sample[cut];
+        cost);
+    std::array<std::size_t, 2> rank{cut, cut};
+    const std::array<std::uint32_t, 2> high{pick(top[0], rank[0]),
+                                            pick(top[1], rank[1])};
+    DigitCounts low{};
+    common::parallel_for_chunks(
+        0, samples, 0,
+        [&](std::size_t begin, std::size_t end) {
+          DigitCounts local{};
+          for (std::size_t i = begin; i < end; ++i) {
+            const SampleBounds s = sample[i];
+            local[0][(s.lo >> kNextShift) & kDigit] +=
+                (s.lo >> kTopShift) == high[0];
+            local[1][(s.hi >> kNextShift) & kDigit] +=
+                (s.hi >> kTopShift) == high[1];
+          }
+          merge(low, local, count_mutex);
+        },
+        kNsPerCount);
+    // LO is the smallest pattern with the cut-th smallest lo's two digits,
+    // HI the largest with the cut-th smallest hi's.
+    const std::uint32_t lo = high[0] << kTopShift | pick(low[0], rank[0])
+                                                         << kNextShift;
+    const std::uint32_t hi = high[1] << kTopShift |
+                             pick(low[1], rank[1]) << kNextShift |
+                             ((1u << kNextShift) - 1);
+    return std::array<double, 2>{std::bit_cast<float>(lo),
+                                 std::bit_cast<float>(hi)};
   }();
 
-  // Pass 2: regenerate the identical stream; keep weights above threshold.
-  // |cos| <= 1 bounds a magnitude by imp * sqrt(-2 ln u1), so a weight whose
-  // u1 exceeds exp(-(threshold/imp)^2 / 2) cannot reach the threshold and
-  // skips log/cos; the margin absorbs rounding (DESIGN.md §21).
+  // Walk 2: replay the identical stream. A weight whose upper bound is
+  // below LO is dropped and one whose lower bound is above HI is kept; only
+  // the rest get the exact magnitude, through the same box_muller on the
+  // same draws as Rng::normal().
   WeightPattern pattern(layer.fan_in, layer.outputs);
-  common::parallel_for(
-      0, rows, 0,
+  const std::vector<RowTail> tails = common::parallel_transform(
+      rows, 0,
       [&](std::size_t r) {
-        common::Rng rng = row_rng(seed, static_cast<int>(r));
-        const double imp = row_importance(rng, sigma);
-        const double ratio = threshold / imp;
-        const double reject_above =
-            std::exp(-0.5 * ratio * ratio) * (1.0 + kRejectMargin);
-        const std::span<std::uint64_t> words =
-            pattern.row_words(static_cast<int>(r));
-        for (std::int64_t c = 0; c < cols; ++c) {
-          const double u1 = rng.uniform_positive();
-          const double u2 = rng.uniform();
-          if (u1 > reject_above) continue;
-          if (imp * std::abs(common::Rng::box_muller(u1, u2)) >= threshold)
-            words[static_cast<std::size_t>(c >> 6)] |= 1ULL << (c & 63);
-        }
+        return decide_row(walk, r, cuts[0], cuts[1],
+                          pattern.row_words(static_cast<int>(r)));
       },
-      static_cast<std::size_t>(cols) * kNsPerWeight);
+      cost);
+
+  // Every dropped sampled magnitude is below θ and every kept one above,
+  // so θ is the (cut − drops)-th smallest undecided sampled magnitude.
+  std::int64_t drops = 0;
+  std::vector<double> candidates;
+  for (const RowTail& tail : tails) {
+    drops += tail.sampled_drops;
+    for (const Undecided& u : tail.undecided)
+      if (u.sampled) candidates.push_back(u.magnitude);
+  }
+  const auto rank = static_cast<std::size_t>(static_cast<std::int64_t>(cut) - drops);
+  assert(rank < candidates.size());
+  std::nth_element(candidates.begin(),
+                   candidates.begin() + static_cast<std::ptrdiff_t>(rank),
+                   candidates.end());
+  const double threshold = candidates[rank];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::span<std::uint64_t> words =
+        pattern.row_words(static_cast<int>(r));
+    for (const Undecided& u : tails[r].undecided)
+      if (u.magnitude >= threshold)
+        words[static_cast<std::size_t>(u.col >> 6)] |= 1ULL << (u.col & 63);
+  }
   pattern.recount();
   // Never prune a layer to fully-zero: keep at least one weight so the
   // mapper always has work (mirrors real pruners' per-layer floors).
