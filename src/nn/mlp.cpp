@@ -83,7 +83,6 @@ MultiHeadMlp::MultiHeadMlp(MlpConfig config, std::uint64_t seed)
   ws_.wt.resize(max_transposed);
   ws_.all.resize(max_width);
   all_indices(max_width, ws_.all.data());
-  ws_.nll.resize(heads_.size());
   ws_.predicted.resize(heads_.size());
 }
 
@@ -131,12 +130,10 @@ void MultiHeadMlp::reserve(std::size_t batch) {
   ws_.labels.resize(batch * heads_.size());
 }
 
-void MultiHeadMlp::bind_rows(const Matrix& input, std::size_t first,
+void MultiHeadMlp::bind_rows(std::span<const double> rows,
                              std::size_t batch) {
-  assert(input.cols() == config_.inputs);
+  assert(rows.size() == batch * config_.inputs);
   reserve(batch);
-  const auto rows = input.flat().subspan(first * config_.inputs,
-                                         batch * config_.inputs);
   std::copy(rows.begin(), rows.end(), ws_.input.begin());
 }
 
@@ -161,9 +158,7 @@ void MultiHeadMlp::forward_pass(std::size_t batch) {
 }
 
 void MultiHeadMlp::infer(std::span<const double> features) {
-  assert(features.size() == config_.inputs);
-  reserve(1);
-  std::copy(features.begin(), features.end(), ws_.input.begin());
+  bind_rows(features, 1);
   forward_pass(1);
   for (std::size_t h = 0; h < heads_.size(); ++h)
     common::softmax_inplace(logit_row(h, 0));
@@ -309,7 +304,7 @@ void MultiHeadMlp::dense_input_grad(Dense& layer, const double* g,
 
 std::vector<Matrix> MultiHeadMlp::forward(const Matrix& input) {
   const std::size_t batch = input.rows();
-  bind_rows(input, 0, batch);
+  bind_rows(input.flat(), batch);
   forward_pass(batch);
   std::vector<Matrix> logits;
   logits.reserve(heads_.size());
@@ -343,7 +338,7 @@ double MultiHeadMlp::compute_gradients(
     const Matrix& input, std::span<const std::vector<int>> labels) {
   assert(labels.size() == heads_.size());
   const std::size_t batch = input.rows();
-  bind_rows(input, 0, batch);
+  bind_rows(input.flat(), batch);
   for (std::size_t h = 0; h < heads_.size(); ++h)
     std::copy_n(labels[h].begin(), batch,
                 ws_.labels.begin() + static_cast<std::ptrdiff_t>(h * ws_.rows));
@@ -369,31 +364,6 @@ void MultiHeadMlp::minibatch_gradients(
   forward_pass(batch);
   head_deltas(batch, false);
   backward_pass(batch);
-}
-
-double MultiHeadMlp::loss(const Matrix& input,
-                          std::span<const std::vector<int>> labels,
-                          std::size_t chunk) {
-  assert(labels.size() == heads_.size() && chunk > 0);
-  const std::size_t n = input.rows();
-  std::fill(ws_.nll.begin(), ws_.nll.end(), 0.0);
-  for (std::size_t first = 0; first < n; first += chunk) {
-    const std::size_t batch = std::min(chunk, n - first);
-    bind_rows(input, first, batch);
-    forward_pass(batch);
-    for (std::size_t h = 0; h < heads_.size(); ++h) {
-      for (std::size_t r = 0; r < batch; ++r) {
-        const std::span<double> p = logit_row(h, r);
-        common::softmax_inplace(p);
-        const auto y = static_cast<std::size_t>(labels[h][first + r]);
-        assert(y < p.size());
-        ws_.nll[h] -= std::log(std::max(p[y], 1e-300));
-      }
-    }
-  }
-  double total = 0.0;
-  for (double nll : ws_.nll) total += nll / static_cast<double>(n);
-  return total;
 }
 
 std::vector<Dense*> MultiHeadMlp::trunk_dense() {

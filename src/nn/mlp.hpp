@@ -71,12 +71,6 @@ class MultiHeadMlp {
                            std::span<const std::vector<int>> labels,
                            std::span<const std::size_t> rows);
 
-  /// The loss compute_gradients would return on the whole of `input` (per
-  /// head the mean cross-entropy, summed over heads), forward only and
-  /// `chunk` rows at a time, so the workspace stays at chunk rows.
-  double loss(const Matrix& input, std::span<const std::vector<int>> labels,
-              std::size_t chunk);
-
   /// All trainable parameters, trunk first, then heads in order.
   std::vector<Parameter*> parameters();
 
@@ -112,7 +106,6 @@ class MultiHeadMlp {
     std::vector<double> wt;         ///< one transposed weight matrix
     std::vector<std::uint32_t> all; ///< 0, 1, ..., max width - 1
     std::vector<int> labels;        ///< [head][rows]
-    std::vector<double> nll;        ///< [head] summed -log p of loss()
     std::vector<int> predicted;     ///< [head] predict()'s argmaxes
   };
 
@@ -127,8 +120,8 @@ class MultiHeadMlp {
 
   /// Grows the workspace to hold `batch` rows.
   void reserve(std::size_t batch);
-  /// Points the batch at rows [first, first + batch) of `input`.
-  void bind_rows(const Matrix& input, std::size_t first, std::size_t batch);
+  /// Copies `batch` input rows, laid out row after row, into the batch.
+  void bind_rows(std::span<const double> rows, std::size_t batch);
   /// Nonzero-index lists of the bound batch's rows of layer input l.
   void index_nonzeros(std::size_t l, std::size_t batch);
   /// Logits of the bound batch for every head.

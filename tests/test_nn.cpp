@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "mlp_loss.hpp"
 #include "nn/layers.hpp"
 #include "nn/mlp.hpp"
 #include "nn/tensor.hpp"
@@ -163,10 +164,9 @@ TEST(Training, FitReducesLossAndLearnsSeparableTask) {
   MultiHeadMlp mlp({.inputs = 4, .hidden = {16}, .heads = {2, 3}}, 5);
   TrainOptions opt;
   opt.epochs = 120;
-  const double initial_loss = mlp.loss(ds.inputs, ds.labels, opt.batch_size);
+  const double initial_loss = testref::mlp_loss(mlp, ds);
   EXPECT_EQ(fit(mlp, ds, opt).epochs_run, opt.epochs);
-  EXPECT_LT(mlp.loss(ds.inputs, ds.labels, opt.batch_size),
-            initial_loss * 0.5);
+  EXPECT_LT(testref::mlp_loss(mlp, ds), initial_loss * 0.5);
   EXPECT_GT(exact_match_accuracy(mlp, ds), 0.85);
   const auto per_head = per_head_accuracy(mlp, ds);
   EXPECT_GT(per_head[0], 0.9);

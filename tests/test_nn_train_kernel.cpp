@@ -21,6 +21,7 @@
 #include "allocation_counter.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "mlp_loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/train.hpp"
 #include "policy/policy.hpp"
@@ -71,11 +72,10 @@ void expect_same_grads(MultiHeadMlp& lib, MultiHeadMlp& ref) {
     EXPECT_TRUE(same_bits(a[i]->grad, b[i]->grad)) << "gradient " << i;
 }
 
-/// MultiHeadMlp::loss, `chunk` rows at a time, against the reference's
-/// whole-dataset loss, bit for bit.
+/// The library model's dataset loss against the reference's, bit for bit.
 void expect_same_loss(MultiHeadMlp& lib, testref::Mlp& ref,
-                      const Dataset& data, std::size_t chunk) {
-  const double a = lib.loss(data.inputs, data.labels, chunk);
+                      const Dataset& data) {
+  const double a = testref::mlp_loss(lib, data);
   const double b = testref::dataset_loss(ref, data);
   EXPECT_TRUE(same_bits(a, b)) << a << " vs " << b;
 }
@@ -134,11 +134,11 @@ TrainOptions options(int epochs, std::size_t batch, std::uint64_t seed) {
 /// Fits both engines on `data` and pins the losses before and after, the
 /// epoch count, the parameters and the inference paths.
 void fit_and_compare(Pair& p, const Dataset& data, const TrainOptions& opt) {
-  expect_same_loss(p.lib, p.ref, data, opt.batch_size);
+  expect_same_loss(p.lib, p.ref, data);
   const TrainResult a = fit(p.lib, data, opt);
   const TrainResult b = testref::fit(p.ref, data, opt);
   EXPECT_EQ(a.epochs_run, b.epochs_run);
-  expect_same_loss(p.lib, p.ref, data, opt.batch_size);
+  expect_same_loss(p.lib, p.ref, data);
   expect_same_values(p.lib, p.ref_params);
   expect_same_inference(p, data.inputs);
 }
@@ -284,7 +284,7 @@ TEST(NnTrainKernel, InfiniteWeightBehindZeroActivationStaysOutOfTheSums) {
     }
     fit_and_compare(p, data, options(20, 10, 14));
     EXPECT_EQ(fit(p.lib, data, options(1, 10, 15)).epochs_run, 1);
-    EXPECT_TRUE(std::isfinite(p.lib.loss(data.inputs, data.labels, 10)));
+    EXPECT_TRUE(std::isfinite(testref::mlp_loss(p.lib, data)));
     EXPECT_EQ(p.lib.trunk_dense()[0]->weight().value(0, 3), kInf);
     EXPECT_EQ(p.lib.head_dense()[0]->weight().value(0, 5), kInf);
   });
@@ -344,13 +344,13 @@ TEST(NnTrainKernel, PolicyTrainSanitizerPathIsBitwiseEqual) {
       v = std::clamp(v, 0.0, 1.0);
     }
     const TrainOptions opt = options(100, 10, 0x5eed);
-    expect_same_loss(policy.mlp(), ref, clamped, opt.batch_size);
+    expect_same_loss(policy.mlp(), ref, clamped);
     const TrainResult a = policy.train(data, opt);
     const TrainResult b = testref::fit(ref, clamped, opt);
     EXPECT_EQ(policy.sanitized_inputs(), 4u);
     EXPECT_EQ(policy.nonfinite_recoveries(), 0u);
     EXPECT_EQ(a.epochs_run, b.epochs_run);
-    expect_same_loss(policy.mlp(), ref, clamped, opt.batch_size);
+    expect_same_loss(policy.mlp(), ref, clamped);
     expect_same_values(policy.mlp(), twin.mlp());
   });
 }
@@ -388,10 +388,8 @@ TEST(NnTrainKernel, FitRefusesLabelsOutsideTheHeads) {
 // --- Zero allocation in steady state ----------------------------------------
 
 /// Eight rounds of every step and inference entry point, and an Adam step,
-/// on `config` after one warm-up round allocate nothing. `chunk` is loss()'s
-/// chunk.
-void expect_no_steady_state_allocation(const MlpConfig& config,
-                                       std::size_t chunk) {
+/// on `config` after one warm-up round allocate nothing.
+void expect_no_steady_state_allocation(const MlpConfig& config) {
   MultiHeadMlp model(config, 23);
   Adam optimizer(model.parameters());
   const Dataset data = make_data(config, 10, 14);
@@ -406,7 +404,6 @@ void expect_no_steady_state_allocation(const MlpConfig& config,
     model.minibatch_gradients(data.inputs, data.labels, rows);
     optimizer.step();
     sink += model.predict(data.inputs.row(rep))[0];
-    sink += model.loss(data.inputs, data.labels, chunk);
   }
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "training step or predict allocated (sink " << sink << ")";
@@ -421,9 +418,9 @@ TEST(NnTrainKernel, StepAndPredictDoNotAllocateInSteadyState) {
   pool.set_threads(4);
   in_both_simd_modes([] {
     expect_no_steady_state_allocation(
-        {.inputs = 4, .hidden = {16}, .heads = {6, 6}}, 3);
+        {.inputs = 4, .hidden = {16}, .heads = {6, 6}});
     expect_no_steady_state_allocation(
-        {.inputs = 192, .hidden = {1024}, .heads = {10}}, 5);
+        {.inputs = 192, .hidden = {1024}, .heads = {10}});
   });
   pool.set_threads(threads);
 }

@@ -20,6 +20,7 @@
 #include "data/synthetic.hpp"
 #include "dnn/pruning.hpp"
 #include "dnn/zoo.hpp"
+#include "mlp_loss.hpp"
 #include "policy/offline.hpp"
 #include "policy/policy.hpp"
 #include "reram/fault_injection.hpp"
@@ -336,7 +337,7 @@ TEST(ParallelDeterminism, ConcurrentPolicyRetrainsMatchSequential) {
   // Each clone's loss on its own data after its retrain.
   const auto retrain = [&](policy::OuPolicy& policy, const nn::Dataset& d) {
     policy.train(d, opt);
-    return policy.mlp().loss(d.inputs, d.labels, opt.batch_size);
+    return testref::mlp_loss(policy.mlp(), d);
   };
   std::vector<double> seq_loss;
   for (std::size_t i = 0; i < kClones; ++i)
@@ -380,9 +381,9 @@ WideFit fit_wide(int threads, const nn::Dataset& data) {
   opt.learning_rate = 3e-3;
   opt.shuffle_seed = 42;
   WideFit fit;
-  fit.initial_loss = model.loss(data.inputs, data.labels, opt.batch_size);
+  fit.initial_loss = testref::mlp_loss(model, data);
   fit.result = nn::fit(model, data, opt);
-  fit.final_loss = model.loss(data.inputs, data.labels, opt.batch_size);
+  fit.final_loss = testref::mlp_loss(model, data);
   for (nn::Parameter* p : model.parameters()) {
     fit.values.push_back(p->value);
     fit.grads.push_back(p->grad);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "mlp_loss.hpp"
 #include "policy/buffer.hpp"
 #include "policy/features.hpp"
 #include "policy/policy.hpp"
@@ -90,11 +91,9 @@ TEST(OuPolicy, LearnsADeterministicMapping) {
   }
   nn::TrainOptions opt;
   opt.epochs = 150;
-  const double initial_loss =
-      policy.mlp().loss(data.inputs, data.labels, opt.batch_size);
+  const double initial_loss = testref::mlp_loss(policy.mlp(), data);
   EXPECT_EQ(policy.train(data, opt).epochs_run, opt.epochs);
-  EXPECT_LT(policy.mlp().loss(data.inputs, data.labels, opt.batch_size),
-            initial_loss);
+  EXPECT_LT(testref::mlp_loss(policy.mlp(), data), initial_loss);
 
   Features sparse;
   sparse.sparsity = 0.9;
@@ -144,8 +143,7 @@ TEST(OuPolicy, TrainSanitizesNonFiniteFeaturesAndStaysFinite) {
   nn::Dataset repaired = data;
   for (double& v : repaired.inputs.flat())
     v = std::isfinite(v) ? std::clamp(v, 0.0, 1.0) : 0.0;
-  EXPECT_TRUE(std::isfinite(
-      policy.mlp().loss(repaired.inputs, repaired.labels, opt.batch_size)));
+  EXPECT_TRUE(std::isfinite(testref::mlp_loss(policy.mlp(), repaired)));
   // Predictions remain well-formed after the poisoned training round.
   Features probe;
   probe.sparsity = 0.5;
