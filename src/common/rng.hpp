@@ -42,9 +42,10 @@ class Rng {
     return result;
   }
 
-  /// The top 53 bits of one step: uniform() is this times 2^-53. Callers
-  /// that bucket a draw before converting it (dnn::prune_layer) read it
-  /// here, so their values cannot drift from uniform()'s.
+  /// The top 53 bits of one step: uniform() is this times 2^-53. A caller
+  /// that buckets a draw by its integer bits before converting it
+  /// (dnn::prune_layer's u2) reads it here, so its value cannot drift from
+  /// uniform()'s.
   constexpr std::uint64_t next_u53() noexcept { return next_u64() >> 11; }
 
   /// Uniform in [0, 1).

@@ -20,17 +20,20 @@ namespace odin::dnn {
 namespace bracket {
 
 Tables::Tables() {
-  // u1 edge i is 2^(e-53)·(1 + j/256) with e = i / 256, j = i % 256. The
-  // last edge is 1, where −2 ln is 0; the computed −2·log(1) is −0, whose
-  // float pattern would sort above every positive bound.
-  constexpr std::size_t kSub = std::size_t{1} << kU1MantissaBits;
-  for (std::size_t i = 0; i < kU1Buckets; ++i) {
-    const double edge =
-        std::ldexp(1.0 + static_cast<double>(i % kSub) / kSub,
-                   static_cast<int>(i / kSub) - 53);
-    log_term[i] = -2.0 * std::log(edge);
-  }
-  log_term[kU1Buckets] = 0.0;
+  // u1 edge (e, j) is 2^(e-53)·(1 + j/256); 1 + j/256 is exact, so the
+  // mantissa term needs only log, which the exact path already calls. Its
+  // last entry is the binade step itself, so the top bucket's lower bound,
+  // at u1 = 1, sums to exactly +0; its first is +0, where the computed
+  // −2·log(1) is −0, whose float pattern would sort above every positive
+  // bound.
+  const double step = 2.0 * std::numbers::ln2;
+  for (std::size_t e = 0; e < kU1Binades; ++e)
+    binade_term[e] = static_cast<double>(kU1Binades - e) * step;
+  mantissa_term[0] = 0.0;
+  for (std::size_t j = 1; j < kU1Steps; ++j)
+    mantissa_term[j] =
+        -2.0 * std::log(1.0 + static_cast<double>(j) / kU1Steps);
+  mantissa_term[kU1Steps] = -step;
   // u2 edge f is f·2^-14; cos(2π·1/4) is 0, which the computed cos of the
   // rounded argument would miss by ~6e-17.
   for (std::size_t f = 0; f < kU2Buckets; ++f) {
@@ -63,13 +66,7 @@ double row_importance(common::Rng& rng, double sigma) {
   return std::exp(sigma * rng.normal());
 }
 
-/// uniform_positive()'s draw before its conversion: u1 = k1·2^-53.
-std::uint64_t draw_k1(common::Rng& rng) {
-  std::uint64_t k1 = rng.next_u53();
-  while (k1 == 0) k1 = rng.next_u53();
-  return k1;
-}
-
+/// uniform()'s value of the 53-bit draw k.
 double to_unit(std::uint64_t k) { return static_cast<double>(k) * 0x1.0p-53; }
 
 /// Walk 1's bounds on one sampled weight's squared magnitude, as the bit
@@ -146,9 +143,9 @@ void bound_row(Walk w, std::size_t r, std::span<SampleBounds> sample,
       rng.discard_normal();
       continue;
     }
-    const std::uint64_t k1 = draw_k1(rng);
+    const double u1 = rng.uniform_positive();
     const bracket::Bounds b = bracket::square_bounds(
-        *w.tables, scales, bracket::u1_bucket(to_unit(k1)),
+        *w.tables, scales, bracket::u1_bucket(u1),
         bracket::u2_bucket(rng.next_u53()));
     const SampleBounds bounds{bracket::float_below(b.lo),
                               bracket::float_above(b.hi)};
@@ -174,9 +171,8 @@ RowTail decide_row(Walk w, std::size_t r, double lo_cut, double hi_cut,
     const std::int64_t end = std::min<std::int64_t>(base + 64, w.cols);
     std::uint64_t word = 0;
     for (std::int64_t c = base; c < end; ++c) {
-      const std::uint64_t k1 = draw_k1(rng);
+      const double u1 = rng.uniform_positive();
       const std::uint64_t k2 = rng.next_u53();
-      const double u1 = to_unit(k1);
       const bracket::Bounds b = bracket::square_bounds(
           *w.tables, scales, bracket::u1_bucket(u1), bracket::u2_bucket(k2));
       const bool sampled = c == next;

@@ -3,12 +3,14 @@
 // dnn::prune_layer gives a weight the magnitude imp·|z|, with z the
 // Box-Muller normal of the draws u1 = k1·2^-53 and u2 = k2·2^-53. The
 // square (imp·z)² = imp²·(−2 ln u1)·cos²(2π u2) is bracketed without log
-// or cos: one table holds −2 ln at the edges of u1's buckets (binade × top
-// 8 mantissa bits), the other cos² at the edges of u2's buckets over the
-// folded quarter period [0, 1/4]. Both functions fall across a bucket, so
-// a bucket's two edges bound it. The row scales widen each table by
-// kMargin, far above the < 1e-11 relative error of the computed magnitude
-// chain, so the bounds hold for the magnitude the exact path computes.
+// or cos. −2 ln at the edges of u1's buckets (binade e × top 8 mantissa
+// bits j) is the sum of a binade term, −2 ln 2^(e−53), and a mantissa
+// term, −2 ln(1 + j/256); one more table holds cos² at the edges of u2's
+// buckets over the folded quarter period [0, 1/4]. Both functions fall
+// across a bucket, so a bucket's two edges bound it. The row scales widen
+// each bound by kMargin, far above the < 1e-11 relative error of the
+// computed magnitude chain and of the edge sums, so the bounds hold for
+// the magnitude the exact path computes.
 #pragma once
 
 #include <array>
@@ -21,7 +23,9 @@ namespace odin::dnn::bracket {
 
 /// u1 in [2^-53, 1) spans 53 binades of 2^8 buckets each.
 inline constexpr int kU1MantissaBits = 8;
-inline constexpr std::size_t kU1Buckets = std::size_t{53} << kU1MantissaBits;
+inline constexpr std::size_t kU1Binades = 53;
+inline constexpr std::size_t kU1Steps = std::size_t{1} << kU1MantissaBits;
+inline constexpr std::size_t kU1Buckets = kU1Binades * kU1Steps;
 /// u2's quarter period [0, 1/4] in 2^12 buckets of width 2^-14.
 inline constexpr int kU2BucketBits = 12;
 inline constexpr std::size_t kU2Buckets = std::size_t{1} << kU2BucketBits;
@@ -29,16 +33,19 @@ inline constexpr std::size_t kU2Buckets = std::size_t{1} << kU2BucketBits;
 /// Relative widening of each table's bounds.
 inline constexpr double kMargin = 1e-9;
 
-/// Edge values, each falling with the index: bucket i's values lie between
-/// entries i + 1 (lower bound) and i (upper bound).
+/// Edge values, each falling with the index. −2 ln u1 over u1's bucket
+/// (e, j) lies between binade_term[e] + mantissa_term[j + 1] (lower bound)
+/// and binade_term[e] + mantissa_term[j] (upper bound); cos² over u2's
+/// bucket f between cos_term[f + 1] and cos_term[f].
 struct Tables {
   Tables();
 
-  std::array<double, kU1Buckets + 1> log_term;  ///< −2 ln at u1's edges
+  std::array<double, kU1Binades> binade_term;       ///< 2(53 − e)·ln 2
+  std::array<double, kU1Steps + 1> mantissa_term;   ///< −2 ln(1 + j/256)
   std::array<double, kU2Buckets + 1> cos_term;  ///< cos²(2π·) at u2's edges
 };
 
-/// The process-wide tables (about 140 KB), built on first use.
+/// The process-wide tables (about 35 KB), built on first use.
 const Tables& tables();
 
 /// u1's bucket: its biased exponent and top 8 mantissa bits, which are
@@ -85,8 +92,10 @@ struct Bounds {
 /// Bounds on (imp·z)² for the draw whose buckets are a (u1) and b (u2).
 inline Bounds square_bounds(const Tables& t, Scales s, std::size_t a,
                             std::size_t b) noexcept {
-  return {s.lo * t.log_term[a + 1] * t.cos_term[b + 1],
-          s.hi * t.log_term[a] * t.cos_term[b]};
+  const double binade = t.binade_term[a >> kU1MantissaBits];
+  const std::size_t j = a & (kU1Steps - 1);
+  return {s.lo * (binade + t.mantissa_term[j + 1]) * t.cos_term[b + 1],
+          s.hi * (binade + t.mantissa_term[j]) * t.cos_term[b]};
 }
 
 /// The bit pattern of x ≥ 0 rounded down (resp. up) to a float.

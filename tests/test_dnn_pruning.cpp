@@ -223,9 +223,9 @@ TEST(PruneBracket, TableBoundsContainTheExactSquare) {
   // quarters, where a bound equals a table entry.
   const std::uint64_t u2_edge = quarter >> bracket::kU2BucketBits;
   for (std::size_t i = 1; i < bracket::kU1Buckets; ++i) {
-    const double edge =
-        std::ldexp(1.0 + static_cast<double>(i % 256) / 256.0,
-                   static_cast<int>(i / 256));
+    const double edge = std::ldexp(
+        1.0 + static_cast<double>(i % bracket::kU1Steps) / bracket::kU1Steps,
+        static_cast<int>(i / bracket::kU1Steps));
     const auto k1 = static_cast<std::uint64_t>(std::ceil(edge));
     for (const std::uint64_t f : {std::uint64_t{0}, std::uint64_t{1},
                                   std::uint64_t{2048}, std::uint64_t{4095}})
@@ -249,13 +249,25 @@ TEST(PruneBracket, TableBoundsContainTheExactSquare) {
 
 TEST(PruneBracket, TablesFallAcrossEveryBucket) {
   const bracket::Tables& t = bracket::tables();
-  for (std::size_t i = 0; i < bracket::kU1Buckets; ++i)
-    ASSERT_GT(t.log_term[i], t.log_term[i + 1]) << "u1 edge " << i;
+  for (std::size_t e = 0; e < bracket::kU1Binades; ++e) {
+    for (std::size_t j = 0; j < bracket::kU1Steps; ++j)
+      ASSERT_GT(t.binade_term[e] + t.mantissa_term[j],
+                t.binade_term[e] + t.mantissa_term[j + 1])
+          << "u1 binade " << e << ", edge " << j;
+    if (e + 1 < bracket::kU1Binades) {
+      ASSERT_GT(t.binade_term[e], t.binade_term[e + 1]) << "u1 binade " << e;
+    }
+  }
   for (std::size_t f = 0; f < bracket::kU2Buckets; ++f)
     ASSERT_GT(t.cos_term[f], t.cos_term[f + 1]) << "u2 edge " << f;
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(t.log_term.back()), 0u);
+  // −2 ln 1 and cos²(π/2) are +0: a −0 lower bound's float pattern would
+  // sort above every positive one.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(t.mantissa_term.front()), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(t.binade_term.back() +
+                                         t.mantissa_term.back()),
+            0u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(t.cos_term.back()), 0u);
-  EXPECT_LT(sizeof(bracket::Tables), 300u * 1024u);
+  EXPECT_LT(sizeof(bracket::Tables), 40u * 1024u);
 }
 
 /// CRC-32 of every mask word of every layer, fed little-endian, so the pin
