@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <mutex>
 #include <numbers>
 #include <span>
@@ -79,14 +81,50 @@ struct SampleBounds {
 /// A weight of walk 2 whose bounds straddle [LO, HI], with its exact
 /// magnitude.
 struct Undecided {
+  int row;
   int col;
   bool sampled;
   double magnitude;
 };
 
-struct RowTail {
-  std::int64_t sampled_drops = 0;
-  std::vector<Undecided> undecided;
+/// Walk 2's undecided weights, in slots its chunks claim one at a time.
+/// The slots take the bytes of walk 1's sample, which is freed by then;
+/// they are allocated on the calling thread and left uninitialised, so
+/// only the slots written become resident and the workers allocate
+/// nothing. A layer with more undecided weights than slots (a row scale
+/// outside the tables' range sends whole rows here) puts the rest in an
+/// overflow list.
+class UndecidedList {
+ public:
+  explicit UndecidedList(std::size_t samples)
+      : capacity_(samples * sizeof(SampleBounds) / sizeof(Undecided) + 1),
+        slots_(std::make_unique_for_overwrite<Undecided[]>(capacity_)) {}
+
+  void add(const Undecided& u) {
+    const std::size_t i = used_.fetch_add(1, std::memory_order_relaxed);
+    if (i < capacity_) [[likely]] {
+      slots_[i] = u;
+      return;
+    }
+    const std::lock_guard<std::mutex> lock(overflow_mutex_);
+    overflow_.push_back(u);
+  }
+
+  /// Every weight added, in no particular order. Call once the walk is
+  /// done.
+  std::span<Undecided> all() {
+    const std::size_t used = std::min(used_.load(), capacity_);
+    if (overflow_.empty()) return {slots_.get(), used};
+    overflow_.insert(overflow_.end(), slots_.get(), slots_.get() + used);
+    return overflow_;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::unique_ptr<Undecided[]> slots_;
+  std::atomic<std::size_t> used_{0};
+  std::mutex overflow_mutex_;
+  std::vector<Undecided> overflow_;
 };
 
 /// Rough cost of one weight in either walk (ns), and of one sampled
@@ -157,10 +195,11 @@ void bound_row(Walk w, std::size_t r, std::span<SampleBounds> sample,
 }
 
 /// Walk 2 over row r: writes the bits the bounds decide into the row's
-/// mask words and returns the rest with their exact magnitudes.
-RowTail decide_row(Walk w, std::size_t r, double lo_cut, double hi_cut,
-                   std::span<std::uint64_t> words) {
-  RowTail tail;
+/// mask words, adds the rest, with their exact magnitudes, to `undecided`
+/// and returns how many of the row's sampled weights the bounds dropped.
+std::int64_t decide_row(Walk w, std::size_t r, double lo_cut, double hi_cut,
+                        std::span<std::uint64_t> words,
+                        UndecidedList& undecided) {
   common::Rng rng = row_rng(w.seed, static_cast<int>(r));
   const double imp = row_importance(rng, w.sigma);
   const bracket::Scales scales = bracket::row_scales(imp);
@@ -184,14 +223,13 @@ RowTail decide_row(Walk w, std::size_t r, double lo_cut, double hi_cut,
       drops += sampled && drop;
       word |= std::uint64_t{keep} << (c & 63);
       if (!drop && !keep) [[unlikely]]
-        tail.undecided.push_back(
-            {static_cast<int>(c), sampled,
+        undecided.add(
+            {static_cast<int>(r), static_cast<int>(c), sampled,
              imp * std::abs(common::Rng::box_muller(u1, to_unit(k2)))});
     }
     words[static_cast<std::size_t>(base >> 6)] = word;
   }
-  tail.sampled_drops = drops;
-  return tail;
+  return drops;
 }
 
 }  // namespace
@@ -267,20 +305,20 @@ WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
   const std::array<double, 2> cuts = [&] {
     std::vector<SampleBounds> sample(samples);
     std::mutex count_mutex;
-    DigitCounts top{};
+    DigitCounts counts{};
     common::parallel_for_chunks(
         0, rows, 0,
         [&](std::size_t begin, std::size_t end) {
           DigitCounts local{};
           for (std::size_t r = begin; r < end; ++r)
             bound_row(walk, r, sample, local);
-          merge(top, local, count_mutex);
+          merge(counts, local, count_mutex);
         },
         cost);
     std::array<std::size_t, 2> rank{cut, cut};
-    const std::array<std::uint32_t, 2> high{pick(top[0], rank[0]),
-                                            pick(top[1], rank[1])};
-    DigitCounts low{};
+    const std::array<std::uint32_t, 2> high{pick(counts[0], rank[0]),
+                                            pick(counts[1], rank[1])};
+    counts = {};
     common::parallel_for_chunks(
         0, samples, 0,
         [&](std::size_t begin, std::size_t end) {
@@ -292,15 +330,15 @@ WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
             local[1][(s.hi >> kNextShift) & kDigit] +=
                 (s.hi >> kTopShift) == high[1];
           }
-          merge(low, local, count_mutex);
+          merge(counts, local, count_mutex);
         },
         kNsPerCount);
     // LO is the smallest pattern with the cut-th smallest lo's two digits,
     // HI the largest with the cut-th smallest hi's.
-    const std::uint32_t lo = high[0] << kTopShift | pick(low[0], rank[0])
+    const std::uint32_t lo = high[0] << kTopShift | pick(counts[0], rank[0])
                                                          << kNextShift;
     const std::uint32_t hi = high[1] << kTopShift |
-                             pick(low[1], rank[1]) << kNextShift |
+                             pick(counts[1], rank[1]) << kNextShift |
                              ((1u << kNextShift) - 1);
     return std::array<double, 2>{std::bit_cast<float>(lo),
                                  std::bit_cast<float>(hi)};
@@ -311,36 +349,40 @@ WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
   // the rest get the exact magnitude, through the same box_muller on the
   // same draws as Rng::normal().
   WeightPattern pattern(layer.fan_in, layer.outputs);
-  const std::vector<RowTail> tails = common::parallel_transform(
-      rows, 0,
-      [&](std::size_t r) {
-        return decide_row(walk, r, cuts[0], cuts[1],
-                          pattern.row_words(static_cast<int>(r)));
+  UndecidedList list(samples);
+  std::atomic<std::int64_t> drops{0};
+  common::parallel_for_chunks(
+      0, rows, 0,
+      [&](std::size_t begin, std::size_t end) {
+        std::int64_t chunk_drops = 0;
+        for (std::size_t r = begin; r < end; ++r)
+          chunk_drops +=
+              decide_row(walk, r, cuts[0], cuts[1],
+                         pattern.row_words(static_cast<int>(r)), list);
+        drops.fetch_add(chunk_drops, std::memory_order_relaxed);
       },
       cost);
 
   // Every dropped sampled magnitude is below θ and every kept one above,
   // so θ is the (cut − drops)-th smallest undecided sampled magnitude.
-  std::int64_t drops = 0;
-  std::vector<double> candidates;
-  for (const RowTail& tail : tails) {
-    drops += tail.sampled_drops;
-    for (const Undecided& u : tail.undecided)
-      if (u.sampled) candidates.push_back(u.magnitude);
-  }
-  const auto rank = static_cast<std::size_t>(static_cast<std::int64_t>(cut) - drops);
-  assert(rank < candidates.size());
-  std::nth_element(candidates.begin(),
-                   candidates.begin() + static_cast<std::ptrdiff_t>(rank),
-                   candidates.end());
-  const double threshold = candidates[rank];
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::span<std::uint64_t> words =
-        pattern.row_words(static_cast<int>(r));
-    for (const Undecided& u : tails[r].undecided)
-      if (u.magnitude >= threshold)
-        words[static_cast<std::size_t>(u.col >> 6)] |= 1ULL << (u.col & 63);
-  }
+  // The list's order depends on scheduling; neither θ nor the bits set
+  // from it depend on that order.
+  const std::span<Undecided> undecided = list.all();
+  const auto sampled_end =
+      std::partition(undecided.begin(), undecided.end(),
+                     [](const Undecided& u) { return u.sampled; });
+  const auto rank = static_cast<std::ptrdiff_t>(
+      static_cast<std::int64_t>(cut) - drops.load());
+  assert(rank >= 0 && rank < sampled_end - undecided.begin());
+  std::nth_element(undecided.begin(), undecided.begin() + rank, sampled_end,
+                   [](const Undecided& a, const Undecided& b) {
+                     return a.magnitude < b.magnitude;
+                   });
+  const double threshold = undecided[static_cast<std::size_t>(rank)].magnitude;
+  for (const Undecided& u : undecided)
+    if (u.magnitude >= threshold)
+      pattern.row_words(u.row)[static_cast<std::size_t>(u.col >> 6)] |=
+          1ULL << (u.col & 63);
   pattern.recount();
   // Never prune a layer to fully-zero: keep at least one weight so the
   // mapper always has work (mirrors real pruners' per-layer floors).

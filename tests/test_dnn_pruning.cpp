@@ -165,6 +165,10 @@ TEST(PruneLayer, MatchesSerialReferenceAcrossShapes) {
       // sigma 40 puts ~20% of rows' imp^2 above 2^100, where the bounds
       // give up and every weight takes the exact path.
       {"3x3 conv, sigma 40", conv_layer(32, 64, 3), with_sigma(40.0)},
+      // At stride 3 those rows' weights outnumber the undecided slots (a
+      // third of the sample's count), so the overflow list fills too.
+      {"outputs 65, stride 3, sigma 40",
+       matrix_layer(LayerType::kConv, 10'000, 65), with_sigma(40.0)},
   };
   for (const std::uint64_t seed : {1ULL, 0x0d1e5eedULL, 0xfeedfaceULL}) {
     for (const Shape& s : shapes)
