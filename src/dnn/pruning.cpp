@@ -47,11 +47,6 @@ Tables::Tables() {
   cos_term[kU2Buckets] = 0.0;
 }
 
-const Tables& tables() {
-  static const Tables built;
-  return built;
-}
-
 }  // namespace bracket
 
 namespace {
@@ -133,13 +128,15 @@ class UndecidedList {
 constexpr std::size_t kNsPerWeight = 25;
 constexpr std::size_t kNsPerCount = 2;
 
-/// Counts of one 11-bit digit of the bound patterns, [lo, hi][digit]. The
-/// select reads the digits at bits 21..31 (walk 1 counts them) and at bits
-/// 10..20 (one counting pass over the sample).
-using DigitCounts = std::array<std::array<std::uint32_t, 0x800>, 2>;
+/// Counts of one 10-bit digit of the bound patterns, [lo, hi][digit]. The
+/// select reads the digits at bits 21..30 (walk 1 counts them; bit 31, the
+/// sign, is 0 in every bound) and at bits 11..20 (one counting pass over
+/// the sample). Each chunk keeps its counts on its thread's stack, whose
+/// touched pages stay resident, so they are kept to 8 KB.
 constexpr int kTopShift = 21;
-constexpr int kNextShift = 10;
-constexpr std::uint32_t kDigit = 0x7ff;
+constexpr int kNextShift = 11;
+constexpr std::uint32_t kDigit = 0x3ff;
+using DigitCounts = std::array<std::array<std::uint32_t, kDigit + 1>, 2>;
 
 void merge(DigitCounts& into, const DigitCounts& from, std::mutex& mutex) {
   const std::lock_guard<std::mutex> lock(mutex);
@@ -149,7 +146,7 @@ void merge(DigitCounts& into, const DigitCounts& from, std::mutex& mutex) {
 
 /// The digit holding the rank-th smallest (0-based) pattern; rank becomes
 /// the pattern's rank among those with that digit.
-std::uint32_t pick(const std::array<std::uint32_t, 0x800>& counts,
+std::uint32_t pick(const std::array<std::uint32_t, kDigit + 1>& counts,
                    std::size_t& rank) {
   std::uint32_t d = 0;
   while (rank >= counts[d]) rank -= counts[d++];
@@ -272,8 +269,12 @@ WeightPattern prune_depthwise(const LayerDescriptor& layer,
   return pattern;
 }
 
-WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
-                          const PruningConfig& config) {
+namespace {
+
+/// prune_layer on tables the caller built.
+WeightPattern prune_with(const LayerDescriptor& layer, std::uint64_t seed,
+                         const PruningConfig& config,
+                         const bracket::Tables& tables) {
   assert(layer.fan_in > 0 && layer.outputs > 0);
   if (layer.type == LayerType::kDepthwise)
     return prune_depthwise(layer, seed);
@@ -291,14 +292,14 @@ WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
   const auto cut =
       static_cast<std::size_t>(target * static_cast<double>(samples));
   assert(cut < samples);
-  const Walk walk{&bracket::tables(), seed, config.row_importance_sigma,
+  const Walk walk{&tables, seed, config.row_importance_sigma,
                   layer.outputs, stride};
   const auto rows = static_cast<std::size_t>(layer.fan_in);
   const std::size_t cost = static_cast<std::size_t>(layer.outputs) * kNsPerWeight;
 
   // Walk 1: the weights at flat indices 0, stride, 2*stride, ... form the
   // quantile sample; row r fills its own slots with bounds on their squared
-  // magnitudes. Two 11-bit digits of the cut-th smallest lower and upper
+  // magnitudes. Two 10-bit digits of the cut-th smallest lower and upper
   // bound give LO ≤ θ² ≤ HI, θ being the cut-th smallest sampled magnitude
   // (DESIGN.md §21). The sample is freed before the mask is allocated, so
   // the two never coexist.
@@ -390,15 +391,25 @@ WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
   return pattern;
 }
 
+}  // namespace
+
+WeightPattern prune_layer(const LayerDescriptor& layer, std::uint64_t seed,
+                          const PruningConfig& config) {
+  return prune_with(layer, seed, config, *std::make_unique<bracket::Tables>());
+}
+
 PrunedModel prune_model(DnnModel model, std::uint64_t seed,
                         const PruningConfig& config) {
+  // One set of tables serves every layer and is freed with the call, so
+  // the pruner leaves nothing resident after set-up.
+  const auto tables = std::make_unique<bracket::Tables>();
   PrunedModel out;
   out.patterns.reserve(model.layers.size());
   for (auto& layer : model.layers) {
     const std::uint64_t layer_seed =
         seed ^ (0x9e3779b97f4a7c15ULL *
                 (static_cast<std::uint64_t>(layer.index) + 17));
-    out.patterns.push_back(prune_layer(layer, layer_seed, config));
+    out.patterns.push_back(prune_with(layer, layer_seed, config, *tables));
     layer.weight_sparsity = out.patterns.back().sparsity();
   }
   out.model = std::move(model);

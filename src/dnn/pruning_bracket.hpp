@@ -36,7 +36,8 @@ inline constexpr double kMargin = 1e-9;
 /// Edge values, each falling with the index. −2 ln u1 over u1's bucket
 /// (e, j) lies between binade_term[e] + mantissa_term[j + 1] (lower bound)
 /// and binade_term[e] + mantissa_term[j] (upper bound); cos² over u2's
-/// bucket f between cos_term[f + 1] and cos_term[f].
+/// bucket f between cos_term[f + 1] and cos_term[f]. About 35 KB, built in
+/// about 0.1 ms; prune_model builds one set per call and frees it.
 struct Tables {
   Tables();
 
@@ -44,9 +45,6 @@ struct Tables {
   std::array<double, kU1Steps + 1> mantissa_term;   ///< −2 ln(1 + j/256)
   std::array<double, kU2Buckets + 1> cos_term;  ///< cos²(2π·) at u2's edges
 };
-
-/// The process-wide tables (about 35 KB), built on first use.
-const Tables& tables();
 
 /// u1's bucket: its biased exponent and top 8 mantissa bits, which are
 /// bits 62..44 of the double, less those of 2^-53.

@@ -190,16 +190,21 @@ bool square_within(double m, double lo, double hi) {
   return (p > lo || (p == lo && e >= 0.0)) && (p < hi || (p == hi && e <= 0.0));
 }
 
+/// The tables prune_layer builds, made once for the bound tests.
+const bracket::Tables& tables() {
+  static const bracket::Tables built;
+  return built;
+}
+
 /// The bounds prune_layer computes for one draw contain the square of the
 /// magnitude its exact path computes, in double and after outward rounding
 /// to float. Returns false (and reports) on the first failure.
 bool bracket_holds(std::uint64_t k1, std::uint64_t k2, double imp) {
-  const bracket::Tables& tables = bracket::tables();
   const double u1 = static_cast<double>(k1) * 0x1.0p-53;
   const double u2 = static_cast<double>(k2) * 0x1.0p-53;
   const double m = imp * std::abs(common::Rng::box_muller(u1, u2));
   const bracket::Bounds b =
-      bracket::square_bounds(tables, bracket::row_scales(imp),
+      bracket::square_bounds(tables(), bracket::row_scales(imp),
                              bracket::u1_bucket(u1), bracket::u2_bucket(k2));
   const double lo_f = std::bit_cast<float>(bracket::float_below(b.lo));
   const double hi_f = std::bit_cast<float>(bracket::float_above(b.hi));
@@ -252,7 +257,7 @@ TEST(PruneBracket, TableBoundsContainTheExactSquare) {
 }
 
 TEST(PruneBracket, TablesFallAcrossEveryBucket) {
-  const bracket::Tables& t = bracket::tables();
+  const bracket::Tables& t = tables();
   for (std::size_t e = 0; e < bracket::kU1Binades; ++e) {
     for (std::size_t j = 0; j < bracket::kU1Steps; ++j)
       ASSERT_GT(t.binade_term[e] + t.mantissa_term[j],
