@@ -37,7 +37,7 @@ inline constexpr double kMargin = 1e-9;
 /// (e, j) lies between binade_term[e] + mantissa_term[j + 1] (lower bound)
 /// and binade_term[e] + mantissa_term[j] (upper bound); cos² over u2's
 /// bucket f between cos_term[f + 1] and cos_term[f]. About 35 KB, built in
-/// about 0.1 ms; prune_model builds one set per call and frees it.
+/// about 40 us; prune_model builds one set per call and frees it.
 struct Tables {
   Tables();
 
